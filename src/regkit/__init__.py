@@ -27,9 +27,6 @@ from .operators import (
     LinearOperator,
     MatrixFreeOperator,
     SpectralDecomposition,
-    apply,
-    apply_adjoint,
-    apply_shifted_normal,
     as_dense_matrix,
     diagonal_decomposition,
     filter_factors,
@@ -88,9 +85,6 @@ __all__ = [
     "LinearOperator",
     "MatrixFreeOperator",
     "SpectralDecomposition",
-    "apply",
-    "apply_adjoint",
-    "apply_shifted_normal",
     "as_dense_matrix",
     "diagonal_decomposition",
     "filter_factors",

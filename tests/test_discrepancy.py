@@ -162,6 +162,22 @@ def test_root_budget_exhaustion():
         solve_alpha(SCALAR, [1.0], 0.123 / 1.5, cfg)
 
 
+@pytest.mark.parametrize("kind", ["spectral", "dense", "matrix_free"])
+def test_non_finite_data_rejected(kind):
+    prob = make_problem("deriv2", 16)
+    system = {
+        "spectral": prob.decomp,
+        "dense": prob.op,
+        "matrix_free": matrix_free_view(prob.op),
+    }[kind]
+    f_delta = add_noise(prob, 1e-3, seed=2).f_delta.copy()
+    f_delta[3] = np.nan
+    with pytest.raises(InvalidParameterError, match="finite"):
+        discrepancy_value(system, f_delta, 1e-3)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        solve_alpha(system, f_delta, 1e-3)
+
+
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         DiscrepancyConfig(C=1.0)

@@ -11,9 +11,6 @@ from regkit import (
     NotInRangeError,
     SizeLimitError,
     UnsupportedKindError,
-    apply,
-    apply_adjoint,
-    apply_shifted_normal,
     as_dense_matrix,
     diagonal_decomposition,
     filter_factors,
@@ -32,40 +29,46 @@ from conftest import philox, matrix_free_view
 
 def test_apply_identity():
     op = DenseOperator(np.eye(3))
-    np.testing.assert_array_equal(apply(op, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(op.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_apply_diagonal():
     op = DiagonalOperator([2.0, 0.5])
-    np.testing.assert_array_equal(apply(op, [1.0, 4.0]), [2.0, 2.0])
+    np.testing.assert_array_equal(op.apply([1.0, 4.0]), [2.0, 2.0])
 
 
 def test_apply_dense_shear():
     op = DenseOperator([[1.0, 1.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(apply(op, [1.0, 1.0]), [2.0, 1.0])
+    np.testing.assert_array_equal(op.apply([1.0, 1.0]), [2.0, 1.0])
 
 
 def test_adjoint_identity():
     op = DenseOperator(np.eye(3))
-    np.testing.assert_array_equal(apply_adjoint(op, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(op.apply_adjoint([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_adjoint_dense_shear():
     op = DenseOperator([[1.0, 1.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(apply_adjoint(op, [1.0, 0.0]), [1.0, 1.0])
+    np.testing.assert_array_equal(op.apply_adjoint([1.0, 0.0]), [1.0, 1.0])
 
 
 def test_adjoint_diagonal():
     op = DiagonalOperator([2.0, 0.5])
-    np.testing.assert_array_equal(apply_adjoint(op, [2.0, 2.0]), [4.0, 1.0])
+    np.testing.assert_array_equal(op.apply_adjoint([2.0, 2.0]), [4.0, 1.0])
 
 
 def test_apply_rejects_wrong_length():
     op = DenseOperator([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(DimensionMismatchError):
-        apply(op, [1.0, 2.0, 3.0])
+        op.apply([1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatchError):
-        apply_adjoint(op, [1.0])
+        op.apply_adjoint([1.0])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_dense_operator_rejects_non_finite_entries(bad):
+    with pytest.raises(InvalidParameterError):
+        DenseOperator([[1.0, bad], [0.0, 1.0]])
 
 
 def test_matrix_free_checks_callback_output():
@@ -92,18 +95,18 @@ def test_adjoint_pairing(zoo):
 
 def test_shifted_normal_identity():
     op = DenseOperator(np.eye(2))
-    np.testing.assert_allclose(apply_shifted_normal(op, 1.0, [1.0, 0.0]), [2.0, 0.0])
+    np.testing.assert_allclose(op.apply_shifted_normal(1.0, [1.0, 0.0]), [2.0, 0.0])
 
 
 def test_shifted_normal_diagonal_scalar():
     op = DiagonalOperator([2.0])
-    np.testing.assert_allclose(apply_shifted_normal(op, 1.0, [1.0]), [5.0])
+    np.testing.assert_allclose(op.apply_shifted_normal(1.0, [1.0]), [5.0])
 
 
 def test_shifted_normal_dense():
     op = DenseOperator([[1.0, 1.0], [0.0, 1.0]])
     np.testing.assert_allclose(
-        apply_shifted_normal(op, 0.5, [1.0, 0.0]), [1.5, 1.0]
+        op.apply_shifted_normal(0.5, [1.0, 0.0]), [1.5, 1.0]
     )
 
 
@@ -113,7 +116,7 @@ def test_shifted_normal_matches_matrix_free(zoo):
         x = rng.standard_normal(op.domain_dim)
         direct = op.apply_adjoint(op.apply(x)) + 0.25 * x
         np.testing.assert_allclose(
-            apply_shifted_normal(op, 0.25, x), direct, rtol=0, atol=1e-14,
+            op.apply_shifted_normal(0.25, x), direct, rtol=0, atol=1e-14,
             err_msg=name,
         )
 
@@ -122,7 +125,7 @@ def test_shifted_normal_matches_matrix_free(zoo):
 def test_shifted_normal_rejects_bad_alpha(alpha):
     op = DenseOperator(np.eye(2))
     with pytest.raises(InvalidParameterError):
-        apply_shifted_normal(op, alpha, [1.0, 0.0])
+        op.apply_shifted_normal(alpha, [1.0, 0.0])
 
 
 # --- operator norm estimate --------------------------------------------------
@@ -254,6 +257,12 @@ def test_diagonal_decomposition_sorts_and_truncates():
 
 
 # --- filter factors -----------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_diagonal_decomposition_rejects_non_finite(bad):
+    with pytest.raises(InvalidParameterError):
+        diagonal_decomposition([1.0, bad, 0.5])
+
 
 def test_filter_attains_supremum_at_unit():
     phi = filter_factors(np.array([1.0]), 1.0)

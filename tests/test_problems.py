@@ -48,6 +48,14 @@ def test_hilbert_two_by_two():
     np.testing.assert_allclose(prob.f, [1.5, 5.0 / 6.0])
 
 
+@pytest.mark.parametrize("n", [2, 5, 64, 300])
+def test_hilbert_matches_scipy_exactly(n):
+    from scipy.linalg import hilbert
+
+    prob = make_problem("hilbert", n, decompose=False)
+    np.testing.assert_array_equal(prob.op.matrix, hilbert(n))
+
+
 def test_gradient_family_norm_growth():
     # sigma_1 = 2 n sin((n-1) pi / (2n)), roughly 2n.
     norms = {}

@@ -61,6 +61,28 @@ def test_alpha_validation(solver):
         solver(DenseOperator(np.eye(2)), [1.0, 0.0], 0.0)
 
 
+def _finite_check_systems():
+    # One data vector per route and kind; each gets a non-finite entry.
+    dense = DenseOperator(philox(4).standard_normal((5, 3)))
+    diag = DiagonalOperator([2.0, 1.0, 0.5])
+    cases = []
+    for op in (dense, diag, matrix_free_view(dense)):
+        cases.append((solve_primal, op, op.range_dim))
+        cases.append((solve_dual, op, op.range_dim))
+        cases.append((solve_shifted_normal, op, op.domain_dim))
+    cases.append((solve_spectral, svd_decompose(dense), dense.range_dim))
+    return cases
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_data_rejected(bad):
+    for solver, system, dim in _finite_check_systems():
+        data = np.ones(dim)
+        data[1] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            solver(system, data, 0.1)
+
+
 def test_solution_fields_recomputed():
     rng = philox(3)
     op = DenseOperator(rng.standard_normal((6, 4)))
