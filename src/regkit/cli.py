@@ -70,7 +70,17 @@ def _csv_ints(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
-def build_parser():
+def build_parser(config=None):
+    """The CLI parser; a flag whose dest is in ``config`` defaults to that
+    value and is not required (argparse applies the type to strings)."""
+    config = config or {}
+
+    def add(p, flag, **kw):
+        dest = kw.get("dest", flag.lstrip("-").replace("-", "_"))
+        if dest in config:
+            kw.update(default=config[dest], required=False)
+        p.add_argument(flag, **kw)
+
     parser = argparse.ArgumentParser(
         prog="regkit",
         description=(
@@ -85,86 +95,76 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_problem_flags(p):
-        p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
-        p.add_argument("--n", type=int, required=True, help="discretization size")
-        p.add_argument(
-            "--p", type=float, default=None,
+        add(p, "--problem", required=True, choices=PROBLEM_NAMES)
+        add(p, "--n", type=int, required=True, help="discretization size")
+        add(
+            p, "--p", type=float, default=None,
             help="decay exponent for the diagonal problem (default 2)",
         )
 
     def add_output_flags(p, default_format):
-        p.add_argument("--out", help="write machine output to this path")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default=default_format,
+        add(p, "--out", help="write machine output to this path")
+        add(
+            p, "--format", choices=("csv", "json"), default=default_format,
             help=f"machine output format (default {default_format})",
         )
 
     p_solve = sub.add_parser("solve", help="solve one instance at a fixed alpha")
     add_problem_flags(p_solve)
-    p_solve.add_argument("--alpha", type=float, required=True)
+    add(p_solve, "--alpha", type=float, required=True)
     add_output_flags(p_solve, "json")
 
     p_choose = sub.add_parser(
         "choose-alpha", help="pick alpha by residual matching on noisy data"
     )
     add_problem_flags(p_choose)
-    p_choose.add_argument("--delta", type=float, required=True, help="noise level")
-    p_choose.add_argument("--C", type=float, default=1.5, dest="C")
-    p_choose.add_argument("--seed", type=int, default=None)
+    add(p_choose, "--delta", type=float, required=True, help="noise level")
+    add(p_choose, "--C", type=float, default=1.5, dest="C")
+    add(p_choose, "--seed", type=int, default=None)
     add_output_flags(p_choose, "json")
 
     p_sweep = sub.add_parser(
         "sweep", help="run a decreasing sequence of noise levels"
     )
     add_problem_flags(p_sweep)
-    p_sweep.add_argument(
-        "--deltas", type=_csv_floats, required=True,
+    add(
+        p_sweep, "--deltas", type=_csv_floats, required=True,
         help="comma-separated decreasing noise levels",
     )
-    p_sweep.add_argument(
-        "--rule", choices=("discrepancy", "apriori"), default="discrepancy"
-    )
-    p_sweep.add_argument("--C", type=float, default=1.5, dest="C")
-    p_sweep.add_argument("--seed", type=int, default=None)
+    add(p_sweep, "--rule", choices=("discrepancy", "apriori"), default="discrepancy")
+    add(p_sweep, "--C", type=float, default=1.5, dest="C")
+    add(p_sweep, "--seed", type=int, default=None)
     add_output_flags(p_sweep, "csv")
 
     p_bounds = sub.add_parser(
         "verify-bounds",
         help="check the solution-map norm bound across operator sizes",
     )
-    p_bounds.add_argument(
-        "--family", default="gradient_family", choices=PROBLEM_NAMES
-    )
-    p_bounds.add_argument("--ns", type=_csv_ints, required=True)
-    p_bounds.add_argument("--alphas", type=_csv_floats, required=True)
-    p_bounds.add_argument("--p", type=float, default=None)
-    p_bounds.add_argument("--out", help="write the table to this path")
+    add(p_bounds, "--family", default="gradient_family", choices=PROBLEM_NAMES)
+    add(p_bounds, "--ns", type=_csv_ints, required=True)
+    add(p_bounds, "--alphas", type=_csv_floats, required=True)
+    add(p_bounds, "--p", type=float, default=None)
+    add(p_bounds, "--out", help="write the table to this path")
 
     sub.add_parser("list-problems", help="list the problem catalog")
     return parser
 
 
-def _apply_config(parser, argv):
-    """Install --config file values as parser defaults before parsing."""
+def _load_config(argv):
+    """The --config file named in argv, keyed by flag dest; {} without one."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
-        return
+        return {}
     with open(known.config, "r", encoding="utf-8") as fh:
-        values = json.load(fh)
+        try:
+            values = json.load(fh)
+        except ValueError as exc:
+            raise InvalidParameterError(f"bad JSON in {known.config}: {exc}") from None
     if not isinstance(values, dict):
         raise InvalidParameterError("config file must hold a JSON object")
-    cleaned = {key.replace("-", "_"): value for key, value in values.items()}
-    for action in parser._subparsers._group_actions:
-        for sub_parser in action.choices.values():
-            for sub_action in sub_parser._actions:
-                if sub_action.dest in cleaned:
-                    value = cleaned[sub_action.dest]
-                    if isinstance(value, str) and sub_action.type is not None:
-                        value = sub_action.type(value)
-                    sub_action.default = value
-                    sub_action.required = False
+    return {key.replace("-", "_"): value for key, value in values.items()}
 
 
 def _emit(text, out_path):
@@ -256,10 +256,8 @@ _COMMANDS = {
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser(_load_config(argv)).parse_args(argv)
         return _COMMANDS[args.command](args)
     except _PRECONDITION_EXCEPTIONS as exc:
         print(f"regkit: {exc}", file=sys.stderr)

@@ -6,6 +6,10 @@ callbacks).  All values are immutable after construction and every
 operation here is a pure function, so concurrent use needs no locking;
 matrix-free callbacks must themselves be re-entrant.
 
+Each kind owns the Tikhonov kernels that the routes in ``tikhonov`` call:
+conjugate gradients from ``apply``/``apply_adjoint`` in the base class,
+direct forms for dense and diagonal operators.
+
 Scalars are real throughout.  The singular-value decomposition of a dense
 operator provides the spectral calculus used elsewhere: filter factors,
 projections onto the range and its complement, and minimal-norm solutions.
@@ -88,6 +92,79 @@ def _readonly(a):
     return a
 
 
+def _conjugate_gradients(apply_system, b, cfg, dim):
+    """CG for S x = b with S = ``apply_system`` SPD; returns (x, iterations).
+
+    Aims at ``cfg.rel_tolerance * ||b||`` within ``cfg.budget(dim)`` steps.
+    Stops on the recurrence residual, then confirms against the true
+    residual and restarts if recurrence drift produced a false stop.
+    """
+    rel_tolerance, budget = cfg.rel_tolerance, cfg.budget(dim)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0
+    target = rel_tolerance * bnorm
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    for k in range(1, budget + 1):
+        ap = apply_system(p)
+        pap = float(p @ ap)
+        if pap <= 0.0:
+            raise ConvergenceError(
+                "conjugate gradients broke down (curvature <= 0)",
+                iterations=k,
+                achieved_residual=float(np.sqrt(rs)) / bnorm,
+            )
+        step = rs / pap
+        x += step * p
+        r -= step * ap
+        rs_new = float(r @ r)
+        if np.sqrt(rs_new) <= target:
+            true_r = b - apply_system(x)
+            true_norm = float(np.linalg.norm(true_r))
+            if true_norm <= 1.01 * target:
+                return x, k
+            r = true_r
+            rs_new = true_norm**2
+            p = r.copy()
+            rs = rs_new
+            continue
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    raise ConvergenceError(
+        f"conjugate gradients did not reach {rel_tolerance:.1e} "
+        f"within {budget} iterations",
+        iterations=budget,
+        achieved_residual=float(np.sqrt(rs)) / bnorm,
+        last_iterate=x,
+    )
+
+
+def _dense_stacked_solve(matrix, alpha, top, bottom):
+    """Least-squares solve of [M; sqrt(alpha) I] x ~ [top; bottom] via QR.
+
+    The stacked matrix has full column rank with smallest singular value
+    at least sqrt(alpha), so the triangular factor is invertible.
+    """
+    m, n = matrix.shape
+    # R of the augmented matrix [stacked | rhs] carries Q^T rhs in its last
+    # column, so Q is never formed: building it, as numpy's reduced QR
+    # does, roughly doubles the cost of a solve.  One buffer filled in
+    # place spares the stacking copies, which cost a third of a solve at
+    # n = 128.
+    aug = np.zeros((m + n, n + 1))
+    aug[:m, :n] = matrix
+    np.fill_diagonal(aug[m:], np.sqrt(alpha))
+    aug[:m, n] = top
+    aug[m:, n] = bottom
+    r = np.linalg.qr(aug, mode="r")
+    # numpy has no triangular solve; LU of the upper-triangular block
+    # needs no row exchanges.
+    return np.linalg.solve(r[:n, :n], r[:n, n])
+
+
 class LinearOperator:
     """A real linear map from R^domain_dim to R^range_dim."""
 
@@ -113,6 +190,32 @@ class LinearOperator:
         a = _check_alpha(alpha)
         x = _as_vector(x, self.domain_dim, "x")
         return self.apply_adjoint(self.apply(x)) + a * x
+
+    # Tikhonov kernels.  Callers pass a checked alpha ``a``, validated
+    # vectors and an ``IterativeSolverConfig``; each kernel returns
+    # (vector, iterations), with zero iterations for direct forms.
+
+    def _solve_normal(self, a, b, cfg):
+        """x with (A^T A + a I) x = b, by conjugate gradients."""
+        return _conjugate_gradients(
+            lambda x: self.apply_shifted_normal(a, x), b, cfg, self.domain_dim
+        )
+
+    def _solve_primal(self, a, f, cfg):
+        """The minimizer for data f from (A^T A + a I) u = A^T f."""
+        b = _as_data(self.apply_adjoint(f), self.domain_dim, "A^T f")
+        return self._solve_normal(a, b, cfg)
+
+    def _solve_dual(self, a, f, cfg):
+        """u = A^T w with (A A^T + a I) w = f, by conjugate gradients."""
+        w, iters = _conjugate_gradients(
+            lambda w: self.apply(self.apply_adjoint(w)) + a * w, f, cfg, self.range_dim
+        )
+        return self.apply_adjoint(w), iters
+
+    def _spectrum(self):
+        """Singular values if known without iteration, else None."""
+        return None
 
     def __repr__(self):
         return (
@@ -143,6 +246,37 @@ class DenseOperator(LinearOperator):
     def apply_adjoint(self, w):
         return self.matrix.T @ _as_vector(w, self.range_dim, "w")
 
+    # Each route has its own QR form: going through A^T A, A A^T, or even
+    # the primal's A^T f loses more than the 1e-8 agreement budget between
+    # routes on rank-deficient shapes at small alpha (measured).
+
+    def _solve_normal(self, a, b, cfg):
+        top = np.zeros(self.range_dim)
+        return _dense_stacked_solve(self.matrix, a, top, b / np.sqrt(a)), 0
+
+    def _solve_primal(self, a, f, cfg):
+        u = _dense_stacked_solve(self.matrix, a, f, np.zeros(self.domain_dim))
+        return u, 0
+
+    def _solve_dual(self, a, f, cfg):
+        """A^T (A A^T + a I)^{-1} f without forming the inverse.
+
+        With the QR factorization [A^T; sqrt(a) I] = Q R, the fitted value
+        of the associated least-squares problem stacks [A^T w; sqrt(a) w],
+        whose leading rows are exactly u = A^T w.  Reading u off the
+        projection Q Q^T [0; f / sqrt(a)] sidesteps the intermediate w,
+        whose norm scales like ||f|| / a when f has a large component
+        outside the range of A.
+        """
+        m, n = self.matrix.shape
+        stacked = np.vstack([self.matrix.T, np.sqrt(a) * np.eye(m)])
+        rhs = np.concatenate([np.zeros(n), f / np.sqrt(a)])
+        q = np.linalg.qr(stacked)[0]
+        return q[:n, :] @ (q.T @ rhs), 0
+
+    def _spectrum(self):
+        return svd_decompose(self).singular_values
+
 
 class DiagonalOperator(LinearOperator):
     """Square operator diag(values) with nonnegative entries."""
@@ -163,6 +297,15 @@ class DiagonalOperator(LinearOperator):
 
     def apply_adjoint(self, w):
         return self.values * _as_vector(w, self.range_dim, "w")
+
+    def _solve_normal(self, a, b, cfg):
+        return b / (self.values**2 + a), 0
+
+    def _solve_dual(self, a, f, cfg):
+        return self.values * (f / (self.values**2 + a)), 0
+
+    def _spectrum(self):
+        return self.values
 
 
 class MatrixFreeOperator(LinearOperator):
@@ -328,24 +471,22 @@ def diagonal_decomposition(values, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     Entries are sorted nonincreasing and truncated like ``svd_decompose``;
     the singular vectors are the matching coordinate axes.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise DimensionMismatchError("diagonal needs a 1-d vector of entries")
-    if np.any(values < 0) or not np.all(np.isfinite(values)):
-        raise InvalidParameterError("diagonal entries must be finite and >= 0")
-    n = values.shape[0]
+    values = DiagonalOperator(values).values
     order = np.argsort(-values, kind="stable")
     s = values[order]
     if s.size and s[0] > 0:
         keep = s > float(rank_tolerance) * s[0]
     else:
         keep = np.zeros(s.shape, dtype=bool)
-    eye = np.eye(n)
-    axes = eye[:, order[keep]]
+    kept = order[keep]
+    # Scattered into (n, rank): slicing an identity costs O(n^2) memory.
+    axes = np.zeros((values.shape[0], kept.size))
+    axes[kept, np.arange(kept.size)] = 1.0
+    axes.setflags(write=False)
     return SpectralDecomposition(
         singular_values=_readonly(s[keep]),
-        left_vectors=_readonly(axes),
-        right_vectors=_readonly(axes),
+        left_vectors=axes,
+        right_vectors=axes,
         rank_tolerance=float(rank_tolerance),
     )
 

@@ -4,9 +4,7 @@ The unique minimizer is computed by three independent routes whose mutual
 agreement is part of the test contract:
 
 * ``solve_primal``  -- the domain-space normal equations
-  (A^T A + alpha I) u = A^T f, solved directly for dense operators via QR
-  on the stacked system [A; sqrt(alpha) I], and by conjugate gradients on
-  the shifted normal operator otherwise.
+  (A^T A + alpha I) u = A^T f.
 * ``solve_dual``    -- the range-space system (A A^T + alpha I) w = f with
   u = A^T w.  This route is defined for every right-hand side, and the
   map f -> u has norm at most 1 / (2 sqrt(alpha)) regardless of ||A||.
@@ -14,10 +12,10 @@ agreement is part of the test contract:
   u = sum_i sigma_i / (sigma_i^2 + alpha) <u_i, f> v_i from a singular
   system; exact finite sum, used as the oracle for the other two.
 
-Direct dense routes avoid forming A^T A or A A^T: both Gram products
-square the condition number and, for rank-deficient shapes at small
-alpha, lose more than the 1e-8 agreement budget (measured; see the
-stacked-QR forms below).
+The routes validate their input, call the operator's per-kind kernel
+(``regkit.operators``: QR on stacked systems for dense operators, closed
+forms for diagonal ones, conjugate gradients otherwise), and recompute
+the certificates from the returned vector.
 """
 
 from __future__ import annotations
@@ -26,15 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidParameterError
+from .errors import InvalidParameterError
 from .operators import (
+    MatrixFreeOperator,
     SpectralDecomposition,
     _as_data,
     _as_vector,
     _check_alpha,
     _readonly,
     filter_factors,
-    svd_decompose,
+    operator_norm_estimate,
 )
 
 __all__ = [
@@ -48,8 +47,6 @@ __all__ = [
     "apriori_alpha_schedule",
     "solution_operator_norm",
 ]
-
-_NORM_POWER_SEED = 0xA17A
 
 
 @dataclass(frozen=True)
@@ -102,92 +99,15 @@ def _solution(u, alpha, residual_norm, path, iterations):
     )
 
 
-def _conjugate_gradients(apply_system, b, rel_tolerance, budget):
-    """CG for S x = b with S = ``apply_system`` SPD; returns (x, iterations).
-
-    Stops on the recurrence residual, then confirms against the true
-    residual and restarts if recurrence drift produced a false stop.
-    """
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
-    target = rel_tolerance * bnorm
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for k in range(1, budget + 1):
-        ap = apply_system(p)
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise ConvergenceError(
-                "conjugate gradients broke down (curvature <= 0)",
-                iterations=k,
-                achieved_residual=float(np.sqrt(rs)) / bnorm,
-            )
-        step = rs / pap
-        x += step * p
-        r -= step * ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= target:
-            true_r = b - apply_system(x)
-            true_norm = float(np.linalg.norm(true_r))
-            if true_norm <= 1.01 * target:
-                return x, k
-            r = true_r
-            rs_new = true_norm**2
-            p = r.copy()
-            rs = rs_new
-            continue
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise ConvergenceError(
-        f"conjugate gradients did not reach {rel_tolerance:.1e} "
-        f"within {budget} iterations",
-        iterations=budget,
-        achieved_residual=float(np.sqrt(rs)) / bnorm,
-        last_iterate=x,
-    )
-
-
-def _dense_stacked_solve(matrix, alpha, top, bottom):
-    """Least-squares solve of [M; sqrt(alpha) I] x ~ [top; bottom] via QR.
-
-    The stacked matrix has full column rank with smallest singular value
-    at least sqrt(alpha), so the triangular factor is invertible.
-    """
-    m, n = matrix.shape
-    # R of the augmented matrix [stacked | rhs] carries Q^T rhs in its last
-    # column, so Q is never formed: building it, as numpy's reduced QR
-    # does, roughly doubles the cost of a solve.  One buffer filled in
-    # place spares the stacking copies, which cost a third of a solve at
-    # n = 128.
-    aug = np.zeros((m + n, n + 1))
-    aug[:m, :n] = matrix
-    np.fill_diagonal(aug[m:], np.sqrt(alpha))
-    aug[:m, n] = top
-    aug[m:, n] = bottom
-    r = np.linalg.qr(aug, mode="r")
-    # numpy has no triangular solve; LU of the upper-triangular block
-    # needs no row exchanges.
-    return np.linalg.solve(r[:n, :n], r[:n, n])
-
-
-def _dense_dual_apply(matrix, alpha, f):
-    """Evaluate A^T (A A^T + alpha I)^{-1} f without forming the inverse.
-
-    With the QR factorization [A^T; sqrt(alpha) I] = Q R, the fitted value
-    of the associated least-squares problem stacks [A^T w; sqrt(alpha) w],
-    whose leading rows are exactly u = A^T w.  Reading u off the projection
-    Q Q^T [0; f / sqrt(alpha)] sidesteps the intermediate w, whose norm
-    scales like ||f|| / alpha when f has a large component outside the
-    range of A.
-    """
-    m, n = matrix.shape
-    stacked = np.vstack([matrix.T, np.sqrt(alpha) * np.eye(m)])
-    rhs = np.concatenate([np.zeros(n), f / np.sqrt(alpha)])
-    q = np.linalg.qr(stacked)[0]
-    return q[:n, :] @ (q.T @ rhs)
+def _minimize(op, f, alpha, cfg, path):
+    """Validate f, run the operator's ``path`` kernel, certify the result."""
+    a = _check_alpha(alpha)
+    f = _as_data(f, op.range_dim, "f")
+    if not np.any(f):
+        return _solution(np.zeros(op.domain_dim), a, 0.0, path, 0)
+    kernel = op._solve_primal if path == "primal" else op._solve_dual
+    u, iters = kernel(a, f, cfg or IterativeSolverConfig())
+    return _solution(u, a, np.linalg.norm(op.apply(u) - f), path, iters)
 
 
 def solve_shifted_normal(op, b, alpha, cfg=None):
@@ -199,20 +119,7 @@ def solve_shifted_normal(op, b, alpha, cfg=None):
     """
     a = _check_alpha(alpha)
     b = _as_data(b, op.domain_dim, "b")
-    cfg = cfg or IterativeSolverConfig()
-    if op.kind == "dense":
-        x = _dense_stacked_solve(
-            op.matrix, a, np.zeros(op.range_dim), b / np.sqrt(a)
-        )
-        return x, 0
-    if op.kind == "diagonal":
-        return b / (op.values**2 + a), 0
-    return _conjugate_gradients(
-        lambda x: op.apply_shifted_normal(a, x),
-        b,
-        cfg.rel_tolerance,
-        cfg.budget(op.domain_dim),
-    )
+    return op._solve_normal(a, b, cfg or IterativeSolverConfig())
 
 
 def solve_primal(op, f, alpha, cfg=None):
@@ -222,17 +129,7 @@ def solve_primal(op, f, alpha, cfg=None):
     positive definite with spectrum inside [alpha, sigma_1^2 + alpha], so
     the conjugate-gradient fallback converges for every alpha > 0.
     """
-    a = _check_alpha(alpha)
-    f = _as_data(f, op.range_dim, "f")
-    if not np.any(f):
-        return _solution(np.zeros(op.domain_dim), a, 0.0, "primal", 0)
-    if op.kind == "dense":
-        u = _dense_stacked_solve(op.matrix, a, f, np.zeros(op.domain_dim))
-        iters = 0
-    else:
-        u, iters = solve_shifted_normal(op, op.apply_adjoint(f), a, cfg)
-    residual = np.linalg.norm(op.apply(u) - f)
-    return _solution(u, a, residual, "primal", iters)
+    return _minimize(op, f, alpha, cfg, "primal")
 
 
 def solve_dual(op, f, alpha, cfg=None):
@@ -243,28 +140,7 @@ def solve_dual(op, f, alpha, cfg=None):
     the whole map is bounded by 1 / (2 sqrt(alpha)) independently of the
     operator norm.
     """
-    a = _check_alpha(alpha)
-    f = _as_data(f, op.range_dim, "f")
-    cfg = cfg or IterativeSolverConfig()
-    if not np.any(f):
-        return _solution(np.zeros(op.domain_dim), a, 0.0, "dual", 0)
-    if op.kind == "dense":
-        u = _dense_dual_apply(op.matrix, a, f)
-        iters = 0
-    elif op.kind == "diagonal":
-        u = op.values * (f / (op.values**2 + a))
-        iters = 0
-    else:
-        # Same SPD structure as the primal system, one dimension over.
-        w, iters = _conjugate_gradients(
-            lambda w: op.apply(op.apply_adjoint(w)) + a * w,
-            f,
-            cfg.rel_tolerance,
-            cfg.budget(op.range_dim),
-        )
-        u = op.apply_adjoint(w)
-    residual = np.linalg.norm(op.apply(u) - f)
-    return _solution(u, a, residual, "dual", iters)
+    return _minimize(op, f, alpha, cfg, "dual")
 
 
 def solve_spectral(decomp, f, alpha):
@@ -312,38 +188,21 @@ def solution_operator_norm(target, alpha, tol=1e-10, max_iters=20000, cfg=None):
 
     Equals max_i sigma_i / (sigma_i^2 + alpha), which never exceeds
     1 / (2 sqrt(alpha)).  Evaluated from the singular values when
-    ``target`` is a decomposition or a dense operator; otherwise by power
-    iteration on the composed map, at one pair of shifted-normal solves
+    ``target`` is a decomposition or its operator knows them; otherwise by
+    ``operator_norm_estimate`` on the adjoint map
+    R^T = A (A^T A + alpha I)^{-1}, at one pair of shifted-normal solves
     per step.
     """
     a = _check_alpha(alpha)
-    if isinstance(target, SpectralDecomposition):
-        if target.rank == 0:
-            return 0.0
-        return float(np.max(filter_factors(target.singular_values, a)))
-    if target.kind == "dense":
-        return solution_operator_norm(svd_decompose(target), a)
-    if target.kind == "diagonal":
-        return float(np.max(filter_factors(target.values, a))) if target.values.size else 0.0
+    is_decomp = isinstance(target, SpectralDecomposition)
+    s = target.singular_values if is_decomp else target._spectrum()
+    if s is not None:
+        return float(np.max(filter_factors(s, a))) if s.size else 0.0
     cfg = cfg or IterativeSolverConfig()
-    rng = np.random.default_rng(np.random.Philox(_NORM_POWER_SEED))
-    v = rng.standard_normal(target.domain_dim)
-    v /= np.linalg.norm(v)
-    estimate = np.inf
-    for k in range(int(max_iters)):
-        z, _ = solve_shifted_normal(target, v, a, cfg)
-        b = target.apply_adjoint(target.apply(z))
-        g, _ = solve_shifted_normal(target, b, a, cfg)
-        lam = float(np.linalg.norm(g))
-        if lam == 0.0:
-            return 0.0
-        current = float(np.sqrt(lam))
-        if abs(current - estimate) <= tol * current:
-            return current
-        estimate = current
-        v = g / lam
-    raise ConvergenceError(
-        f"power iteration on the solution map did not settle in {max_iters} steps",
-        last_estimate=estimate,
-        iterations=int(max_iters),
+    adjoint_map = MatrixFreeOperator(
+        target.range_dim,
+        target.domain_dim,
+        lambda x: target.apply(solve_shifted_normal(target, x, a, cfg)[0]),
+        lambda w: solve_shifted_normal(target, target.apply_adjoint(w), a, cfg)[0],
     )
+    return operator_norm_estimate(adjoint_map, tol, max_iters)

@@ -289,6 +289,22 @@ def test_config_file_coerces_flag_style_strings(tmp_path, capsys):
     assert [r.delta for r in records] == pytest.approx([1e-2, 1e-3], rel=1e-12)
 
 
+@pytest.mark.parametrize("text", [
+    '{"problem": "diagonal", "n": "abc", "deltas": "1e-2"}',
+    '{"problem": "diagonal", "n": 8, "deltas": "1e-2,x"}',
+    '{"problem": "diagonal", "n": ',
+], ids=["bad-int", "bad-real-list", "malformed-json"])
+def test_config_file_bad_values_exit_two(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    try:
+        code = main(["--config", str(cfg), "sweep"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_csv_roundtrip_is_lossless():
     records = [
         run_solve("diagonal", 3, 0.1234567890123456789, {"p": 1.0}),

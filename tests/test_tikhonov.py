@@ -7,6 +7,8 @@ from regkit import (
     DiagonalOperator,
     InvalidParameterError,
     IterativeSolverConfig,
+    LinearOperator,
+    MatrixFreeOperator,
     apriori_alpha_schedule,
     diagonal_decomposition,
     functional_value,
@@ -300,6 +302,46 @@ def test_solution_map_norm_identity_with_power_iteration():
         matrix_free_view(op), alpha, tol=1e-11, max_iters=50000
     )
     assert abs(from_power - from_svd) <= 1e-8 * from_svd
+
+
+class _BareOperator(LinearOperator):
+    """apply/apply_adjoint only, so every route runs the base-class kernels."""
+
+    def __init__(self, matrix):
+        super().__init__(*matrix.shape)
+        self._m = matrix
+
+    def apply(self, x):
+        return self._m @ x
+
+    def apply_adjoint(self, w):
+        return self._m.T @ w
+
+
+@pytest.mark.parametrize("shape", [(9, 5), (4, 7)])
+def test_bare_subclass_matches_dense_routes(shape):
+    matrix = philox(43).standard_normal(shape)
+    bare, dense = _BareOperator(matrix), DenseOperator(matrix)
+    rng = philox(44)
+    f, b = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+    decomp = svd_decompose(dense)
+    for alpha in (1e-2, 0.7):
+        for solver in (solve_primal, solve_dual):
+            got, want = solver(bare, f, alpha), solver(dense, f, alpha)
+            assert got.iterations > 0
+            assert _rel_gap(got.u, want.u) <= 1e-8
+        x, _ = solve_shifted_normal(bare, b, alpha)
+        assert _rel_gap(x, solve_shifted_normal(dense, b, alpha)[0]) <= 1e-8
+        from_svd = solution_operator_norm(decomp, alpha)
+        from_power = solution_operator_norm(bare, alpha, tol=1e-11, max_iters=50000)
+        assert abs(from_power - from_svd) <= 1e-8 * from_svd
+
+
+def test_non_finite_callback_output_rejected_in_primal():
+    # A^T f from a faulty adjoint callback must fail typed, not exhaust CG.
+    op = MatrixFreeOperator(3, 3, lambda x: x.copy(), lambda w: np.full(3, np.nan))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        solve_primal(op, np.ones(3), 0.1)
 
 
 def test_solution_map_norm_identity_attains_bound_at_unit_alpha():
