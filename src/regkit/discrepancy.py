@@ -9,11 +9,14 @@ the closure of the range of A, with limits
     g(inf) = ||f_delta||^2.
 
 Given ||f_delta|| > C * delta with C > 1, the equation g(alpha) =
-(C delta)^2 therefore has exactly one positive root; the solver brackets
-it geometrically and then runs a safeguarded secant/bisection hybrid on
-log10(alpha).  Acceptance is judged on the achieved residual, since the
-downstream guarantees (in particular ||u|| <= ||y||) are stated through
-the residual value.
+(C delta)^2 therefore has exactly one positive root.  The solver projects
+the data once onto a singular system of the operator (for matrix-free
+operators, a Golub-Kahan Krylov space grown until it certifies the
+root), brackets the root geometrically, and runs Newton's method on
+ln g against ln alpha, safeguarded by bisection in the bracket.
+Acceptance is judged on the achieved residual, since the downstream
+guarantees (in particular ||u|| <= ||y||) are stated through the
+residual value.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     NoRootBelowError,
 )
 from .operators import SpectralDecomposition, _as_data, _check_alpha
-from .tikhonov import solve_primal, solve_spectral
+from .tikhonov import IterativeSolverConfig, _solution, solve_primal, solve_spectral
 
 __all__ = [
     "DiscrepancyConfig",
@@ -41,6 +44,7 @@ __all__ = [
 ]
 
 _MAX_EXPANSIONS = 20  # per bracket side, factor-10 steps
+_TINY = 5e-324  # floor for ln g when g underflows to zero
 
 
 @dataclass(frozen=True)
@@ -97,10 +101,7 @@ def discrepancy_value(system, f_delta, alpha, solver_cfg=None):
     a = _check_alpha(alpha)
     f_delta = _as_data(f_delta, system.range_dim, "f_delta")
     if isinstance(system, SpectralDecomposition):
-        coeff = system.range_coefficients(f_delta)
-        damped = (a / (system.singular_values**2 + a)) * coeff
-        outside = f_delta - system.left_vectors @ coeff
-        return float(damped @ damped + outside @ outside)
+        return system._project(f_delta).discrepancy(a)[0]
     sol = solve_primal(system, f_delta, a, solver_cfg)
     return float(sol.residual_norm**2)
 
@@ -108,10 +109,16 @@ def discrepancy_value(system, f_delta, alpha, solver_cfg=None):
 def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
     """Solve g(alpha) = (C delta)^2 for the unique positive root.
 
-    The default bracket is widened by factors of 10 (at most 20 steps per
-    side) until it straddles the target; the root is then isolated on a
-    log10(alpha) axis by secant steps safeguarded with bisection.  Success
-    means the achieved residual matches C*delta to ``root_rel_tolerance``.
+    The data is projected once onto a singular system of the operator:
+    the given decomposition, the SVD of a dense operator, the closed form
+    of a diagonal one, or a Golub-Kahan Krylov space for any other,
+    extended until its solution at the root is certified.  Every g(alpha)
+    is then O(rank) arithmetic on the projected spectrum.  The default
+    bracket is widened by factors of 10 (at most 20 steps per side) until
+    it straddles the target; the root is then found by Newton steps on
+    ln g against ln alpha with the analytic slope, bisecting whenever a
+    step leaves the bracket.  Success means the achieved residual matches
+    C*delta to ``root_rel_tolerance``.
 
     Raises
     ------
@@ -124,8 +131,13 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
         understated noise level, since that component is at most delta
         for admissible noise.
     ConvergenceError
-        If the iteration budget is exhausted.
+        If the root search or the Krylov space exhausts its budget.
     """
+    return _select(system, f_delta, delta, cfg, solver_cfg)[0]
+
+
+def _select(system, f_delta, delta, cfg, solver_cfg):
+    """``solve_alpha``'s selection together with the projection it used."""
     cfg = cfg or DiscrepancyConfig()
     delta = float(delta)
     if not np.isfinite(delta) or delta <= 0:
@@ -144,10 +156,24 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
             data_norm=data_norm,
             threshold=threshold,
         )
+    projection = system._project(f_delta, solver_cfg or IterativeSolverConfig())
+    while True:
+        selection = _root(projection, threshold, cfg)
+        if selection is not None and projection.certifies(selection.alpha):
+            return selection, projection
+        projection.extend()
+
+
+def _root(projection, threshold, cfg):
+    """The root on one projection, or None if it needs a longer one.
+
+    A projection that is not ``exhausted`` may see no root below or a
+    saturating g only because it resolves too little of the spectrum.
+    """
     target = threshold**2
 
     def g(a):
-        return discrepancy_value(system, f_delta, a, solver_cfg)
+        return projection.discrepancy(a)[0]
 
     lo, hi = (float(v) for v in cfg.alpha_bracket)
     g_lo, g_hi = g(lo), g(hi)
@@ -157,6 +183,8 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
         g_lo = g(lo)
         expansions += 1
     if g_lo >= target:
+        if not projection.exhausted:
+            return None
         raise NoRootBelowError(
             f"discrepancy value {g_lo:.6g} at alpha = {lo:.3g} already exceeds "
             f"the target (C*delta)^2 = {target:.6g}; the data component outside "
@@ -170,42 +198,22 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
         hi_expansions += 1
     expansions += hi_expansions
     if g_hi <= target:
+        if not projection.exhausted:
+            return None
         raise ConvergenceError(
             f"discrepancy value saturates at {g_hi:.6g} below the target "
             f"{target:.6g} even at alpha = {hi:.3g}",
             g_at_infinity=g_hi,
         )
 
-    # Root isolation on t = log10(alpha).  s(t) compares log-magnitudes,
-    # which keeps secant steps sane across the many decades g spans.
-    tiny = 5e-324
-
-    def loggap(value):
-        return math.log(max(value, tiny)) - math.log(target)
-
-    t_lo, t_hi = math.log10(lo), math.log10(hi)
-    s_lo, s_hi = loggap(g_lo), loggap(g_hi)
-    width_two_ago = t_hi - t_lo
+    # Newton on h(t) = ln g(e^t) - ln target, t = ln alpha, which is
+    # increasing; [t_lo, t_hi] always straddles its root.
+    t_lo, t_hi = math.log(lo), math.log(hi)
+    t = 0.5 * (t_lo + t_hi)
     iterations = 0
-    alpha_at = 10.0 ** (0.5 * (t_lo + t_hi))
-    g_at = None
     while iterations < cfg.max_root_iterations:
-        width = t_hi - t_lo
-        use_bisection = (
-            s_hi == s_lo
-            or iterations >= 2
-            and width > 0.5 * width_two_ago
-        )
-        if use_bisection:
-            t_new = 0.5 * (t_lo + t_hi)
-        else:
-            t_new = t_lo - s_lo * (t_hi - t_lo) / (s_hi - s_lo)
-            margin = 0.01 * width
-            if not (t_lo + margin <= t_new <= t_hi - margin):
-                t_new = 0.5 * (t_lo + t_hi)
-        width_two_ago = width
-        alpha_at = 10.0**t_new
-        g_at = g(alpha_at)
+        alpha_at = math.exp(t)
+        g_at, slope = projection.discrepancy(alpha_at)
         iterations += 1
         residual = math.sqrt(g_at)
         if abs(residual - threshold) <= cfg.root_rel_tolerance * threshold:
@@ -216,18 +224,21 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
                 bracket_expansions=expansions,
                 iterations=iterations,
             )
-        if g_at < target:
-            t_lo, s_lo = t_new, loggap(g_at)
+        gap = math.log(max(g_at, _TINY) / target)
+        if gap < 0:
+            t_lo = t
         else:
-            t_hi, s_hi = t_new, loggap(g_at)
-        if t_hi - t_lo < 1e-15:
+            t_hi = t
+        step = t - gap * g_at / slope if slope > 0 else math.nan
+        t = step if t_lo < step < t_hi else 0.5 * (t_lo + t_hi)
+        if not t_lo < t < t_hi:
             break
     raise ConvergenceError(
         "discrepancy root search exhausted its budget "
-        f"({iterations} evaluations, bracket [{10.0**t_lo:.6g}, {10.0**t_hi:.6g}])",
+        f"({iterations} evaluations, bracket [{math.exp(t_lo):.6g}, {math.exp(t_hi):.6g}])",
         iterations=iterations,
         last_alpha=alpha_at,
-        achieved_residual=math.sqrt(g_at) if g_at is not None else None,
+        achieved_residual=math.sqrt(g_at),
     )
 
 
@@ -238,11 +249,13 @@ def regularized_solve_auto(system, f_delta, delta, cfg=None, solver_cfg=None):
     C*delta within the root tolerance.  When the caller knows the exact
     minimal-norm solution y, the returned vector additionally satisfies
     ||u|| <= ||y|| up to rounding, a consequence of matching the residual
-    strictly above the noise level.
+    strictly above the noise level.  A decomposition is solved by
+    ``solve_spectral``; an operator's solution comes from the projection
+    the selection used, with its residual recomputed through the operator.
     """
-    selection = solve_alpha(system, f_delta, delta, cfg, solver_cfg)
+    selection, projection = _select(system, f_delta, delta, cfg, solver_cfg)
     if isinstance(system, SpectralDecomposition):
-        solution = solve_spectral(system, f_delta, selection.alpha)
-    else:
-        solution = solve_primal(system, f_delta, selection.alpha, solver_cfg)
-    return solution, selection
+        return solve_spectral(system, f_delta, selection.alpha), selection
+    u = projection.solution(selection.alpha)
+    residual = np.linalg.norm(system.apply(u) - f_delta)
+    return _solution(u, selection.alpha, residual, "spectral", projection.steps), selection

@@ -8,7 +8,9 @@ matrix-free callbacks must themselves be re-entrant.
 
 Each kind owns the Tikhonov kernels that the routes in ``tikhonov`` call:
 conjugate gradients from ``apply``/``apply_adjoint`` in the base class,
-direct forms for dense and diagonal operators.
+direct forms for dense and diagonal operators.  Each also projects data
+onto a singular system for residual matching (``_project``): the SVD or
+closed form where one exists, a Golub-Kahan Krylov space otherwise.
 
 Scalars are real throughout.  The singular-value decomposition of a dense
 operator provides the spectral calculus used elsewhere: filter factors,
@@ -58,6 +60,9 @@ MAX_DENSE_DIM = 4096
 #: Fixed seed for the power-iteration start vector (reproducible runs).
 _POWER_START_SEED = 0x5EED
 
+#: Golub-Kahan steps taken before the first root search; doubled on demand.
+_KRYLOV_START = 8
+
 
 def _as_vector(x, dim, label):
     v = np.asarray(x, dtype=float)
@@ -97,7 +102,10 @@ def _conjugate_gradients(apply_system, b, cfg, dim):
 
     Aims at ``cfg.rel_tolerance * ||b||`` within ``cfg.budget(dim)`` steps.
     Stops on the recurrence residual, then confirms against the true
-    residual and restarts if recurrence drift produced a false stop.
+    residual and restarts if recurrence drift produced a false stop.  A
+    confirmation that fails without lowering the true residual of the
+    previous one means rounding has stalled the iteration above the
+    target, so it raises at once instead of spending the budget.
     """
     rel_tolerance, budget = cfg.rel_tolerance, cfg.budget(dim)
     bnorm = float(np.linalg.norm(b))
@@ -108,6 +116,7 @@ def _conjugate_gradients(apply_system, b, cfg, dim):
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
+    confirmed = np.inf
     for k in range(1, budget + 1):
         ap = apply_system(p)
         pap = float(p @ ap)
@@ -126,6 +135,15 @@ def _conjugate_gradients(apply_system, b, cfg, dim):
             true_norm = float(np.linalg.norm(true_r))
             if true_norm <= 1.01 * target:
                 return x, k
+            if true_norm >= confirmed:
+                raise ConvergenceError(
+                    f"conjugate gradients stagnated at {true_norm / bnorm:.1e} "
+                    f"above the target {rel_tolerance:.1e}",
+                    iterations=k,
+                    achieved_residual=true_norm / bnorm,
+                    last_iterate=x,
+                )
+            confirmed = true_norm
             r = true_r
             rs_new = true_norm**2
             p = r.copy()
@@ -163,6 +181,155 @@ def _dense_stacked_solve(matrix, alpha, top, bottom):
     # numpy has no triangular solve; LU of the upper-triangular block
     # needs no row exchanges.
     return np.linalg.solve(r[:n, :n], r[:n, n])
+
+
+class _Projection:
+    """Data f in a singular system (sigma_i, u_i, v_i) of an operator A.
+
+    Holds the triple sigma_i, c_i = <u_i, f> and ||P f||^2, with P the
+    projection outside the span of the u_i.  That is all residual
+    matching needs: with w_i = alpha / (sigma_i^2 + alpha),
+
+        g(alpha) = ||A u_alpha - f||^2 = sum_i w_i^2 c_i^2 + ||P f||^2
+
+    at O(rank) per alpha, and u_alpha = sum_i (1 - w_i) c_i / sigma_i v_i,
+    which ``lift`` assembles from its coordinates against the v_i.  A
+    full singular system is exact: it is ``exhausted`` and certifies
+    every alpha.
+    """
+
+    exhausted = True
+    steps = 0
+
+    def __init__(self, sigma, coeff, outside_sq, lift):
+        self.sigma, self.coeff, self.outside_sq = sigma, coeff, float(outside_sq)
+        self._lift = lift
+
+    def discrepancy(self, alpha):
+        """g(alpha) and its slope dg/d(ln alpha) = sum_i 2 w_i^2 (1 - w_i) c_i^2."""
+        w = alpha / (self.sigma**2 + alpha)
+        damped_sq = (w * self.coeff) ** 2
+        slope = 2.0 * float(damped_sq @ (1.0 - w))
+        return float(damped_sq.sum()) + self.outside_sq, slope
+
+    def _coordinates(self, alpha):
+        return self.sigma / (self.sigma**2 + alpha) * self.coeff
+
+    def solution(self, alpha):
+        """The regularized solution u_alpha."""
+        return self._lift(self._coordinates(alpha))
+
+    def certifies(self, alpha):
+        """Whether ``solution(alpha)`` is the minimizer for A itself."""
+        return True
+
+
+def _krylov_append(rows, count, vec, op_norm):
+    """Orthogonalize vec against rows[:count]; store it unless it vanishes.
+
+    Two classical Gram-Schmidt passes keep the basis orthonormal to
+    rounding.  Returns (rows, norm) with the norm zeroed at breakdown.
+    """
+    basis = rows[:count]
+    for _ in range(2):
+        vec = vec - basis.T @ (basis @ vec)
+    norm = float(np.linalg.norm(vec))
+    if not np.isfinite(norm):
+        raise InvalidParameterError("operator output must be finite; it holds inf or nan")
+    if norm <= DEFAULT_RANK_TOLERANCE * op_norm or count == rows.shape[1]:
+        return rows, 0.0
+    if count == rows.shape[0]:
+        rows = np.concatenate([rows, np.empty_like(rows)])
+    rows[count] = vec / norm
+    return rows, norm
+
+
+class _KrylovProjection(_Projection):
+    """Projection of f onto a Golub-Kahan Krylov space, grown on demand.
+
+    k steps of bidiagonalization from u_1 = f / ||f||, with both bases
+    kept orthonormal, give A V_k = U_{k+1} B_k with B_k lower bidiagonal
+    of size (k+1) x k.  The SVD of the small B_k is a singular system of
+    the projected problem; Krylov spaces are shift-invariant, so one
+    space serves every alpha.  The projected solution x_k has
+    normal-equation residual alpha_{k+1} s_{k+1} v_{k+1}, with s_{k+1} the
+    last entry of the projected residual, so
+    ||x_k - u_alpha|| <= |alpha_{k+1} s_{k+1}| / alpha; ``certifies`` asks
+    that to be at most ``rel_tolerance * ||x_k||``.
+    """
+
+    exhausted = False
+
+    def __init__(self, op, f, cfg):
+        self._op = op
+        self._rel_tolerance = cfg.rel_tolerance
+        self._budget = cfg.budget(op.domain_dim)
+        self._norm = 0.0  # largest bidiagonal entry: a lower bound on ||A||
+        beta = float(np.linalg.norm(f))
+        self._u = (f / beta)[None, :]
+        self._v = np.empty((1, op.domain_dim))
+        self._beta = [beta]
+        self._alpha = []
+        self._orthogonal_step(op.apply_adjoint(self._u[0]))
+        self._grow(min(_KRYLOV_START, self._budget))
+
+    def _orthogonal_step(self, vec):
+        """Append v_k, alpha_k from vec = A^T u_k - beta_k v_{k-1}."""
+        k = len(self._alpha)
+        self._v, alpha = _krylov_append(self._v, k, vec, self._norm)
+        self._alpha.append(alpha)
+        self._norm = max(self._norm, alpha)
+        self.exhausted = alpha == 0.0
+
+    def _grow(self, k):
+        """Extend to k steps or to breakdown, then factor B_k."""
+        while self.steps < k and not self.exhausted:
+            j = self.steps
+            vec = self._op.apply(self._v[j]) - self._alpha[j] * self._u[j]
+            self._u, beta = _krylov_append(self._u, j + 1, vec, self._norm)
+            self._beta.append(beta)
+            self._norm = max(self._norm, beta)
+            self.steps = j + 1
+            if beta == 0.0:
+                self._alpha.append(0.0)
+                self.exhausted = True
+                break
+            self._orthogonal_step(self._op.apply_adjoint(self._u[j + 1]) - beta * self._v[j])
+        self._factor()
+
+    def _factor(self):
+        k = self.steps
+        b = np.zeros((k + 1, k))
+        b[np.arange(k), np.arange(k)] = self._alpha[:k]
+        b[np.arange(1, k + 1), np.arange(k)] = self._beta[1:]
+        # The full left factor carries the null vector of B_k^T, so the
+        # part of f the Krylov space cannot fit needs no recurrence.
+        p, s, qt = np.linalg.svd(b)
+        rank = int(np.count_nonzero(s > DEFAULT_RANK_TOLERANCE * s[0])) if k else 0
+        c = self._beta[0] * p[0]
+        self.sigma, self.coeff = s[:rank], c[:rank]
+        self.outside_sq = float(c[rank:] @ c[rank:])
+        self._last_row, self._last_outside = p[k, :rank], float(p[k, rank:] @ c[rank:])
+        self._alpha_next = self._alpha[k]
+        basis, right = self._v[:k], qt[:rank].T
+        self._lift = lambda y: basis.T @ (right @ y)
+
+    def certifies(self, alpha):
+        w = alpha / (self.sigma**2 + alpha)
+        s_last = float(self._last_row @ (w * self.coeff)) + self._last_outside
+        bound = abs(self._alpha_next * s_last) / alpha
+        return bound <= self._rel_tolerance * np.linalg.norm(self._coordinates(alpha))
+
+    def extend(self):
+        """Double the Krylov space; ``ConvergenceError`` past the budget."""
+        k = min(2 * self.steps, self._budget)
+        if k <= self.steps:
+            raise ConvergenceError(
+                f"Golub-Kahan bidiagonalization did not certify the root "
+                f"within {self._budget} steps",
+                iterations=self.steps,
+            )
+        self._grow(k)
 
 
 class LinearOperator:
@@ -216,6 +383,10 @@ class LinearOperator:
     def _spectrum(self):
         """Singular values if known without iteration, else None."""
         return None
+
+    def _project(self, f, cfg):
+        """The ``_Projection`` of data f, here on a Golub-Kahan Krylov space."""
+        return _KrylovProjection(self, f, cfg)
 
     def __repr__(self):
         return (
@@ -277,6 +448,11 @@ class DenseOperator(LinearOperator):
     def _spectrum(self):
         return svd_decompose(self).singular_values
 
+    def _project(self, f, cfg):
+        if max(self.range_dim, self.domain_dim) > MAX_DENSE_DIM:
+            return super()._project(f, cfg)
+        return svd_decompose(self)._project(f, cfg)
+
 
 class DiagonalOperator(LinearOperator):
     """Square operator diag(values) with nonnegative entries."""
@@ -306,6 +482,17 @@ class DiagonalOperator(LinearOperator):
 
     def _spectrum(self):
         return self.values
+
+    def _project(self, f, cfg):
+        s = self.values
+        keep = s > DEFAULT_RANK_TOLERANCE * s.max()
+
+        def lift(y):
+            u = np.zeros(self.domain_dim)
+            u[keep] = y
+            return u
+
+        return _Projection(s[keep], f[keep], f[~keep] @ f[~keep], lift)
 
 
 class MatrixFreeOperator(LinearOperator):
@@ -425,6 +612,14 @@ class SpectralDecomposition:
         """Component of a domain vector orthogonal to the row space."""
         x = _as_vector(x, self.domain_dim, "x")
         return x - self.right_vectors @ (self.right_vectors.T @ x)
+
+    def _project(self, f, cfg=None):
+        """The ``_Projection`` of data f: U^T f and ||f - U U^T f||^2 once."""
+        coeff = self.range_coefficients(f)
+        outside = f - self.left_vectors @ coeff
+        return _Projection(
+            self.singular_values, coeff, outside @ outside, self.right_vectors.__matmul__
+        )
 
 
 def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):

@@ -152,14 +152,9 @@ def solve_spectral(decomp, f, alpha):
     with P the projection onto the orthogonal complement of the range.
     """
     a = _check_alpha(alpha)
-    f = _as_data(f, decomp.range_dim, "f")
-    coeff = decomp.range_coefficients(f)
-    s = decomp.singular_values
-    u = decomp.right_vectors @ (filter_factors(s, a) * coeff)
-    out_of_range_sq = float(np.linalg.norm(f - decomp.left_vectors @ coeff) ** 2)
-    damped_sq = float(np.sum((a / (s**2 + a)) ** 2 * coeff**2))
-    residual = np.sqrt(damped_sq + out_of_range_sq)
-    return _solution(u, a, residual, "spectral", 0)
+    projection = decomp._project(_as_data(f, decomp.range_dim, "f"))
+    residual = np.sqrt(projection.discrepancy(a)[0])
+    return _solution(projection.solution(a), a, residual, "spectral", 0)
 
 
 def functional_value(op, u, f, alpha):

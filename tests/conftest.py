@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from regkit import DenseOperator, DiagonalOperator, MatrixFreeOperator
+
+# pytest puts src/ on sys.path (pyproject.toml); the CLI tests' child
+# interpreters need it too when regkit is not installed.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def philox(seed):

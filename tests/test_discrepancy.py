@@ -8,17 +8,23 @@ from regkit import (
     DenseOperator,
     DiscrepancyConfig,
     InvalidParameterError,
+    IterativeSolverConfig,
+    MatrixFreeOperator,
+    MAX_DENSE_DIM,
     NoRootBelowError,
+    PROBLEM_NAMES,
     add_noise,
+    as_dense_matrix,
     diagonal_decomposition,
     discrepancy_value,
     make_problem,
     regularized_solve_auto,
     solve_alpha,
+    solve_primal,
     svd_decompose,
 )
 
-from conftest import matrix_free_view
+from conftest import matrix_free_view, philox
 
 
 SCALAR = diagonal_decomposition([1.0])
@@ -151,6 +157,14 @@ def test_pure_null_data_has_no_root_below():
     assert err.value.g_at_zero == pytest.approx(25.0)
 
 
+def test_matrix_free_null_data_has_no_root_below():
+    # A^T f = 0: the Krylov space is exhausted before its first step.
+    free = matrix_free_view(DenseOperator(np.diag([1.0, 0.0])))
+    with pytest.raises(NoRootBelowError) as err:
+        solve_alpha(free, [0.0, 5.0], 0.1)
+    assert err.value.g_at_zero == pytest.approx(25.0)
+
+
 def test_exact_data_rejected():
     with pytest.raises(InvalidParameterError):
         solve_alpha(SCALAR, [1.0], 0.0)
@@ -236,3 +250,66 @@ def test_auto_operator_route_matches_spectral_route():
     sol_op, sel_op = regularized_solve_auto(prob.op, fd, delta)
     assert sel_op.alpha == pytest.approx(sel_spec.alpha, rel=1e-8)
     assert np.linalg.norm(sol_op.u - sol_spec.u) <= 1e-8 * (sol_spec.solution_norm + 1e-300)
+
+
+# --- one projection per selection ---------------------------------------------------
+
+def _noisy(prob, rel_noise, seed):
+    delta = rel_noise * float(np.linalg.norm(prob.f))
+    return add_noise(prob, delta, seed).f_delta, delta
+
+
+@pytest.mark.parametrize("name, rel_noise, seed", [("phillips", 1e-3, 1), ("deriv2", 1e-5, 3)])
+def test_matrix_free_auto_beyond_toy_sizes(name, rel_noise, seed):
+    # One CG solve per g(alpha) evaluation failed on both: phillips could
+    # not reach the CG tolerance at alpha = 1e-14, and on deriv2 the CG
+    # error of g near the root outlasted the root-search budget.
+    prob = make_problem(name, 256)
+    fd, delta = _noisy(prob, rel_noise, seed)
+    solution, selection = regularized_solve_auto(matrix_free_view(prob.op), fd, delta)
+    target = 1.5 * delta
+    assert abs(selection.achieved_residual - target) <= 1e-8 * target
+    assert abs(solution.residual_norm - target) <= 1e-8 * target
+    assert solution.solution_norm <= np.linalg.norm(prob.y) * (1 + 1e-8)
+    reference, _ = regularized_solve_auto(prob.decomp, fd, delta)
+    assert np.linalg.norm(solution.u - reference.u) <= 1e-8 * reference.solution_norm
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_newton_root_search_is_short(name):
+    for n in (16, 64):
+        prob = make_problem(name, n)
+        dense = DenseOperator(as_dense_matrix(prob.op))
+        for rel_noise in 10.0 ** -np.arange(1, 7):
+            fd, delta = _noisy(prob, rel_noise, 5)
+            for system in (prob.decomp, dense):
+                assert solve_alpha(system, fd, delta).iterations <= 12, (n, rel_noise)
+
+
+def test_krylov_budget_exhaustion():
+    prob = make_problem("phillips", 256)
+    fd, delta = _noisy(prob, 1e-3, 1)
+    cfg = IterativeSolverConfig(max_iterations=4)
+    with pytest.raises(ConvergenceError, match="Golub-Kahan") as err:
+        solve_alpha(matrix_free_view(prob.op), fd, delta, solver_cfg=cfg)
+    assert err.value.iterations == 4
+
+
+def test_non_finite_callback_output_rejected_in_selection():
+    op = MatrixFreeOperator(3, 3, lambda x: x.copy(), lambda w: np.full(3, np.nan))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        solve_alpha(op, np.ones(3), 0.1)
+
+
+def test_dense_operator_above_factorization_cap_uses_krylov():
+    matrix = philox(8).standard_normal((MAX_DENSE_DIM + 4, 3))
+    dense = DenseOperator(matrix)
+    f = matrix @ np.array([1.0, -2.0, 0.5])
+    delta = 1e-3 * np.linalg.norm(f)
+    noise = np.cos(np.arange(matrix.shape[0]))
+    fd = f + delta * noise / np.linalg.norm(noise)
+    solution, selection = regularized_solve_auto(dense, fd, delta)
+    assert solution.iterations == 3  # the Krylov space spans the domain
+    assert abs(solution.residual_norm - 1.5 * delta) <= 1e-8 * 1.5 * delta
+    direct = solve_primal(dense, fd, selection.alpha)
+    assert np.linalg.norm(solution.u - direct.u) <= 1e-10 * direct.solution_norm

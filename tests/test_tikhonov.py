@@ -364,3 +364,29 @@ def test_solution_map_norm_huge_alpha_is_finite():
     assert sol.solution_norm <= 1.0 / (2 * np.sqrt(1e14)) * np.sqrt(2) * (1 + 1e-12)
     tiny = solve_primal(DenseOperator(np.eye(2)), [1.0, 1.0], 1e-14)
     np.testing.assert_allclose(tiny.u, [1.0, 1.0], rtol=1e-9)
+
+
+# --- conjugate-gradient stagnation ------------------------------------------------
+
+def _stalling_inputs():
+    # Drawn so that CG at alpha = 1e-6 plateaus near 1e-10 relative,
+    # above its 1e-12 target, on both shapes.
+    rng = philox(3)
+    tall, wide = rng.standard_normal((9, 5)), rng.standard_normal((4, 7))
+    return tall, wide, rng.standard_normal(9), rng.standard_normal(7)
+
+
+@pytest.mark.parametrize("route", ["dual", "shifted_normal", "operator_norm"])
+def test_cg_stagnation_fails_fast(route):
+    tall, wide, f, b = _stalling_inputs()
+    tall, wide = matrix_free_view(DenseOperator(tall)), matrix_free_view(DenseOperator(wide))
+    cfg = IterativeSolverConfig()
+    run, budget = {
+        "dual": (lambda: solve_dual(tall, f, 1e-6, cfg), cfg.budget(9)),
+        "shifted_normal": (lambda: solve_shifted_normal(wide, b, 1e-6, cfg), cfg.budget(7)),
+        "operator_norm": (lambda: solution_operator_norm(wide, 1e-6, cfg=cfg), cfg.budget(7)),
+    }[route]
+    with pytest.raises(ConvergenceError, match="stagnated") as err:
+        run()
+    assert err.value.iterations < budget
+    assert err.value.achieved_residual > cfg.rel_tolerance
