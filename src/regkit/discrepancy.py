@@ -33,7 +33,8 @@ from .errors import (
     NoRootBelowError,
 )
 from .operators import SpectralDecomposition, _as_data, _check_alpha
-from .tikhonov import IterativeSolverConfig, _solution, solve_primal, solve_spectral
+from .tikhonov import IterativeSolverConfig, _solution, solve_primal
+from .tikhonov import solve_spectral  # noqa: F401  (perfbench/spans.py wraps this binding)
 
 __all__ = [
     "DiscrepancyConfig",
@@ -110,7 +111,8 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
     """Solve g(alpha) = (C delta)^2 for the unique positive root.
 
     The data is projected once onto a singular system of the operator:
-    the given decomposition, the SVD of a dense operator, the closed form
+    the given decomposition, the SVD of a dense operator (its
+    eigendecomposition when the matrix is exactly symmetric), the closed form
     of a diagonal one, or a Golub-Kahan Krylov space for any other,
     extended until its solution at the root is certified.  Every g(alpha)
     is then O(rank) arithmetic on the projected spectrum.  The default
@@ -249,13 +251,15 @@ def regularized_solve_auto(system, f_delta, delta, cfg=None, solver_cfg=None):
     C*delta within the root tolerance.  When the caller knows the exact
     minimal-norm solution y, the returned vector additionally satisfies
     ||u|| <= ||y|| up to rounding, a consequence of matching the residual
-    strictly above the noise level.  A decomposition is solved by
-    ``solve_spectral``; an operator's solution comes from the projection
-    the selection used, with its residual recomputed through the operator.
+    strictly above the noise level.  The solution comes from the projection
+    the selection used.  On a decomposition its residual is the selection's
+    ``achieved_residual``, the exact spectral sum ``solve_spectral`` would
+    compute; on an operator it is recomputed through the operator.
     """
     selection, projection = _select(system, f_delta, delta, cfg, solver_cfg)
-    if isinstance(system, SpectralDecomposition):
-        return solve_spectral(system, f_delta, selection.alpha), selection
     u = projection.solution(selection.alpha)
-    residual = np.linalg.norm(system.apply(u) - f_delta)
+    if isinstance(system, SpectralDecomposition):
+        residual = selection.achieved_residual
+    else:
+        residual = np.linalg.norm(system.apply(u) - f_delta)
     return _solution(u, selection.alpha, residual, "spectral", projection.steps), selection

@@ -21,6 +21,7 @@ from regkit import (
     regularized_solve_auto,
     solve_alpha,
     solve_primal,
+    solve_spectral,
     svd_decompose,
 )
 
@@ -313,3 +314,17 @@ def test_dense_operator_above_factorization_cap_uses_krylov():
     assert abs(solution.residual_norm - 1.5 * delta) <= 1e-8 * 1.5 * delta
     direct = solve_primal(dense, fd, selection.alpha)
     assert np.linalg.norm(solution.u - direct.u) <= 1e-10 * direct.solution_norm
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_decomposition_solve_reuses_the_selection_projection(name):
+    # The selection's projection and g(alpha) give the solution and its
+    # residual, bit for bit what solve_spectral computes at that alpha.
+    prob = make_problem(name, 32)
+    noisy = add_noise(prob, 1e-3 * np.linalg.norm(prob.f), seed=5)
+    solution, selection = regularized_solve_auto(prob.decomp, noisy.f_delta, noisy.delta)
+    again = solve_spectral(prob.decomp, noisy.f_delta, selection.alpha)
+    np.testing.assert_array_equal(solution.u, again.u)
+    assert solution.residual_norm == again.residual_norm
+    assert solution.residual_norm == np.sqrt(selection.g_value)
+    assert (solution.path, solution.iterations) == ("spectral", 0)

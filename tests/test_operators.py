@@ -14,10 +14,14 @@ from regkit import (
     as_dense_matrix,
     diagonal_decomposition,
     filter_factors,
+    make_problem,
     minimal_norm_solution,
     null_space_residual,
     operator_norm_estimate,
     read_dense_text,
+    solution_operator_norm,
+    solve_primal,
+    solve_spectral,
     svd_decompose,
     write_dense_text,
 )
@@ -379,3 +383,76 @@ def test_operators_are_immutable():
     diag = DiagonalOperator([1.0])
     with pytest.raises(ValueError):
         diag.values[0] = 2.0
+
+
+# --- symmetric matrices: the eigendecomposition path ---------------------------
+
+def _assert_singular_system(decomp, matrix):
+    """The ``test_svd_invariants`` checks, plus A v_i = sigma_i u_i."""
+    scale = np.linalg.norm(matrix)
+    err = np.linalg.norm(decomp.reconstruct() - matrix) / scale
+    assert err <= 1e-12
+    r = decomp.rank
+    for vectors in (decomp.left_vectors, decomp.right_vectors):
+        assert np.abs(vectors.T @ vectors - np.eye(r)).max() <= 1e-12
+    s = decomp.singular_values
+    assert np.all(np.diff(s) <= 0)
+    if r:
+        assert np.all(s > decomp.rank_tolerance * s[0])
+    pairing = matrix @ decomp.right_vectors - decomp.left_vectors * s
+    assert np.abs(pairing).max() <= 1e-12 * scale
+
+
+def test_symmetric_indefinite_singular_system():
+    q = np.linalg.qr(philox(61).standard_normal((4, 4)))[0]
+    matrix = (q * [3.0, -3.0, 1.0, 0.0]) @ q.T
+    matrix = 0.5 * (matrix + matrix.T)  # exactly symmetric
+    decomp = svd_decompose(DenseOperator(matrix))
+    np.testing.assert_allclose(decomp.singular_values, [3.0, 3.0, 1.0], rtol=1e-12)
+    assert decomp.rank == 3
+    _assert_singular_system(decomp, matrix)
+    # u_i = sign(lambda_i) v_i, one negative eigenvalue among those kept.
+    signs = np.sign(np.sum(decomp.left_vectors * decomp.right_vectors, axis=0))
+    np.testing.assert_array_equal(np.sort(signs), [-1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(decomp.left_vectors, decomp.right_vectors * signs)
+
+
+def test_negative_definite_deriv2_matches_svd_and_primal():
+    op = make_problem("deriv2", 64, decompose=False).op
+    assert np.all(np.linalg.eigvalsh(op.matrix) < 0)
+    decomp = svd_decompose(op)
+    reference = np.linalg.svd(op.matrix, compute_uv=False)
+    gap = np.abs(decomp.singular_values - reference[: decomp.rank]).max()
+    assert gap <= 1e-12 * reference[0]
+    np.testing.assert_array_equal(decomp.left_vectors, -decomp.right_vectors)
+    _assert_singular_system(decomp, op.matrix)
+    f = philox(62).standard_normal(64)
+    for alpha in (1e-8, 1e-5, 1e-2):
+        spectral = solve_spectral(decomp, f, alpha).u
+        primal = solve_primal(op, f, alpha).u
+        assert np.linalg.norm(spectral - primal) <= 1e-8 * np.linalg.norm(primal)
+
+
+def test_one_ulp_asymmetry_takes_the_svd_path(monkeypatch):
+    matrix = np.array(make_problem("phillips", 32, decompose=False).op.matrix)
+    matrix[0, 1] = np.nextafter(matrix[0, 1], np.inf)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh on a matrix that is not exactly symmetric")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    op = DenseOperator(matrix)
+    _assert_singular_system(svd_decompose(op), matrix)
+    assert solution_operator_norm(op, 1e-3) > 0
+
+
+@pytest.mark.parametrize("name", ["hilbert", "deriv2", "phillips"])
+def test_symmetric_catalog_needs_no_svd(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("general SVD on an exactly symmetric matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    prob = make_problem(name, 48)
+    assert prob.decomp.rank > 0
+    assert solution_operator_norm(prob.op, 1e-3) > 0

@@ -27,16 +27,37 @@ def noisy_systems(draw):
     left = np.linalg.qr(rng.standard_normal((m, rank)))[0]
     right = np.linalg.qr(rng.standard_normal((n, rank)))[0]
     matrix = (left * sigma) @ right.T
-    y = right @ rng.standard_normal(rank)  # in the row space: minimal norm
+    return _noisy(rng, matrix, right, rel_noise)
+
+
+def _noisy(rng, matrix, right, rel_noise):
+    """The case (matrix, y, f_delta, delta) for a y in the span of ``right``."""
+    y = right @ rng.standard_normal(right.shape[1])  # in the row space: minimal norm
     f = matrix @ y
     delta = rel_noise * float(np.linalg.norm(f))
-    noise = rng.standard_normal(m)
+    noise = rng.standard_normal(matrix.shape[0])
     return matrix, y, f + delta * noise / np.linalg.norm(noise), delta
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(noisy_systems())
-def test_selection_agrees_across_kinds(case):
+@st.composite
+def symmetric_indefinite_systems(draw):
+    """Like ``noisy_systems``, for A = Q diag(+-sigma) Q^T exactly symmetric.
+
+    Dense operators then factor by the symmetric eigensolver.
+    """
+    n = draw(st.integers(1, 40))
+    rank = draw(st.integers(1, n))
+    log_sigma = draw(st.lists(st.floats(-8.0, 0.0), min_size=rank, max_size=rank))
+    sigma = 10.0 ** (draw(st.floats(0.0, 6.0)) + np.sort(log_sigma)[::-1])
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=rank, max_size=rank))
+    rel_noise = 10.0 ** draw(st.floats(-6.0, -1.0))
+    rng = philox(draw(st.integers(0, 2**32 - 1)))
+    basis = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    matrix = (basis * (sigma * signs)) @ basis.T
+    return _noisy(rng, 0.5 * (matrix + matrix.T), basis, rel_noise)
+
+
+def _assert_kinds_agree(case):
     matrix, y, f_delta, delta = case
     dense = DenseOperator(matrix)
     target = C * delta
@@ -50,3 +71,16 @@ def test_selection_agrees_across_kinds(case):
     spectral = solutions[0]
     for u in solutions[1:]:
         assert np.linalg.norm(u - spectral) <= 1e-8 * np.linalg.norm(spectral)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(noisy_systems())
+def test_selection_agrees_across_kinds(case):
+    _assert_kinds_agree(case)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(symmetric_indefinite_systems())
+def test_selection_agrees_across_kinds_on_symmetric_indefinite(case):
+    assert np.array_equal(case[0], case[0].T)
+    _assert_kinds_agree(case)
