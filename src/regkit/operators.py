@@ -107,18 +107,6 @@ def _kept(s, rank_tolerance):
     return np.zeros(s.shape, dtype=bool)
 
 
-def _is_symmetric(matrix):
-    return matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T)
-
-
-def _check_factor_size(op):
-    if max(op.range_dim, op.domain_dim) > MAX_DENSE_DIM:
-        raise SizeLimitError(
-            f"dense factorization capped at {MAX_DENSE_DIM}, "
-            f"got {op.range_dim} x {op.domain_dim}"
-        )
-
-
 def _conjugate_gradients(apply_system, b, cfg, dim):
     """CG for S x = b with S = ``apply_system`` SPD; returns (x, iterations).
 
@@ -468,12 +456,7 @@ class DenseOperator(LinearOperator):
         return q[:n, :] @ (q.T @ rhs), 0
 
     def _spectrum(self):
-        _check_factor_size(self)
-        if _is_symmetric(self.matrix):
-            s = np.sort(np.abs(np.linalg.eigvalsh(self.matrix)))[::-1]
-        else:
-            s = np.linalg.svd(self.matrix, compute_uv=False)
-        return s[_kept(s, DEFAULT_RANK_TOLERANCE)]
+        return svd_decompose(self).singular_values
 
     def _project(self, f, cfg):
         if max(self.range_dim, self.domain_dim) > MAX_DENSE_DIM:
@@ -654,11 +637,11 @@ def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
 
     An exactly symmetric matrix (``A == A.T`` entry for entry) is factored
     by ``np.linalg.eigh``: with A = Q diag(lambda) Q^T, sigma_i = |lambda_i|,
-    v_i = q_i and u_i = sign(lambda_i) q_i, taking the sign as +1 at
-    lambda_i = 0, ordered by nonincreasing |lambda_i|.  Every other matrix
-    goes through ``np.linalg.svd``.  Values at or below
-    ``rank_tolerance * sigma_1`` are truncated into the null space.
-    Dimensions are capped at ``MAX_DENSE_DIM`` (dense factorization only).
+    v_i = q_i and u_i = sign(lambda_i) q_i, ordered by nonincreasing
+    |lambda_i|.  Every other matrix goes through ``np.linalg.svd``.
+    Values at or below ``rank_tolerance * sigma_1`` are truncated into the
+    null space.  Dimensions are capped at ``MAX_DENSE_DIM`` (dense
+    factorization only).
 
     Raises
     ------
@@ -673,17 +656,22 @@ def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     rank_tolerance = float(rank_tolerance)
     if rank_tolerance < 0:
         raise InvalidParameterError("rank_tolerance must be >= 0")
-    _check_factor_size(op)
-    if _is_symmetric(op.matrix):
+    if max(op.range_dim, op.domain_dim) > MAX_DENSE_DIM:
+        raise SizeLimitError(
+            f"dense factorization capped at {MAX_DENSE_DIM}, "
+            f"got {op.range_dim} x {op.domain_dim}"
+        )
+    matrix = op.matrix
+    if matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T):
         # On hilbert, deriv2 and phillips at n = 1024 (one OpenBLAS thread,
         # 2-core x86 VM) eigh took 240-330 ms and the SVD 670-800 ms.
-        lam, q = np.linalg.eigh(op.matrix)
+        lam, q = np.linalg.eigh(matrix)
         order = np.argsort(-np.abs(lam), kind="stable")
         kept = order[_kept(np.abs(lam[order]), rank_tolerance)]
         s, right = np.abs(lam[kept]), q[:, kept]
         left = right * np.where(lam[kept] < 0, -1.0, 1.0)
     else:
-        u, s, vt = np.linalg.svd(op.matrix, full_matrices=False)
+        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
         keep = _kept(s, rank_tolerance)
         s, left, right = s[keep], u[:, keep], vt[keep].T
     for factor in (s, left, right):

@@ -394,20 +394,18 @@ def test_cg_stagnation_fails_fast(route):
 
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_solution_map_norm_of_dense_operator_matches_decomposition(symmetric):
-    # The operator reads values only (eigvalsh or svd without vectors);
-    # the decomposition carries vectors too.  Both must give one norm.
+    # An operator and its decomposition must give one norm, whichever
+    # factorization (eigh or SVD) the matrix takes.
     rng = philox(45)
     if symmetric:
         q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
-        eigenvalues = np.geomspace(1.0, 1e-3, 12) * (-1.0) ** np.arange(12)
+        eigenvalues = np.geomspace(1.0, 1e-9, 12) * (-1.0) ** np.arange(12)
         matrix = (q * eigenvalues) @ q.T
         matrix = 0.5 * (matrix + matrix.T)  # exactly symmetric
     else:
         matrix = rng.standard_normal((12, 8))
     op = DenseOperator(matrix)
     decomp = svd_decompose(op)
-    # Down to alpha = 1e-8 the maximum sits at sigma >= 1e-3 * sigma_1, which
-    # both routines resolve to about eps * sigma_1 / sigma.
-    for alpha in (1e-8, 1e-5, 1e-2, 1.0):
+    for alpha in (1e-12, 1e-8, 1e-5, 1e-2, 1.0):
         want = solution_operator_norm(decomp, alpha)
         assert solution_operator_norm(op, alpha) == pytest.approx(want, rel=1e-12)
