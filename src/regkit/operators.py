@@ -22,6 +22,7 @@ u_i = sign(lambda_i) q_i; any other matrix from a general SVD.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -494,15 +495,7 @@ class DiagonalOperator(LinearOperator):
         return self.values
 
     def _project(self, f, cfg):
-        s = self.values
-        keep = s > DEFAULT_RANK_TOLERANCE * s.max()
-
-        def lift(y):
-            u = np.zeros(self.domain_dim)
-            u[keep] = y
-            return u
-
-        return _Projection(s[keep], f[keep], f[~keep] @ f[~keep], lift)
+        return diagonal_decomposition(self.values)._project(f)
 
 
 class MatrixFreeOperator(LinearOperator):
@@ -578,7 +571,7 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Truncated singular system of a dense operator.
+    """Truncated singular system of a dense or diagonal operator.
 
     ``singular_values`` is nonincreasing with every retained value above
     ``rank_tolerance * sigma_1``; ``left_vectors`` (range space) and
@@ -586,6 +579,12 @@ class SpectralDecomposition:
     Projections onto the range of A (equivalently, the range of A A^T)
     and its orthogonal complement are spanned by the left vectors; the
     domain-side analogue uses the right vectors.
+
+    The decomposition of a diagonal operator (``diagonal_decomposition``)
+    stores only the indices of its kept entries: its singular vectors are
+    coordinate axes, so every product with them is a gather or a scatter.
+    It takes O(n) memory and O(n) work per alpha selection, and builds
+    the dense (n, rank) vectors only when a caller reads them.
     """
 
     singular_values: np.ndarray
@@ -605,31 +604,97 @@ class SpectralDecomposition:
     def domain_dim(self):
         return self.right_vectors.shape[0]
 
+    # Products with the singular factors: U c, U^T f, V c and V^T x.
+    # ``_AxesDecomposition`` does them by gather and scatter.
+
+    def _left(self, c):
+        return self.left_vectors @ c
+
+    def _left_t(self, f):
+        return self.left_vectors.T @ f
+
+    def _right(self, c):
+        return self.right_vectors @ c
+
+    def _right_t(self, x):
+        return self.right_vectors.T @ x
+
     def reconstruct(self):
         """Assemble the dense matrix sum(sigma_i u_i v_i^T)."""
         return (self.left_vectors * self.singular_values) @ self.right_vectors.T
 
     def range_coefficients(self, f):
         """Coordinates of f against the left vectors."""
-        f = _as_vector(f, self.range_dim, "f")
-        return self.left_vectors.T @ f
+        return self._left_t(_as_vector(f, self.range_dim, "f"))
 
     def project_range(self, f):
         """Orthogonal projection of f onto the range of A."""
-        return self.left_vectors @ self.range_coefficients(f)
+        return self._left(self.range_coefficients(f))
 
     def project_domain_complement(self, x):
         """Component of a domain vector orthogonal to the row space."""
         x = _as_vector(x, self.domain_dim, "x")
-        return x - self.right_vectors @ (self.right_vectors.T @ x)
+        return x - self._right(self._right_t(x))
 
     def _project(self, f, cfg=None):
-        """The ``_Projection`` of data f: U^T f and ||f - U U^T f||^2 once."""
+        """The ``_Projection`` of data f: U^T f, and ||f - U U^T f||^2 once.
+
+        Left vectors that span the whole range leave no part of f outside.
+        """
         coeff = self.range_coefficients(f)
-        outside = f - self.left_vectors @ coeff
-        return _Projection(
-            self.singular_values, coeff, outside @ outside, self.right_vectors.__matmul__
+        outside_sq = 0.0
+        if self.rank < self.range_dim:
+            outside = f - self._left(coeff)
+            outside_sq = outside @ outside
+        return _Projection(self.singular_values, coeff, outside_sq, self._right)
+
+
+class _AxesDecomposition(SpectralDecomposition):
+    """Singular system of diag(values): u_i = v_i = e_{axes[i]}.
+
+    Holds the kept indices ``axes`` in place of the dense (n, rank) factor.
+    Products by the 0/1 factor are exact, so the gathers and scatters give
+    the same bits as the dense products.
+    """
+
+    def __init__(self, singular_values, axes, dim, rank_tolerance):
+        # Straight into the instance dict, past the frozen __setattr__.
+        vars(self).update(
+            singular_values=singular_values, rank_tolerance=rank_tolerance, _axes=axes, _dim=dim
         )
+
+    @functools.cached_property
+    def left_vectors(self):
+        vectors = np.zeros((self._dim, self.rank))
+        vectors[self._axes, np.arange(self.rank)] = 1.0
+        vectors.setflags(write=False)
+        return vectors
+
+    @property
+    def right_vectors(self):
+        return self.left_vectors
+
+    @property
+    def range_dim(self):
+        return self._dim
+
+    domain_dim = range_dim
+
+    def _gather(self, x):
+        return x[self._axes]
+
+    def _scatter(self, c):
+        out = np.zeros(self._dim)
+        out[self._axes] = c
+        return out
+
+    _left_t = _right_t = _gather
+    _left = _right = _scatter
+
+    def reconstruct(self):
+        out = np.zeros((self._dim, self._dim))
+        out[self._axes, self._axes] = self.singular_values
+        return out
 
 
 def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
@@ -688,21 +753,18 @@ def diagonal_decomposition(values, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     """Exact singular system of diag(values) without factorization.
 
     Entries are sorted nonincreasing and truncated like ``svd_decompose``;
-    the singular vectors are the matching coordinate axes.
+    the singular vectors are the matching coordinate axes, held as indices.
     """
     values = DiagonalOperator(values).values
     order = np.argsort(-values, kind="stable")
     s = values[order]
     keep = _kept(s, float(rank_tolerance))
-    kept = order[keep]
-    # Scattered into (n, rank): slicing an identity costs O(n^2) memory.
-    axes = np.zeros((values.shape[0], kept.size))
-    axes[kept, np.arange(kept.size)] = 1.0
+    axes = order[keep]
     axes.setflags(write=False)
-    return SpectralDecomposition(
+    return _AxesDecomposition(
         singular_values=_readonly(s[keep]),
-        left_vectors=axes,
-        right_vectors=axes,
+        axes=axes,
+        dim=values.shape[0],
         rank_tolerance=float(rank_tolerance),
     )
 
@@ -748,7 +810,7 @@ def minimal_norm_solution(decomp, f):
             residual=out_of_range,
         )
     coeff = decomp.range_coefficients(f)
-    return decomp.right_vectors @ (coeff / decomp.singular_values)
+    return decomp._right(coeff / decomp.singular_values)
 
 
 def as_dense_matrix(op):

@@ -187,7 +187,7 @@ def make_problem(name, n, decompose=True, **params):
             decomp = svd_decompose(op)
         if decomp.rank < op.domain_dim:
             # Minimal-norm representative: drop the computed null component.
-            y = decomp.right_vectors @ (decomp.right_vectors.T @ y)
+            y = decomp._right(decomp._right_t(y))
     f = op.apply(y)
     if not np.linalg.norm(f) > 0:
         raise InvalidParameterError(
