@@ -159,18 +159,22 @@ def _select(system, f_delta, delta, cfg, solver_cfg):
             threshold=threshold,
         )
     projection = system._project(f_delta, solver_cfg or IterativeSolverConfig())
+    alpha = None
     while True:
-        selection = _root(projection, threshold, cfg)
+        selection = _root(projection, threshold, cfg, alpha)
         if selection is not None and projection.certifies(selection.alpha):
             return selection, projection
-        projection.extend()
+        alpha = None if selection is None else selection.alpha
+        projection.extend(alpha)
 
 
-def _root(projection, threshold, cfg):
+def _root(projection, threshold, cfg, start=None):
     """The root on one projection, or None if it needs a longer one.
 
     A projection that is not ``exhausted`` may see no root below or a
     saturating g only because it resolves too little of the spectrum.
+    Newton starts at ``start``, the root on a shorter projection, when
+    the bracket holds it, and at the bracket's log midpoint otherwise.
     """
     target = threshold**2
 
@@ -211,7 +215,7 @@ def _root(projection, threshold, cfg):
     # Newton on h(t) = ln g(e^t) - ln target, t = ln alpha, which is
     # increasing; [t_lo, t_hi] always straddles its root.
     t_lo, t_hi = math.log(lo), math.log(hi)
-    t = 0.5 * (t_lo + t_hi)
+    t = math.log(start) if start is not None and lo < start < hi else 0.5 * (t_lo + t_hi)
     iterations = 0
     while iterations < cfg.max_root_iterations:
         alpha_at = math.exp(t)

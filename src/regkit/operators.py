@@ -23,7 +23,8 @@ u_i = sign(lambda_i) q_i; any other matrix from a general SVD.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,8 +65,12 @@ MAX_DENSE_DIM = 4096
 #: Fixed seed for the power-iteration start vector (reproducible runs).
 _POWER_START_SEED = 0x5EED
 
-#: Golub-Kahan steps taken before the first root search; doubled on demand.
+#: Golub-Kahan steps taken before the first root search.
 _KRYLOV_START = 8
+
+#: A Gram-Schmidt pass that leaves less than this share of a vector's norm
+#: is repeated.
+_DGKS_RATIO = 1.0 / math.sqrt(2.0)
 
 
 def _as_vector(x, dim, label):
@@ -238,14 +243,22 @@ class _Projection:
 def _krylov_append(rows, count, vec, op_norm):
     """Orthogonalize vec against rows[:count]; store it unless it vanishes.
 
-    Two classical Gram-Schmidt passes keep the basis orthonormal to
-    rounding.  Returns (rows, norm) with the norm zeroed at breakdown.
+    One classical Gram-Schmidt pass, and a second only when the first
+    shrank vec below 1/sqrt(2) of its norm: the test of Daniel, Gragg,
+    Kaufman and Stewart (Math. Comp. 30, 1976).  A pass that keeps more
+    of the norm than that leaves vec orthogonal to the basis to a small
+    multiple of rounding, so the basis stays orthonormal to working
+    precision either way.  Returns (rows, norm) with the norm zeroed at
+    breakdown.
     """
     basis = rows[:count]
-    for _ in range(2):
-        vec = vec - basis.T @ (basis @ vec)
-    norm = float(np.linalg.norm(vec))
-    if not np.isfinite(norm):
+    before = math.sqrt(vec @ vec)
+    vec = vec - (basis @ vec) @ basis
+    norm = math.sqrt(vec @ vec)
+    if norm < before * _DGKS_RATIO:
+        vec = vec - (basis @ vec) @ basis
+        norm = math.sqrt(vec @ vec)
+    if not math.isfinite(norm):
         raise InvalidParameterError("operator output must be finite; it holds inf or nan")
     if norm <= DEFAULT_RANK_TOLERANCE * op_norm or count == rows.shape[1]:
         return rows, 0.0
@@ -255,18 +268,59 @@ def _krylov_append(rows, count, vec, op_norm):
     return rows, norm
 
 
+class _DampedLSQR:
+    """The scalar recurrences of damped LSQR on a stored bidiagonal.
+
+    LSQR (Paige & Saunders, ACM TOMS 8, 1982) with damp = sqrt(alpha)
+    solves min ||A x - f||^2 + alpha ||x||^2 on the Golub-Kahan space of
+    f.  ``step`` takes beta_{k+1} and alpha_{k+1}, the next column of B_k,
+    and returns, at O(1) cost and without forming a vector, the
+    normal-equation residual ||A^T (f - A x_k) - alpha x_k|| =
+    alpha_{k+1} |tau_k| of the iterate x_k, and ||x_k|| from the LQ
+    factorization of the rotated bidiagonal.
+    """
+
+    def __init__(self, alpha, alpha_1, beta_1):
+        self._damp_sq = alpha
+        self._rhobar, self._phibar = alpha_1, beta_1
+        self._cs2, self._sn2, self._z, self._xxnorm = -1.0, 0.0, 0.0, 0.0
+
+    def step(self, beta, alpha_next):
+        # Rotate the damping row away, then the subdiagonal beta.
+        rhobar1 = math.sqrt(self._rhobar**2 + self._damp_sq)
+        phibar = self._rhobar / rhobar1 * self._phibar
+        rho = math.hypot(rhobar1, beta)
+        cs, sn = rhobar1 / rho, beta / rho
+        theta = sn * alpha_next
+        self._rhobar = -cs * alpha_next
+        phi, self._phibar = cs * phibar, sn * phibar
+        # Rotate theta away on the right; the rotated system gives ||x_k||.
+        gambar = -self._cs2 * rho
+        rhs = phi - self._sn2 * rho * self._z
+        xnorm = math.sqrt(self._xxnorm + (rhs / gambar) ** 2)
+        gamma = math.hypot(gambar, theta)
+        self._cs2, self._sn2 = gambar / gamma, theta / gamma
+        self._z = rhs / gamma
+        self._xxnorm += self._z**2
+        return alpha_next * abs(sn * phi), xnorm
+
+
 class _KrylovProjection(_Projection):
     """Projection of f onto a Golub-Kahan Krylov space, grown on demand.
 
     k steps of bidiagonalization from u_1 = f / ||f||, with both bases
-    kept orthonormal, give A V_k = U_{k+1} B_k with B_k lower bidiagonal
-    of size (k+1) x k.  The SVD of the small B_k is a singular system of
-    the projected problem; Krylov spaces are shift-invariant, so one
-    space serves every alpha.  The projected solution x_k has
+    kept orthonormal by full reorthogonalization (``_krylov_append``), give
+    A V_k = U_{k+1} B_k with B_k lower bidiagonal of size (k+1) x k.  The
+    SVD of the small B_k is a singular system of the projected problem;
+    Krylov spaces are shift-invariant, so one space serves every alpha.
+    g(alpha) is read from the projected residual, which is why U must stay
+    orthonormal to working precision.  The projected solution x_k has
     normal-equation residual alpha_{k+1} s_{k+1} v_{k+1}, with s_{k+1} the
     last entry of the projected residual, so
     ||x_k - u_alpha|| <= |alpha_{k+1} s_{k+1}| / alpha; ``certifies`` asks
-    that to be at most ``rel_tolerance * ||x_k||``.
+    that to be at most ``rel_tolerance * ||x_k||``, and it alone accepts a
+    root.  ``extend`` grows the space to the size damped LSQR says a
+    rejected root needs, or doubles it.
     """
 
     exhausted = False
@@ -276,7 +330,8 @@ class _KrylovProjection(_Projection):
         self._rel_tolerance = cfg.rel_tolerance
         self._budget = cfg.budget(op.domain_dim)
         self._norm = 0.0  # largest bidiagonal entry: a lower bound on ||A||
-        beta = float(np.linalg.norm(f))
+        self._sized = False  # whether the LSQR monitor chose the current size
+        beta = math.sqrt(f @ f)
         self._u = (f / beta)[None, :]
         self._v = np.empty((1, op.domain_dim))
         self._beta = [beta]
@@ -292,20 +347,24 @@ class _KrylovProjection(_Projection):
         self._norm = max(self._norm, alpha)
         self.exhausted = alpha == 0.0
 
+    def _step(self):
+        """One Golub-Kahan step: u_{k+1}, beta_{k+1}, then v_{k+1}, alpha_{k+1}."""
+        j = self.steps
+        vec = self._op.apply(self._v[j]) - self._alpha[j] * self._u[j]
+        self._u, beta = _krylov_append(self._u, j + 1, vec, self._norm)
+        self._beta.append(beta)
+        self._norm = max(self._norm, beta)
+        self.steps = j + 1
+        if beta == 0.0:
+            self._alpha.append(0.0)
+            self.exhausted = True
+            return
+        self._orthogonal_step(self._op.apply_adjoint(self._u[j + 1]) - beta * self._v[j])
+
     def _grow(self, k):
         """Extend to k steps or to breakdown, then factor B_k."""
         while self.steps < k and not self.exhausted:
-            j = self.steps
-            vec = self._op.apply(self._v[j]) - self._alpha[j] * self._u[j]
-            self._u, beta = _krylov_append(self._u, j + 1, vec, self._norm)
-            self._beta.append(beta)
-            self._norm = max(self._norm, beta)
-            self.steps = j + 1
-            if beta == 0.0:
-                self._alpha.append(0.0)
-                self.exhausted = True
-                break
-            self._orthogonal_step(self._op.apply_adjoint(self._u[j + 1]) - beta * self._v[j])
+            self._step()
         self._factor()
 
     def _factor(self):
@@ -329,18 +388,46 @@ class _KrylovProjection(_Projection):
         w = alpha / (self.sigma**2 + alpha)
         s_last = float(self._last_row @ (w * self.coeff)) + self._last_outside
         bound = abs(self._alpha_next * s_last) / alpha
-        return bound <= self._rel_tolerance * np.linalg.norm(self._coordinates(alpha))
+        x = self._coordinates(alpha)
+        return bound <= self._rel_tolerance * math.sqrt(x @ x)
 
-    def extend(self):
-        """Double the Krylov space; ``ConvergenceError`` past the budget."""
-        k = min(2 * self.steps, self._budget)
-        if k <= self.steps:
+    def extend(self, alpha=None):
+        """Grow the space after ``certifies`` rejected the root ``alpha``.
+
+        Damped LSQR with damp = sqrt(alpha) is replayed over the stored
+        bidiagonal and then run alongside new Golub-Kahan steps, one at a
+        time, until its normal-equation residual alpha_{k+1} |tau_k| meets
+        the certificate's own limit ``rel_tolerance * alpha * ||x_k||``,
+        the space is exhausted, or the budget is spent; B_k is factored
+        once at the end.  That residual is the |alpha_{k+1} s_{k+1}| the
+        certificate bounds, but the monitor only sizes the space: the root
+        moves on it, and ``certifies`` alone accepts a root.  Without a
+        root (``alpha`` None), or when the certificate failed on a space
+        the monitor had sized, the space doubles instead, which keeps the
+        number of factorizations logarithmic in the final size.
+        ``ConvergenceError`` past the budget.
+        """
+        if self.steps >= self._budget:
             raise ConvergenceError(
                 f"Golub-Kahan bidiagonalization did not certify the root "
                 f"within {self._budget} steps",
                 iterations=self.steps,
             )
-        self._grow(k)
+        if alpha is None or self._sized:
+            self._sized = False
+            self._grow(min(2 * self.steps, self._budget))
+            return
+        self._sized = True
+        monitor = _DampedLSQR(alpha, self._alpha[0], self._beta[0])
+        for j in range(1, self.steps + 1):
+            monitor.step(self._beta[j], self._alpha[j])
+        limit = self._rel_tolerance * alpha
+        while not self.exhausted and self.steps < self._budget:
+            self._step()
+            residual, xnorm = monitor.step(self._beta[self.steps], self._alpha[self.steps])
+            if residual <= limit * xnorm:
+                break
+        self._factor()
 
 
 class LinearOperator:
@@ -510,6 +597,11 @@ class MatrixFreeOperator(LinearOperator):
 
     def __init__(self, range_dim, domain_dim, forward, adjoint):
         super().__init__(range_dim, domain_dim)
+        for label, callback in (("forward", forward), ("adjoint", adjoint)):
+            if not callable(callback):
+                raise InvalidParameterError(
+                    f"{label} must be callable, got {type(callback).__name__}"
+                )
         self._forward = forward
         self._adjoint = adjoint
 
@@ -569,7 +661,7 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Truncated singular system of a dense or diagonal operator.
 
@@ -585,11 +677,14 @@ class SpectralDecomposition:
     coordinate axes, so every product with them is a gather or a scatter.
     It takes O(n) memory and O(n) work per alpha selection, and builds
     the dense (n, rank) vectors only when a caller reads them.
+
+    Two decompositions are equal only if they are the same object, and the
+    repr leaves the vectors out, so neither builds them.
     """
 
     singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
+    left_vectors: np.ndarray = field(repr=False)
+    right_vectors: np.ndarray = field(repr=False)
     rank_tolerance: float
 
     @property

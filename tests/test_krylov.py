@@ -1,0 +1,164 @@
+"""The Golub-Kahan projection of matrix-free alpha selection.
+
+Reorthogonalization by the DGKS test, the damped-LSQR monitor that sizes
+the Krylov space, and the doubling that remains for the cases the monitor
+cannot size.
+"""
+
+import numpy as np
+import pytest
+
+from regkit import (
+    IterativeSolverConfig,
+    MatrixFreeOperator,
+    add_noise,
+    make_problem,
+    solve_spectral,
+)
+from regkit import discrepancy, operators
+from regkit.discrepancy import DiscrepancyConfig, _select
+from regkit.operators import _DampedLSQR, _KrylovProjection, _krylov_append
+
+from conftest import matrix_free_view, philox
+
+C = 1.5
+
+
+def _noisy(prob, rel_noise, seed):
+    delta = rel_noise * float(np.linalg.norm(prob.f))
+    return add_noise(prob, delta, seed).f_delta, delta
+
+
+def _gradient(n):
+    """The gradient_family operator n (x[i+1] - x[i]) by O(n) callbacks."""
+
+    def adjoint(w):
+        out = np.zeros(n)
+        out[:-1] -= n * w
+        out[1:] += n * w
+        return out
+
+    return MatrixFreeOperator(n - 1, n, lambda x: n * np.diff(x), adjoint)
+
+
+def _bases(projection):
+    """The stored rows of U and V: one for each nonzero beta and alpha."""
+    u = projection._u[: np.count_nonzero(projection._beta)]
+    v = projection._v[: np.count_nonzero(projection._alpha)]
+    return u, v
+
+
+def _orthonormality(rows):
+    return float(np.abs(rows @ rows.T - np.eye(rows.shape[0])).max())
+
+
+@pytest.fixture
+def factor_sizes(monkeypatch):
+    """The Krylov dimension k of every factorization of B_k, in order."""
+    sizes = []
+    factor = _KrylovProjection._factor
+
+    def counted(self):
+        sizes.append(self.steps)
+        factor(self)
+
+    monkeypatch.setattr(_KrylovProjection, "_factor", counted)
+    return sizes
+
+
+def test_second_pass_restores_orthogonality_under_cancellation():
+    # vec = Q^T c + 1e-6 e: one classical pass leaves an error of order
+    # eps * ||c|| / 1e-6 against Q, about 1e-10 after normalizing.
+    rng = philox(8)
+    n, count = 64, 6
+    q = np.linalg.qr(rng.standard_normal((n, count)))[0].T
+    rows = np.empty((count + 2, n))
+    rows[:count] = q
+    e = rng.standard_normal(n)
+    e -= (q @ e) @ q
+    e /= np.linalg.norm(e)
+    vec = rng.standard_normal(count) @ q + 1e-6 * e
+    rows, norm = _krylov_append(rows, count, vec, 1.0)
+    assert norm == pytest.approx(1e-6, rel=1e-6)
+    assert np.abs(q @ rows[count]).max() <= 1e-14
+
+
+def test_lsqr_monitor_matches_projected_problem():
+    # Oracle: the damped projected problem min ||B_k y - beta_1 e_1||^2 +
+    # alpha ||y||^2 solved densely; its residual's last entry is s_{k+1}.
+    prob = make_problem("deriv2", 128)
+    fd, _ = _noisy(prob, 1e-2, 4)
+    projection = _KrylovProjection(matrix_free_view(prob.op), fd, IterativeSolverConfig())
+    k = projection.steps
+    b = np.zeros((k + 1, k))
+    b[np.arange(k), np.arange(k)] = projection._alpha[:k]
+    b[np.arange(1, k + 1), np.arange(k)] = projection._beta[1:]
+    rhs = np.zeros(k + 1)
+    rhs[0] = projection._beta[0]
+    for alpha in (1e-9, 1e-6, 1e-3):
+        y = np.linalg.solve(b.T @ b + alpha * np.eye(k), b.T @ rhs)
+        s_last = (rhs - b @ y)[k]
+        monitor = _DampedLSQR(alpha, projection._alpha[0], projection._beta[0])
+        for j in range(1, k + 1):
+            residual, xnorm = monitor.step(projection._beta[j], projection._alpha[j])
+        assert residual == pytest.approx(abs(projection._alpha[k] * s_last), rel=1e-8)
+        assert xnorm == pytest.approx(np.linalg.norm(y), rel=1e-8)
+
+
+@pytest.mark.parametrize("name, rel_noise", [("gradient_family", 1e-2), ("deriv2", 1e-3)])
+def test_bases_stay_orthonormal(name, rel_noise):
+    prob = make_problem(name, 256)
+    system = _gradient(256) if name == "gradient_family" else matrix_free_view(prob.op)
+    fd, delta = _noisy(prob, rel_noise, 2)
+    _, projection = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
+    assert projection.exhausted == (name == "gradient_family")
+    for rows in _bases(projection):
+        assert _orthonormality(rows) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_deriv2_space_is_sized_not_doubled(seed, factor_sizes):
+    prob = make_problem("deriv2", 256)
+    fd, delta = _noisy(prob, 1e-3, seed)
+    selection, projection = _select(
+        matrix_free_view(prob.op), fd, delta, DiscrepancyConfig(C=C), None
+    )
+    # Sized by the monitor (k = 13 on these seeds), not doubled to 16.
+    assert projection.steps < 2 * operators._KRYLOV_START
+    assert len(factor_sizes) <= 2
+    reference = solve_spectral(prob.decomp, fd, selection.alpha).u
+    u = projection.solution(selection.alpha)
+    assert np.linalg.norm(u - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
+def test_gradient_family_matches_dense_oracle():
+    n = 512
+    prob = make_problem("gradient_family", n)
+    for rel_noise, seed in ((1e-2, 5), (1e-4, 6)):
+        fd, delta = _noisy(prob, rel_noise, seed)
+        solution, selection = discrepancy.regularized_solve_auto(_gradient(n), fd, delta)
+        target = C * delta
+        assert abs(selection.achieved_residual - target) <= 1e-8 * target
+        assert abs(solution.residual_norm - target) <= 1e-8 * target
+        assert solution.solution_norm <= np.linalg.norm(prob.y) * (1 + 1e-10)
+        reference = solve_spectral(prob.decomp, fd, selection.alpha).u
+        assert np.linalg.norm(solution.u - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
+def test_failed_certificate_on_a_sized_space_doubles(monkeypatch, factor_sizes):
+    certifies = _KrylovProjection.certifies
+    forced = []
+
+    def fail_once_when_sized(self, alpha):
+        if self._sized and not forced:
+            forced.append(self.steps)
+            return False
+        return certifies(self, alpha)
+
+    monkeypatch.setattr(_KrylovProjection, "certifies", fail_once_when_sized)
+    prob = make_problem("deriv2", 256)
+    fd, delta = _noisy(prob, 1e-3, 1)
+    _select(matrix_free_view(prob.op), fd, delta, DiscrepancyConfig(C=C), None)
+    sized = forced[0]
+    assert operators._KRYLOV_START < sized < 2 * operators._KRYLOV_START
+    assert factor_sizes == [operators._KRYLOV_START, sized, 2 * sized]

@@ -455,3 +455,11 @@ def test_symmetric_catalog_needs_no_svd(monkeypatch, name):
     prob = make_problem(name, 48)
     assert prob.decomp.rank > 0
     assert solution_operator_norm(prob.op, 1e-3) > 0
+
+
+@pytest.mark.parametrize("label", ["forward", "adjoint"])
+def test_matrix_free_rejects_non_callable(label):
+    # A None callback used to surface as a raw TypeError inside solve_alpha.
+    callbacks = {"forward": lambda x: x, "adjoint": lambda w: w, label: None}
+    with pytest.raises(InvalidParameterError, match=label):
+        MatrixFreeOperator(2, 2, callbacks["forward"], callbacks["adjoint"])

@@ -12,6 +12,7 @@ import pytest
 
 from regkit import (
     DEFAULT_RANK_TOLERANCE,
+    DenseOperator,
     SpectralDecomposition,
     add_noise,
     diagonal_decomposition,
@@ -19,6 +20,7 @@ from regkit import (
     minimal_norm_solution,
     regularized_solve_auto,
     solve_spectral,
+    svd_decompose,
 )
 from regkit.operators import _Projection
 
@@ -138,3 +140,25 @@ def test_full_range_selection_matches_complement_formula(name):
         assert selection == ref_selection
         np.testing.assert_array_equal(solution.u, ref_solution.u)
         assert solution.residual_norm == ref_solution.residual_norm
+
+
+def test_decompositions_compare_by_identity():
+    # The generated __eq__ compared the arrays and raised ValueError.
+    a = diagonal_decomposition([3.0, 1.0, 2.0])
+    b = svd_decompose(DenseOperator(np.diag([3.0, 1.0, 2.0])))
+    assert a == a and b == b
+    assert not a == b
+    assert a != diagonal_decomposition([3.0, 1.0, 2.0])
+
+
+def test_repr_of_diagonal_problem_builds_no_axes():
+    prob = make_problem("diagonal", 4096)
+    tracemalloc.start()
+    try:
+        text = repr(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "_AxesDecomposition(singular_values=" in text
+    assert "left_vectors" not in text
+    assert peak < 2**20
