@@ -23,11 +23,9 @@ from .errors import (
     InvalidParameterError,
     NoRootBelowError,
 )
-from .operators import svd_decompose
 from .problems import add_noise, make_problem
 from .tikhonov import (
     apriori_alpha_schedule,
-    solve_primal,
     solve_spectral,
     solution_operator_norm,
 )
@@ -146,12 +144,6 @@ def records_to_json(records):
     return json.dumps([_record_dict(r) for r in records], indent=2) + "\n"
 
 
-def _solve_instance(problem, data_vector, alpha):
-    if problem.decomp is not None:
-        return solve_spectral(problem.decomp, data_vector, alpha)
-    return solve_primal(problem.op, data_vector, alpha)
-
-
 def _finish(problem, solution, delta, c_label, started):
     wall = (time.perf_counter() - started) * 1e3
     return ExperimentRecord(
@@ -172,7 +164,7 @@ def run_solve(name, n, alpha, params=None):
     """Solve one instance with exact data at a fixed alpha."""
     started = time.perf_counter()
     problem = make_problem(name, n, **(params or {}))
-    solution = _solve_instance(problem, problem.f, alpha)
+    solution = solve_spectral(problem.decomp, problem.f, alpha)
     return _finish(problem, solution, 0.0, C_FIXED, started)
 
 
@@ -182,9 +174,8 @@ def run_choose_alpha(name, n, delta, seed, C=1.5, params=None):
     problem = make_problem(name, n, **(params or {}))
     noisy = add_noise(problem, delta, seed)
     cfg = DiscrepancyConfig(C=float(C))
-    system = problem.decomp if problem.decomp is not None else problem.op
     solution, _selection = regularized_solve_auto(
-        system, noisy.f_delta, noisy.delta, cfg
+        problem.decomp, noisy.f_delta, noisy.delta, cfg
     )
     return _finish(problem, solution, noisy.delta, _f17(C), started)
 
@@ -202,7 +193,6 @@ def run_sweep(name, n, deltas, seed, rule="discrepancy", C=1.5, params=None):
     if not all(b < a for a, b in zip(deltas, deltas[1:])):
         raise InvalidParameterError("noise levels must be strictly decreasing")
     problem = make_problem(name, n, **(params or {}))
-    system = problem.decomp if problem.decomp is not None else problem.op
     records = []
     for delta in deltas:
         started = time.perf_counter()
@@ -211,12 +201,12 @@ def run_sweep(name, n, deltas, seed, rule="discrepancy", C=1.5, params=None):
             if rule == "discrepancy":
                 cfg = DiscrepancyConfig(C=float(C))
                 solution, _sel = regularized_solve_auto(
-                    system, noisy.f_delta, noisy.delta, cfg
+                    problem.decomp, noisy.f_delta, noisy.delta, cfg
                 )
                 label = _f17(C)
             elif rule == "apriori":
                 alpha = apriori_alpha_schedule(noisy.delta)
-                solution = _solve_instance(problem, noisy.f_delta, alpha)
+                solution = solve_spectral(problem.decomp, noisy.f_delta, alpha)
                 label = C_APRIORI
             else:
                 raise InvalidParameterError(
@@ -288,8 +278,7 @@ def run_verify_bounds(family, ns, alphas, params=None, slack=1e-12):
     rows = []
     violations = 0
     for n in ns:
-        problem = make_problem(family, int(n), **(params or {}))
-        decomp = problem.decomp or svd_decompose(problem.op)
+        decomp = make_problem(family, int(n), **(params or {})).decomp
         op_norm = float(decomp.singular_values[0]) if decomp.rank else 0.0
         for alpha in alphas:
             a = float(alpha)

@@ -8,16 +8,18 @@ matrix-free callbacks must themselves be re-entrant.
 
 Each kind owns the Tikhonov kernels that the routes in ``tikhonov`` call:
 conjugate gradients from ``apply``/``apply_adjoint`` in the base class,
-direct forms for dense and diagonal operators.  Each also projects data
-onto a singular system for residual matching (``_project``): the SVD or
-closed form where one exists, a Golub-Kahan Krylov space otherwise.
+direct forms for dense and diagonal operators.  Each also owns its singular
+system (``_decompose``): a factored matrix up to ``MAX_DENSE_DIM``, sorted
+diagonal entries, or none.  Every other reader goes through it, including
+residual matching (``_project``), which uses a Golub-Kahan Krylov space
+when there is none.
 
-Scalars are real throughout.  The singular-value decomposition of a dense
-operator provides the spectral calculus used elsewhere: filter factors,
-projections onto the range and its complement, and minimal-norm solutions.
-An exactly symmetric matrix gets it from its eigendecomposition
-A = Q diag(lambda) Q^T, as sigma_i = |lambda_i|, v_i = q_i and
-u_i = sign(lambda_i) q_i; any other matrix from a general SVD.
+Scalars are real throughout.  The singular system provides the spectral
+calculus used elsewhere: filter factors, projections onto the range and its
+complement, and minimal-norm solutions.  An exactly symmetric matrix gets
+it from its eigendecomposition A = Q diag(lambda) Q^T, as
+sigma_i = |lambda_i|, v_i = q_i and u_i = sign(lambda_i) q_i; any other
+matrix from a general SVD.
 """
 
 from __future__ import annotations
@@ -104,6 +106,13 @@ def _readonly(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _check_rank_tolerance(rank_tolerance):
+    t = float(rank_tolerance)
+    if not np.isfinite(t) or t < 0.0:
+        raise InvalidParameterError(f"rank_tolerance must be finite and >= 0, got {t}")
+    return t
 
 
 def _kept(s, rank_tolerance):
@@ -478,13 +487,16 @@ class LinearOperator:
         )
         return self.apply_adjoint(w), iters
 
-    def _spectrum(self):
-        """Singular values if known without iteration, else None."""
+    def _decompose(self, rank_tolerance):
+        """The singular system truncated at ``rank_tolerance``, or None without one."""
         return None
 
     def _project(self, f, cfg):
-        """The ``_Projection`` of data f, here on a Golub-Kahan Krylov space."""
-        return _KrylovProjection(self, f, cfg)
+        """The ``_Projection`` of data f on the singular system, else on a Krylov space."""
+        decomp = self._decompose(DEFAULT_RANK_TOLERANCE)
+        if decomp is None:
+            return _KrylovProjection(self, f, cfg)
+        return decomp._project(f)
 
     def __repr__(self):
         return (
@@ -543,13 +555,31 @@ class DenseOperator(LinearOperator):
         q = np.linalg.qr(stacked)[0]
         return q[:n, :] @ (q.T @ rhs), 0
 
-    def _spectrum(self):
-        return svd_decompose(self).singular_values
-
-    def _project(self, f, cfg):
+    def _decompose(self, rank_tolerance):
+        """The eigh or SVD factorization of the matrix; None above ``MAX_DENSE_DIM``."""
         if max(self.range_dim, self.domain_dim) > MAX_DENSE_DIM:
-            return super()._project(f, cfg)
-        return svd_decompose(self)._project(f, cfg)
+            return None
+        matrix = self.matrix
+        if matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T):
+            # On hilbert, deriv2 and phillips at n = 1024 (one OpenBLAS thread,
+            # 2-core x86 VM) eigh took 240-330 ms and the SVD 670-800 ms.
+            lam, q = np.linalg.eigh(matrix)
+            order = np.argsort(-np.abs(lam), kind="stable")
+            kept = order[_kept(np.abs(lam[order]), rank_tolerance)]
+            s, right = np.abs(lam[kept]), q[:, kept]
+            left = right * np.where(lam[kept] < 0, -1.0, 1.0)
+        else:
+            u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+            keep = _kept(s, rank_tolerance)
+            s, left, right = s[keep], u[:, keep], vt[keep].T
+        for factor in (s, left, right):
+            factor.setflags(write=False)
+        return SpectralDecomposition(
+            singular_values=s,
+            left_vectors=left,
+            right_vectors=right,
+            rank_tolerance=rank_tolerance,
+        )
 
 
 class DiagonalOperator(LinearOperator):
@@ -578,11 +608,19 @@ class DiagonalOperator(LinearOperator):
     def _solve_dual(self, a, f, cfg):
         return self.values * (f / (self.values**2 + a)), 0
 
-    def _spectrum(self):
-        return self.values
-
-    def _project(self, f, cfg):
-        return diagonal_decomposition(self.values)._project(f)
+    def _decompose(self, rank_tolerance):
+        """The entries sorted nonincreasing, with their coordinate axes as indices."""
+        order = np.argsort(-self.values, kind="stable")
+        s = self.values[order]
+        keep = _kept(s, rank_tolerance)
+        axes = order[keep]
+        axes.setflags(write=False)
+        return _AxesDecomposition(
+            singular_values=_readonly(s[keep]),
+            axes=axes,
+            dim=self.domain_dim,
+            rank_tolerance=rank_tolerance,
+        )
 
 
 class MatrixFreeOperator(LinearOperator):
@@ -672,7 +710,7 @@ class SpectralDecomposition:
     and its orthogonal complement are spanned by the left vectors; the
     domain-side analogue uses the right vectors.
 
-    The decomposition of a diagonal operator (``diagonal_decomposition``)
+    The decomposition of a diagonal operator (``DiagonalOperator._decompose``)
     stores only the indices of its kept entries: its singular vectors are
     coordinate axes, so every product with them is a gather or a scatter.
     It takes O(n) memory and O(n) work per alpha selection, and builds
@@ -808,40 +846,20 @@ def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     UnsupportedKindError
         For non-dense operators; matrix-free operators are never
         materialized on the caller's behalf.
+    SizeLimitError
+        Above ``MAX_DENSE_DIM``.
     """
-    if getattr(op, "kind", None) != "dense":
+    if not isinstance(op, DenseOperator):
         raise UnsupportedKindError(
-            f"svd_decompose requires a dense operator, got kind={op.kind!r}"
+            f"svd_decompose requires a dense operator, got {type(op).__name__}"
         )
-    rank_tolerance = float(rank_tolerance)
-    if rank_tolerance < 0:
-        raise InvalidParameterError("rank_tolerance must be >= 0")
-    if max(op.range_dim, op.domain_dim) > MAX_DENSE_DIM:
+    decomp = op._decompose(_check_rank_tolerance(rank_tolerance))
+    if decomp is None:
         raise SizeLimitError(
             f"dense factorization capped at {MAX_DENSE_DIM}, "
             f"got {op.range_dim} x {op.domain_dim}"
         )
-    matrix = op.matrix
-    if matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T):
-        # On hilbert, deriv2 and phillips at n = 1024 (one OpenBLAS thread,
-        # 2-core x86 VM) eigh took 240-330 ms and the SVD 670-800 ms.
-        lam, q = np.linalg.eigh(matrix)
-        order = np.argsort(-np.abs(lam), kind="stable")
-        kept = order[_kept(np.abs(lam[order]), rank_tolerance)]
-        s, right = np.abs(lam[kept]), q[:, kept]
-        left = right * np.where(lam[kept] < 0, -1.0, 1.0)
-    else:
-        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-        keep = _kept(s, rank_tolerance)
-        s, left, right = s[keep], u[:, keep], vt[keep].T
-    for factor in (s, left, right):
-        factor.setflags(write=False)
-    return SpectralDecomposition(
-        singular_values=s,
-        left_vectors=left,
-        right_vectors=right,
-        rank_tolerance=rank_tolerance,
-    )
+    return decomp
 
 
 def diagonal_decomposition(values, rank_tolerance=DEFAULT_RANK_TOLERANCE):
@@ -850,18 +868,7 @@ def diagonal_decomposition(values, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     Entries are sorted nonincreasing and truncated like ``svd_decompose``;
     the singular vectors are the matching coordinate axes, held as indices.
     """
-    values = DiagonalOperator(values).values
-    order = np.argsort(-values, kind="stable")
-    s = values[order]
-    keep = _kept(s, float(rank_tolerance))
-    axes = order[keep]
-    axes.setflags(write=False)
-    return _AxesDecomposition(
-        singular_values=_readonly(s[keep]),
-        axes=axes,
-        dim=values.shape[0],
-        rank_tolerance=float(rank_tolerance),
-    )
+    return DiagonalOperator(values)._decompose(_check_rank_tolerance(rank_tolerance))
 
 
 def filter_factors(singular_values, alpha):
@@ -910,9 +917,9 @@ def minimal_norm_solution(decomp, f):
 
 def as_dense_matrix(op):
     """Materialize a dense or diagonal operator as a matrix."""
-    if op.kind == "dense":
+    if isinstance(op, DenseOperator):
         return np.array(op.matrix)
-    if op.kind == "diagonal":
+    if isinstance(op, DiagonalOperator):
         return np.diag(op.values)
     raise UnsupportedKindError(
         f"cannot materialize operator of kind {op.kind!r}"

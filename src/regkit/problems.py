@@ -28,11 +28,11 @@ from .operators import (
     DenseOperator,
     DiagonalOperator,
     LinearOperator,
+    DEFAULT_RANK_TOLERANCE,
     MAX_DENSE_DIM,
     SpectralDecomposition,
     _readonly,
-    diagonal_decomposition,
-    svd_decompose,
+    svd_decompose,  # noqa: F401  (perfbench/spans.py wraps this binding)
     write_dense_text,
 )
 
@@ -48,12 +48,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """An operator with its exact minimal-norm solution and exact data.
 
     Invariants: f = A y up to factorization accuracy, y is orthogonal to
-    the computed null space of A, and f is nonzero.
+    the computed null space of A, and f is nonzero.  Two instances are
+    equal only if they are the same object.
     """
 
     name: str
@@ -65,9 +66,9 @@ class ProblemInstance:
     decomp: SpectralDecomposition | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyData:
-    """Perturbed data with ||f_delta - f|| equal to delta exactly."""
+    """Perturbed data with ||f_delta - f|| = delta exactly; equal only to itself."""
 
     f_delta: np.ndarray
     delta: float
@@ -181,10 +182,7 @@ def make_problem(name, n, decompose=True, **params):
         ) from None
     decomp = None
     if decompose:
-        if op.kind == "diagonal":
-            decomp = diagonal_decomposition(op.values)
-        else:
-            decomp = svd_decompose(op)
+        decomp = op._decompose(DEFAULT_RANK_TOLERANCE)
         if decomp.rank < op.domain_dim:
             # Minimal-norm representative: drop the computed null component.
             y = decomp._right(decomp._right_t(y))

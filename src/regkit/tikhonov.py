@@ -183,15 +183,16 @@ def solution_operator_norm(target, alpha, tol=1e-10, max_iters=20000, cfg=None):
 
     Equals max_i sigma_i / (sigma_i^2 + alpha), which never exceeds
     1 / (2 sqrt(alpha)).  Evaluated from the singular values when
-    ``target`` is a decomposition or its operator knows them; otherwise by
-    ``operator_norm_estimate`` on the adjoint map
-    R^T = A (A^T A + alpha I)^{-1}, at one pair of shifted-normal solves
-    per step.
+    ``target`` is a decomposition or its operator has one, untruncated as
+    the direct solves are; otherwise by ``operator_norm_estimate`` on the
+    adjoint map R^T = A (A^T A + alpha I)^{-1}, at one pair of
+    shifted-normal solves per step.
     """
     a = _check_alpha(alpha)
     is_decomp = isinstance(target, SpectralDecomposition)
-    s = target.singular_values if is_decomp else target._spectrum()
-    if s is not None:
+    decomp = target if is_decomp else target._decompose(0.0)
+    if decomp is not None:
+        s = decomp.singular_values
         return float(np.max(filter_factors(s, a))) if s.size else 0.0
     cfg = cfg or IterativeSolverConfig()
     adjoint_map = MatrixFreeOperator(

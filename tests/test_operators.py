@@ -252,6 +252,22 @@ def test_svd_size_cap():
         svd_decompose(op)
 
 
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "decompose",
+    [
+        lambda tol: svd_decompose(DenseOperator(np.diag([1.0, 0.0, 2.0])), tol),
+        lambda tol: diagonal_decomposition([1.0, 0.0, 2.0], tol),
+    ],
+    ids=["svd_decompose", "diagonal_decomposition"],
+)
+def test_rank_tolerance_must_be_finite_and_nonnegative(decompose, bad):
+    # A negative tolerance kept the zero singular value, so the minimal-norm
+    # solution divided by it; a NaN one silently truncated to rank 0.
+    with pytest.raises(InvalidParameterError, match="rank_tolerance"):
+        decompose(bad)
+
+
 def test_diagonal_decomposition_sorts_and_truncates():
     decomp = diagonal_decomposition([0.5, 3.0, 0.0, 1.0])
     np.testing.assert_allclose(decomp.singular_values, [3.0, 1.0, 0.5])

@@ -228,3 +228,13 @@ def test_exported_diagonal_matches_spectral_behaviour(tmp_path):
     sol_dense = solve_primal(dense, prob.f, 1e-3)
     sol_diag = solve_primal(prob.op, prob.f, 1e-3)
     np.testing.assert_allclose(sol_dense.u, sol_diag.u, rtol=1e-12)
+
+
+def test_instances_and_noisy_data_compare_by_identity():
+    # Generated field-wise equality compared arrays and raised on them.
+    prob = make_problem("phillips", 8)
+    first, second = add_noise(prob, 1e-3, 1), add_noise(prob, 1e-3, 1)
+    assert (first == second) is False
+    assert (first == first) is True
+    assert (prob == make_problem("phillips", 8)) is False
+    assert (prob == prob) is True

@@ -9,7 +9,14 @@ residual certificate |A u - f_delta| = C delta and the norm bound
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from regkit import DenseOperator, regularized_solve_auto, svd_decompose
+from regkit import (
+    DenseOperator,
+    DiagonalOperator,
+    diagonal_decomposition,
+    regularized_solve_auto,
+    solution_operator_norm,
+    svd_decompose,
+)
 
 from conftest import matrix_free_view, philox
 
@@ -57,6 +64,23 @@ def symmetric_indefinite_systems(draw):
     return _noisy(rng, 0.5 * (matrix + matrix.T), basis, rel_noise)
 
 
+@st.composite
+def noisy_diagonals(draw, decades=8.0):
+    """Like ``noisy_systems``, for A = diag(v) with v >= 0 and zeros allowed.
+
+    The positive entries span up to ``decades`` decades.
+    """
+    rank = draw(st.integers(1, 30))
+    zeros = draw(st.integers(0, 10))
+    log_sigma = draw(st.lists(st.floats(-decades, 0.0), min_size=rank, max_size=rank))
+    rel_noise = 10.0 ** draw(st.floats(-6.0, -1.0))
+    rng = philox(draw(st.integers(0, 2**32 - 1)))
+    values = 10.0 ** (draw(st.floats(0.0, 6.0)) + np.array(log_sigma))
+    values = rng.permutation(np.concatenate([values, np.zeros(zeros)]))
+    right = np.eye(values.size)[:, values > 0]
+    return _noisy(rng, np.diag(values), right, rel_noise)
+
+
 def _assert_kinds_agree(case):
     matrix, y, f_delta, delta = case
     dense = DenseOperator(matrix)
@@ -84,3 +108,33 @@ def test_selection_agrees_across_kinds(case):
 def test_selection_agrees_across_kinds_on_symmetric_indefinite(case):
     assert np.array_equal(case[0], case[0].T)
     _assert_kinds_agree(case)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(noisy_diagonals())
+def test_diagonal_selection_agrees_across_kinds(case):
+    matrix, _, f_delta, delta = case
+    values = np.diag(matrix)
+    dense = DenseOperator(matrix)
+    systems = (
+        diagonal_decomposition(values),
+        DiagonalOperator(values),
+        dense,
+        matrix_free_view(dense),
+    )
+    solutions = [regularized_solve_auto(s, f_delta, delta)[0].u for s in systems]
+    for u in solutions[1:]:
+        assert np.linalg.norm(u - solutions[0]) <= 1e-8 * np.linalg.norm(solutions[0])
+
+
+# Past the default rank tolerance, so that an operator which truncates its
+# own spectrum there misses the entry that attains the norm at alpha = v_min^2.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(noisy_diagonals(decades=14.0))
+def test_diagonal_solution_map_norm_agrees_across_kinds(case):
+    values = np.diag(case[0])
+    smallest = values[values > 0].min()
+    for alpha in (smallest**2, smallest * values.max(), values.max() ** 2):
+        want = solution_operator_norm(DiagonalOperator(values), alpha)
+        got = solution_operator_norm(DenseOperator(case[0]), alpha)
+        assert abs(got - want) <= 1e-12 * want

@@ -409,3 +409,24 @@ def test_solution_map_norm_of_dense_operator_matches_decomposition(symmetric):
     for alpha in (1e-12, 1e-8, 1e-5, 1e-2, 1.0):
         want = solution_operator_norm(decomp, alpha)
         assert solution_operator_norm(op, alpha) == pytest.approx(want, rel=1e-12)
+
+
+def test_solution_map_norm_of_dense_operator_keeps_tiny_singular_values():
+    # sigma_2 = 1e-13 = sqrt(alpha) attains the bound 1 / (2 sqrt(alpha)); the
+    # direct kernels do not truncate it, so the norm may not either.
+    alpha = 1e-26
+    want = solution_operator_norm(DiagonalOperator([1.0, 1e-13]), alpha)
+    assert want == pytest.approx(5e12, rel=1e-12)
+    dense = DenseOperator(np.diag([1.0, 1e-13]))
+    assert solution_operator_norm(dense, alpha) == pytest.approx(want, rel=1e-12)
+    e2 = np.array([0.0, 1.0])
+    assert solve_primal(dense, e2, alpha).solution_norm == pytest.approx(want, rel=1e-6)
+
+
+def test_solution_map_norm_of_dense_operator_above_size_cap():
+    # Too tall to factor densely; the shifted-normal power iteration still
+    # gives sigma / (sigma^2 + 1) with sigma = sqrt(4097), as solve_alpha
+    # still selects on it.
+    op = DenseOperator(np.ones((4097, 1)))
+    want = np.sqrt(4097.0) / 4098.0
+    assert solution_operator_norm(op, 1.0) == pytest.approx(want, rel=1e-8)
