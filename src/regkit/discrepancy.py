@@ -115,7 +115,9 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
     eigendecomposition when the matrix is exactly symmetric), the closed form
     of a diagonal one, or a Golub-Kahan Krylov space for any other,
     extended until its solution at the root is certified.  Every g(alpha)
-    is then O(rank) arithmetic on the projected spectrum.  The default
+    is then O(rank) arithmetic on the projected spectrum, or on a Krylov
+    space of dimension k one O(k) sweep of Givens rotations over its
+    bidiagonal.  The default
     bracket is widened by factors of 10 (at most 20 steps per side) until
     it straddles the target; the root is then found by Newton steps on
     ln g against ln alpha with the analytic slope, bisecting whenever a
@@ -173,10 +175,14 @@ def _root(projection, threshold, cfg, start=None):
 
     A projection that is not ``exhausted`` may see no root below or a
     saturating g only because it resolves too little of the spectrum.
+    Since g increases from g(0+), a ``floor`` g(0+) at or above the target
+    rules out a root before any g is evaluated.
     Newton starts at ``start``, the root on a shorter projection, when
     the bracket holds it, and at the bracket's log midpoint otherwise.
     """
     target = threshold**2
+    if not projection.exhausted and projection.floor() >= target:
+        return None
 
     def g(a):
         return projection.discrepancy(a)[0]

@@ -278,31 +278,45 @@ def _krylov_append(rows, count, vec, op_norm):
 
 
 class _DampedLSQR:
-    """The scalar recurrences of damped LSQR on a stored bidiagonal.
+    """Damped LSQR's rotations of a stored bidiagonal.
 
     LSQR (Paige & Saunders, ACM TOMS 8, 1982) with damp = sqrt(alpha)
     solves min ||A x - f||^2 + alpha ||x||^2 on the Golub-Kahan space of
-    f.  ``step`` takes beta_{k+1} and alpha_{k+1}, the next column of B_k,
-    and returns, at O(1) cost and without forming a vector, the
-    normal-equation residual ||A^T (f - A x_k) - alpha x_k|| =
-    alpha_{k+1} |tau_k| of the iterate x_k, and ||x_k|| from the LQ
-    factorization of the rotated bidiagonal.
+    f through the QR factorization of [B_k; sqrt(alpha) I], one column at
+    a time, by Givens rotations (Elden, BIT 17, 1977).  ``rotate`` takes
+    beta_{k+1} and alpha_{k+1}, the next column of B_k, and returns the
+    new row of the upper bidiagonal R with its rotated right-hand side,
+    and the two rotations.  ``step`` returns, at O(1) cost and without
+    forming a vector, the normal-equation residual
+    ||A^T (f - A x_k) - alpha x_k|| = alpha_{k+1} |tau_k| of the iterate
+    x_k, and ||x_k|| from the LQ factorization of R.
     """
 
     def __init__(self, alpha, alpha_1, beta_1):
         self._damp_sq = alpha
-        self._rhobar, self._phibar = alpha_1, beta_1
+        self._rhobar, self.phibar = alpha_1, beta_1
         self._cs2, self._sn2, self._z, self._xxnorm = -1.0, 0.0, 0.0, 0.0
 
-    def step(self, beta, alpha_next):
-        # Rotate the damping row away, then the subdiagonal beta.
+    def rotate(self, beta, alpha_next):
+        """((rho_k, theta_{k+1}, phi_k), (cbar, sbar, psi_k, c, s)) for column k.
+
+        (cbar, sbar) rotates the damping row sqrt(alpha) e_k into row k,
+        leaving psi_k in the damping row's right-hand side; the reflection
+        (c, s) then takes beta_{k+1} out of row k+1, whose right-hand side
+        becomes ``phibar``.
+        """
         rhobar1 = math.sqrt(self._rhobar**2 + self._damp_sq)
-        phibar = self._rhobar / rhobar1 * self._phibar
+        cbar, sbar = self._rhobar / rhobar1, math.sqrt(self._damp_sq) / rhobar1
+        psi = -sbar * self.phibar
+        phibar = cbar * self.phibar
         rho = math.hypot(rhobar1, beta)
         cs, sn = rhobar1 / rho, beta / rho
-        theta = sn * alpha_next
         self._rhobar = -cs * alpha_next
-        phi, self._phibar = cs * phibar, sn * phibar
+        phi, self.phibar = cs * phibar, sn * phibar
+        return (rho, sn * alpha_next, phi), (cbar, sbar, psi, cs, sn)
+
+    def step(self, beta, alpha_next):
+        (rho, theta, phi), (*_, sn) = self.rotate(beta, alpha_next)
         # Rotate theta away on the right; the rotated system gives ||x_k||.
         gambar = -self._cs2 * rho
         rhs = phi - self._sn2 * rho * self._z
@@ -314,22 +328,23 @@ class _DampedLSQR:
         return alpha_next * abs(sn * phi), xnorm
 
 
-class _KrylovProjection(_Projection):
+class _KrylovProjection:
     """Projection of f onto a Golub-Kahan Krylov space, grown on demand.
 
     k steps of bidiagonalization from u_1 = f / ||f||, with both bases
     kept orthonormal by full reorthogonalization (``_krylov_append``), give
-    A V_k = U_{k+1} B_k with B_k lower bidiagonal of size (k+1) x k.  The
-    SVD of the small B_k is a singular system of the projected problem;
-    Krylov spaces are shift-invariant, so one space serves every alpha.
-    g(alpha) is read from the projected residual, which is why U must stay
-    orthonormal to working precision.  The projected solution x_k has
-    normal-equation residual alpha_{k+1} s_{k+1} v_{k+1}, with s_{k+1} the
-    last entry of the projected residual, so
-    ||x_k - u_alpha|| <= |alpha_{k+1} s_{k+1}| / alpha; ``certifies`` asks
-    that to be at most ``rel_tolerance * ||x_k||``, and it alone accepts a
-    root.  ``extend`` grows the space to the size damped LSQR says a
-    rejected root needs, or doubles it.
+    A V_k = U_{k+1} B_k with B_k lower bidiagonal of size (k+1) x k.
+    Krylov spaces are shift-invariant, so one space serves every alpha:
+    the projected problem min ||B_k y - beta_1 e_1||^2 + alpha ||y||^2 is
+    solved per alpha by one O(k) sweep of Givens rotations over the stored
+    bidiagonal (``_sweep``), with no factorization of B_k.  g(alpha) is
+    read from the projected residual r, which is why U must stay
+    orthonormal to working precision.  The projected solution x_k = V_k y
+    has normal-equation residual alpha_{k+1} s_{k+1} v_{k+1}, with
+    s_{k+1} = r_{k+1}, so ||x_k - u_alpha|| <= |alpha_{k+1} s_{k+1}| /
+    alpha; ``certifies`` asks that to be at most ``rel_tolerance *
+    ||x_k||``, and it alone accepts a root.  ``extend`` grows the space to
+    the size damped LSQR says a rejected root needs, or doubles it.
     """
 
     exhausted = False
@@ -340,6 +355,7 @@ class _KrylovProjection(_Projection):
         self._budget = cfg.budget(op.domain_dim)
         self._norm = 0.0  # largest bidiagonal entry: a lower bound on ||A||
         self._sized = False  # whether the LSQR monitor chose the current size
+        self.steps = 0
         beta = math.sqrt(f @ f)
         self._u = (f / beta)[None, :]
         self._v = np.empty((1, op.domain_dim))
@@ -371,34 +387,86 @@ class _KrylovProjection(_Projection):
         self._orthogonal_step(self._op.apply_adjoint(self._u[j + 1]) - beta * self._v[j])
 
     def _grow(self, k):
-        """Extend to k steps or to breakdown, then factor B_k."""
+        """Extend to k steps or to breakdown, then fix B_k (``_factor``)."""
         while self.steps < k and not self.exhausted:
             self._step()
         self._factor()
 
     def _factor(self):
+        """Fix the projected problem at the current k.
+
+        Stores the columns (beta_{j+1}, alpha_{j+1}), j = 1..k, which with
+        alpha_1 and beta_1 are B_k and alpha_{k+1}, and the basis V_k that
+        lifts y.  Each alpha then costs one ``_sweep``.
+        """
         k = self.steps
-        b = np.zeros((k + 1, k))
-        b[np.arange(k), np.arange(k)] = self._alpha[:k]
-        b[np.arange(1, k + 1), np.arange(k)] = self._beta[1:]
-        # The full left factor carries the null vector of B_k^T, so the
-        # part of f the Krylov space cannot fit needs no recurrence.
-        p, s, qt = np.linalg.svd(b)
-        rank = int(np.count_nonzero(_kept(s, DEFAULT_RANK_TOLERANCE)))
-        c = self._beta[0] * p[0]
-        self.sigma, self.coeff = s[:rank], c[:rank]
-        self.outside_sq = float(c[rank:] @ c[rank:])
-        self._last_row, self._last_outside = p[k, :rank], float(p[k, rank:] @ c[rank:])
+        self._columns = list(zip(self._beta[1 : k + 1], self._alpha[1 : k + 1]))
         self._alpha_next = self._alpha[k]
-        basis, right = self._v[:k], qt[:rank].T
-        self._lift = lambda y: basis.T @ (right @ y)
+        self._basis = self._v[:k]
+        self._swept = None
+
+    def _sweep(self, alpha):
+        """(alpha, y, g, slope, s_{k+1}) at alpha; the last sweep is kept.
+
+        One pass of damped LSQR's rotations gives the QR factorization of
+        [B_k; sqrt(alpha) I]; y follows by back substitution on R.  The
+        rotated residual is zero but for phibar_{k+1} in row k+1 and psi_j
+        in the damping rows, and applying the rotations backwards to it
+        gives r = beta_1 e_1 - B_k y without forming that difference,
+        which cancels when r is small against beta_1.  With R^T R =
+        B_k^T B_k + alpha I, dg/d(ln alpha) = 2 alpha^2 ||R^{-T} y||^2.
+        """
+        if self._swept is not None and self._swept[0] == alpha:
+            return self._swept
+        lsqr = _DampedLSQR(alpha, self._alpha[0], self._beta[0])
+        rotated = [lsqr.rotate(beta, a) for beta, a in self._columns]
+        k = len(rotated)
+        y = [0.0] * k
+        later = 0.0
+        for j in range(k - 1, -1, -1):
+            rho, theta, phi = rotated[j][0]
+            y[j] = later = (phi - theta * later) / rho
+        w_sq, w, theta = 0.0, 0.0, 0.0
+        for ((rho, theta_next, _), _), y_j in zip(rotated, y):
+            w = (y_j - theta * w) / rho
+            w_sq += w * w
+            theta = theta_next
+        t, r = lsqr.phibar, []  # r from its last entry, s_{k+1}, to its first
+        for _, (cbar, sbar, psi, cs, sn) in reversed(rotated):
+            r.append(-cs * t)
+            t = cbar * sn * t - sbar * psi
+        r.append(t)
+        g = math.fsum(v * v for v in r)
+        self._swept = (alpha, np.array(y), g, 2.0 * alpha * alpha * w_sq, r[0])
+        return self._swept
+
+    def discrepancy(self, alpha):
+        """g(alpha) = ||r||^2 and its slope dg/d(ln alpha)."""
+        return self._sweep(alpha)[2:4]
+
+    def solution(self, alpha):
+        """The projected solution x_k = V_k y."""
+        return self._sweep(alpha)[1] @ self._basis
 
     def certifies(self, alpha):
-        w = alpha / (self.sigma**2 + alpha)
-        s_last = float(self._last_row @ (w * self.coeff)) + self._last_outside
+        """Whether ||x_k - u_alpha|| <= ``rel_tolerance`` ||x_k||, by s_{k+1} = r_{k+1}."""
+        _, y, _, _, s_last = self._sweep(alpha)
         bound = abs(self._alpha_next * s_last) / alpha
-        x = self._coordinates(alpha)
-        return bound <= self._rel_tolerance * math.sqrt(x @ x)
+        return bound <= self._rel_tolerance * math.sqrt(y @ y)
+
+    def floor(self):
+        """g(0+) = beta_1^2 / ||z||^2, with z the null vector of B_k^T.
+
+        z_1 = 1 and z_{j+1} = -(alpha_j / beta_{j+1}) z_j; the ratios are
+        summed in logs, since |z_j| can overflow.  Needs every alpha_j and
+        beta_{j+1} nonzero, which holds until the space is exhausted.
+        """
+        k = self.steps
+        ratios = np.log(self._alpha[:k]) - np.log(self._beta[1 : k + 1])
+        logs = np.concatenate(([0.0], np.cumsum(ratios)))
+        top = float(logs.max())
+        scaled_sq = float(np.exp(2.0 * (logs - top)).sum())  # ||z||^2 / e^(2 top)
+        return self._beta[0] ** 2 * math.exp(-2.0 * top) / scaled_sq
 
     def extend(self, alpha=None):
         """Grow the space after ``certifies`` rejected the root ``alpha``.
@@ -407,13 +475,13 @@ class _KrylovProjection(_Projection):
         bidiagonal and then run alongside new Golub-Kahan steps, one at a
         time, until its normal-equation residual alpha_{k+1} |tau_k| meets
         the certificate's own limit ``rel_tolerance * alpha * ||x_k||``,
-        the space is exhausted, or the budget is spent; B_k is factored
-        once at the end.  That residual is the |alpha_{k+1} s_{k+1}| the
+        the space is exhausted, or the budget is spent; B_k is fixed once
+        at the end.  That residual is the |alpha_{k+1} s_{k+1}| the
         certificate bounds, but the monitor only sizes the space: the root
         moves on it, and ``certifies`` alone accepts a root.  Without a
         root (``alpha`` None), or when the certificate failed on a space
         the monitor had sized, the space doubles instead, which keeps the
-        number of factorizations logarithmic in the final size.
+        number of root searches logarithmic in the final size.
         ``ConvergenceError`` past the budget.
         """
         if self.steps >= self._budget:

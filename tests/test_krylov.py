@@ -1,9 +1,14 @@
 """The Golub-Kahan projection of matrix-free alpha selection.
 
 Reorthogonalization by the DGKS test, the damped-LSQR monitor that sizes
-the Krylov space, and the doubling that remains for the cases the monitor
-cannot size.
+the Krylov space, the doubling that remains for the cases the monitor
+cannot size, the per-alpha Givens sweep that replaces a factorization of
+B_k, and the null-vector floor that skips root searches on spaces without
+a root.
 """
+
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +69,42 @@ def factor_sizes(monkeypatch):
 
     monkeypatch.setattr(_KrylovProjection, "_factor", counted)
     return sizes
+
+
+def _exact_damped(projection, alpha):
+    """g, dg/d(ln alpha), s_{k+1} and y of the damped projected problem, exactly.
+
+    Solves (B_k^T B_k + alpha I) y = B_k^T beta_1 e_1, which is tridiagonal,
+    in rational arithmetic on the stored floats, then rounds once.
+    """
+    k = projection.steps
+    diag = [Fraction(v) for v in projection._alpha[:k]]
+    sub = [Fraction(v) for v in projection._beta[1 : k + 1]]
+    a, beta_1 = Fraction(alpha), Fraction(projection._beta[0])
+    # B^T B + alpha I: diagonal alpha_j^2 + beta_{j+1}^2 + alpha, off-diagonal
+    # beta_{j+1} alpha_{j+1}.
+    main = [diag[j] ** 2 + sub[j] ** 2 + a for j in range(k)]
+    off = [sub[j] * diag[j + 1] for j in range(k - 1)]
+
+    def solve(rhs):
+        d, r = main[:], rhs[:]
+        for j in range(1, k):
+            m = off[j - 1] / d[j - 1]
+            d[j] -= m * off[j - 1]
+            r[j] -= m * r[j - 1]
+        x = [Fraction(0)] * k
+        for j in range(k - 1, -1, -1):
+            x[j] = (r[j] - (off[j] * x[j + 1] if j < k - 1 else 0)) / d[j]
+        return x
+
+    y = solve([diag[0] * beta_1] + [Fraction(0)] * (k - 1))
+    r = [beta_1 - diag[0] * y[0]] + [
+        -sub[j] * y[j] - (diag[j + 1] * y[j + 1] if j < k - 1 else 0) for j in range(k)
+    ]
+    w = solve(y)
+    g = sum(v * v for v in r)
+    slope = 2 * a * a * sum(u * v for u, v in zip(y, w))
+    return float(g), float(slope), float(r[k]), np.array([float(v) for v in y])
 
 
 def test_second_pass_restores_orthogonality_under_cancellation():
@@ -162,3 +203,91 @@ def test_failed_certificate_on_a_sized_space_doubles(monkeypatch, factor_sizes):
     sized = forced[0]
     assert operators._KRYLOV_START < sized < 2 * operators._KRYLOV_START
     assert factor_sizes == [operators._KRYLOV_START, sized, 2 * sized]
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-3])
+def test_sweep_matches_exact_projected_solve(alpha):
+    prob = make_problem("deriv2", 128)
+    fd, _ = _noisy(prob, 1e-2, 4)
+    projection = _KrylovProjection(matrix_free_view(prob.op), fd, IterativeSolverConfig())
+    projection._grow(2 * projection.steps)
+    g, slope, s_last, y = _exact_damped(projection, alpha)
+    _, y_sweep, g_sweep, slope_sweep, s_last_sweep = projection._sweep(alpha)
+    assert g_sweep == pytest.approx(g, rel=1e-12, abs=0.0)
+    assert slope_sweep == pytest.approx(slope, rel=1e-12, abs=0.0)
+    assert s_last_sweep == pytest.approx(s_last, rel=1e-12, abs=0.0)
+    assert np.linalg.norm(y_sweep - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def test_floor_is_the_null_vector_share_of_the_data():
+    prob = make_problem("deriv2", 128)
+    fd, _ = _noisy(prob, 1e-2, 4)
+    projection = _KrylovProjection(matrix_free_view(prob.op), fd, IterativeSolverConfig())
+    k = projection.steps
+    b = np.zeros((k + 1, k))
+    b[np.arange(k), np.arange(k)] = projection._alpha[:k]
+    b[np.arange(1, k + 1), np.arange(k)] = projection._beta[1 : k + 1]
+    null = np.linalg.svd(b)[0][:, k]  # the left singular vector B_k^T annihilates
+    assert projection.floor() == pytest.approx((projection._beta[0] * null[0]) ** 2, rel=1e-12)
+
+
+def test_sweep_residual_does_not_cancel():
+    # A = [[0.1]]: at the root r = 3.1e-8 against beta_1 = 0.0206, and
+    # beta_1 - B y loses ~5e-10 of g to cancellation, more than the root
+    # tolerance of 1e-10.
+    f, delta = np.array([-0.0206]), 2.06e-8
+    op = MatrixFreeOperator(1, 1, lambda x: 0.1 * x, lambda w: 0.1 * w)
+    projection = _KrylovProjection(op, f, IterativeSolverConfig())
+    for alpha in (1e-12, 1.5e-8, 1e-4):
+        a = Fraction(alpha)
+        exact = float((a * Fraction(0.0206) / (Fraction(0.1) ** 2 + a)) ** 2)
+        assert projection.discrepancy(alpha)[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+    solution, selection = discrepancy.regularized_solve_auto(op, f, delta)
+    target = C * delta
+    assert abs(selection.achieved_residual - target) <= 1e-10 * target
+    assert abs(solution.residual_norm - target) <= 1e-8 * target
+
+
+@pytest.mark.parametrize("name", ["deriv2", "gradient_family"])
+def test_matrix_free_selection_factors_nothing(name, monkeypatch):
+    prob = make_problem(name, 256)
+    fd, delta = _noisy(prob, 1e-2, 3)
+    system = matrix_free_view(prob.op)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    solution, selection = discrepancy.regularized_solve_auto(system, fd, delta)
+    assert abs(selection.achieved_residual - C * delta) <= 1e-8 * C * delta
+
+
+def test_rootless_spaces_evaluate_no_g(monkeypatch, factor_sizes):
+    # gradient_family has no root on spaces up to k = 64; the null-vector
+    # floor says so before any g(alpha) is evaluated there.
+    evaluated = []
+    discrepancy_at = _KrylovProjection.discrepancy
+
+    def counted(self, alpha):
+        evaluated.append(self.steps)
+        return discrepancy_at(self, alpha)
+
+    monkeypatch.setattr(_KrylovProjection, "discrepancy", counted)
+    prob = make_problem("gradient_family", 256)
+    fd, delta = _noisy(prob, 1e-2, 1)
+    _select(matrix_free_view(prob.op), fd, delta, DiscrepancyConfig(C=C), None)
+    assert factor_sizes == [8, 16, 32, 64, 128, 255]
+    assert evaluated and min(evaluated) == 128
+
+
+def test_gradient_family_selection_memory():
+    prob = make_problem("gradient_family", 256)
+    fd, delta = _noisy(prob, 1e-2, 1)
+    system = matrix_free_view(prob.op)
+    tracemalloc.start()
+    try:
+        discrepancy.solve_alpha(system, fd, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
