@@ -87,7 +87,9 @@ class ConvergenceError(RegkitError, RuntimeError):
     """An iteration exhausted its budget before meeting its tolerance.
 
     Diagnostic state (last iterate, achieved residual, iteration count)
-    is attached as keyword attributes.
+    is attached as keyword attributes.  For a Golub-Kahan solve,
+    ``achieved_residual`` is the certified relative error
+    ||x_k - x|| / ||x_k|| at the budget and ``last_iterate`` is x_k.
     """
 
     def __init__(self, message, **diagnostics):

@@ -7,8 +7,9 @@ operation here is a pure function, so concurrent use needs no locking;
 matrix-free callbacks must themselves be re-entrant.
 
 Each kind owns the Tikhonov kernels that the routes in ``tikhonov`` call:
-conjugate gradients from ``apply``/``apply_adjoint`` in the base class,
-direct forms for dense and diagonal operators.  Each also owns its singular
+direct forms for dense and diagonal operators, and in the base class
+readouts of one Golub-Kahan space grown until it certifies alpha.  Each
+also owns its singular
 system (``_decompose``): a factored matrix up to ``MAX_DENSE_DIM``, sorted
 diagonal entries, or none.  Every other reader goes through it, including
 residual matching (``_project``), which uses a Golub-Kahan Krylov space
@@ -120,69 +121,6 @@ def _kept(s, rank_tolerance):
     if s.size and s[0] > 0:
         return s > rank_tolerance * s[0]
     return np.zeros(s.shape, dtype=bool)
-
-
-def _conjugate_gradients(apply_system, b, cfg, dim):
-    """CG for S x = b with S = ``apply_system`` SPD; returns (x, iterations).
-
-    Aims at ``cfg.rel_tolerance * ||b||`` within ``cfg.budget(dim)`` steps.
-    Stops on the recurrence residual, then confirms against the true
-    residual and restarts if recurrence drift produced a false stop.  A
-    confirmation that fails without lowering the true residual of the
-    previous one means rounding has stalled the iteration above the
-    target, so it raises at once instead of spending the budget.
-    """
-    rel_tolerance, budget = cfg.rel_tolerance, cfg.budget(dim)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
-    target = rel_tolerance * bnorm
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    confirmed = np.inf
-    for k in range(1, budget + 1):
-        ap = apply_system(p)
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise ConvergenceError(
-                "conjugate gradients broke down (curvature <= 0)",
-                iterations=k,
-                achieved_residual=float(np.sqrt(rs)) / bnorm,
-            )
-        step = rs / pap
-        x += step * p
-        r -= step * ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= target:
-            true_r = b - apply_system(x)
-            true_norm = float(np.linalg.norm(true_r))
-            if true_norm <= 1.01 * target:
-                return x, k
-            if true_norm >= confirmed:
-                raise ConvergenceError(
-                    f"conjugate gradients stagnated at {true_norm / bnorm:.1e} "
-                    f"above the target {rel_tolerance:.1e}",
-                    iterations=k,
-                    achieved_residual=true_norm / bnorm,
-                    last_iterate=x,
-                )
-            confirmed = true_norm
-            r = true_r
-            rs_new = true_norm**2
-            p = r.copy()
-            rs = rs_new
-            continue
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise ConvergenceError(
-        f"conjugate gradients did not reach {rel_tolerance:.1e} "
-        f"within {budget} iterations",
-        iterations=budget,
-        achieved_residual=float(np.sqrt(rs)) / bnorm,
-        last_iterate=x,
-    )
 
 
 def _dense_stacked_solve(matrix, alpha, top, bottom):
@@ -343,13 +281,14 @@ class _KrylovProjection:
     has normal-equation residual alpha_{k+1} s_{k+1} v_{k+1}, with
     s_{k+1} = r_{k+1}, so ||x_k - u_alpha|| <= |alpha_{k+1} s_{k+1}| /
     alpha; ``certifies`` asks that to be at most ``rel_tolerance *
-    ||x_k||``, and it alone accepts a root.  ``extend`` grows the space to
-    the size damped LSQR says a rejected root needs, or doubles it.
+    ||x_k||``, and it alone accepts a root or a solve.  ``extend`` grows the
+    space to the size damped LSQR says a rejected alpha needs, or doubles it.
     """
 
     exhausted = False
 
-    def __init__(self, op, f, cfg):
+    def __init__(self, op, f, cfg, alpha=None):
+        """The space of f, grown until it certifies ``alpha`` if one is given."""
         self._op = op
         self._rel_tolerance = cfg.rel_tolerance
         self._budget = cfg.budget(op.domain_dim)
@@ -363,6 +302,8 @@ class _KrylovProjection:
         self._alpha = []
         self._orthogonal_step(op.apply_adjoint(self._u[0]))
         self._grow(min(_KRYLOV_START, self._budget))
+        while alpha is not None and not self.certifies(alpha):
+            self.extend(alpha)
 
     def _orthogonal_step(self, vec):
         """Append v_k, alpha_k from vec = A^T u_k - beta_k v_{k-1}."""
@@ -448,11 +389,14 @@ class _KrylovProjection:
         """The projected solution x_k = V_k y."""
         return self._sweep(alpha)[1] @ self._basis
 
-    def certifies(self, alpha):
-        """Whether ||x_k - u_alpha|| <= ``rel_tolerance`` ||x_k||, by s_{k+1} = r_{k+1}."""
+    def _error_bound(self, alpha):
+        """The certified bound |alpha_{k+1} s_{k+1}| / alpha on ||x_k - u_alpha||, over ||x_k||."""
         _, y, _, _, s_last = self._sweep(alpha)
-        bound = abs(self._alpha_next * s_last) / alpha
-        return bound <= self._rel_tolerance * math.sqrt(y @ y)
+        return abs(self._alpha_next * s_last) / (alpha * math.sqrt(y @ y))
+
+    def certifies(self, alpha):
+        """Whether ||x_k - u_alpha|| <= ``rel_tolerance`` ||x_k||: always once exhausted."""
+        return self.exhausted or self._error_bound(alpha) <= self._rel_tolerance
 
     def floor(self):
         """g(0+) = beta_1^2 / ||z||^2, with z the null vector of B_k^T.
@@ -469,7 +413,7 @@ class _KrylovProjection:
         return self._beta[0] ** 2 * math.exp(-2.0 * top) / scaled_sq
 
     def extend(self, alpha=None):
-        """Grow the space after ``certifies`` rejected the root ``alpha``.
+        """Grow the space after ``certifies`` rejected ``alpha``, a root or a fixed alpha.
 
         Damped LSQR with damp = sqrt(alpha) is replayed over the stored
         bidiagonal and then run alongside new Golub-Kahan steps, one at a
@@ -482,13 +426,16 @@ class _KrylovProjection:
         root (``alpha`` None), or when the certificate failed on a space
         the monitor had sized, the space doubles instead, which keeps the
         number of root searches logarithmic in the final size.
-        ``ConvergenceError`` past the budget.
+        ``ConvergenceError`` past the budget carries ``achieved_residual``, the
+        certified relative error at ``alpha``, and x_k as ``last_iterate``.
         """
         if self.steps >= self._budget:
             raise ConvergenceError(
-                f"Golub-Kahan bidiagonalization did not certify the root "
+                f"Golub-Kahan bidiagonalization did not certify the solution "
                 f"within {self._budget} steps",
                 iterations=self.steps,
+                achieved_residual=math.nan if alpha is None else self._error_bound(alpha),
+                last_iterate=None if alpha is None else self.solution(alpha),
             )
         if alpha is None or self._sized:
             self._sized = False
@@ -534,26 +481,31 @@ class LinearOperator:
         return self.apply_adjoint(self.apply(x)) + a * x
 
     # Tikhonov kernels.  Callers pass a checked alpha ``a``, validated
-    # vectors and an ``IterativeSolverConfig``; each kernel returns
+    # nonzero vectors and an ``IterativeSolverConfig``; each kernel returns
     # (vector, iterations), with zero iterations for direct forms.
 
     def _solve_normal(self, a, b, cfg):
-        """x with (A^T A + a I) x = b, by conjugate gradients."""
-        return _conjugate_gradients(
-            lambda x: self.apply_shifted_normal(a, x), b, cfg, self.domain_dim
+        """x with (A^T A + a I) x = b: damped LSQR on [A; c I] x ~ [0; b / c].
+
+        c^2 = a / 2 and damping a / 2 add up to a, and keep the stacked
+        matrix's smallest singular value at least sqrt(a / 2).
+        """
+        m, n, c = self.range_dim, self.domain_dim, math.sqrt(a / 2.0)
+        stacked = MatrixFreeOperator(
+            m + n, n,
+            lambda x: np.concatenate([self.apply(x), c * x]),
+            lambda z: self.apply_adjoint(z[:m]) + c * z[m:],
         )
+        return stacked._solve_primal(a / 2.0, np.concatenate([np.zeros(m), b / c]), cfg)
 
     def _solve_primal(self, a, f, cfg):
-        """The minimizer for data f from (A^T A + a I) u = A^T f."""
-        b = _as_data(self.apply_adjoint(f), self.domain_dim, "A^T f")
-        return self._solve_normal(a, b, cfg)
+        """The minimizer x_k = V_k y for data f, by damped LSQR."""
+        projection = _KrylovProjection(self, f, cfg, a)
+        return projection.solution(a), projection.steps
 
     def _solve_dual(self, a, f, cfg):
-        """u = A^T w with (A A^T + a I) w = f, by conjugate gradients."""
-        w, iters = _conjugate_gradients(
-            lambda w: self.apply(self.apply_adjoint(w)) + a * w, f, cfg, self.range_dim
-        )
-        return self.apply_adjoint(w), iters
+        """u = A^T (A A^T + a I)^{-1} f: the primal map, so the same certified x_k."""
+        return self._solve_primal(a, f, cfg)
 
     def _decompose(self, rank_tolerance):
         """The singular system truncated at ``rank_tolerance``, or None without one."""

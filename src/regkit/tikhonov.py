@@ -14,8 +14,8 @@ agreement is part of the test contract:
 
 The routes validate their input, call the operator's per-kind kernel
 (``regkit.operators``: QR on stacked systems for dense operators, closed
-forms for diagonal ones, conjugate gradients otherwise), and recompute
-the certificates from the returned vector.
+forms for diagonal ones, otherwise one Golub-Kahan space grown until it
+certifies alpha), and recompute the certificates from the returned vector.
 """
 
 from __future__ import annotations
@@ -51,9 +51,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IterativeSolverConfig:
-    """Tolerances for the conjugate-gradient fallback.
+    """Tolerances for the Golub-Kahan solves of operators without direct forms.
 
-    ``max_iterations=None`` means 10 * domain_dim, resolved at solve time.
+    A solve stops once its certified error ||x_k - x|| is at most
+    ``rel_tolerance * ||x_k||``.  ``max_iterations`` counts Golub-Kahan
+    steps; ``None`` means 10 * domain_dim, resolved at solve time.
     """
 
     rel_tolerance: float = 1e-12
@@ -113,21 +115,23 @@ def _minimize(op, f, alpha, cfg, path):
 def solve_shifted_normal(op, b, alpha, cfg=None):
     """Solve (A^T A + alpha I) x = b for a general domain vector b.
 
-    Direct for dense and diagonal operators, conjugate gradients for
-    matrix-free ones.  Accuracy contract: the residual of the shifted
-    normal system is at most ``rel_tolerance * ||b||``.
+    Direct for dense and diagonal operators; otherwise damped LSQR on [A; c I],
+    c^2 = alpha / 2, to ``IterativeSolverConfig``'s certified error, which bounds
+    the shifted normal residual by ``rel_tolerance * ||b|| / 2`` in exact arithmetic.
     """
     a = _check_alpha(alpha)
     b = _as_data(b, op.domain_dim, "b")
+    if not np.any(b):
+        return np.zeros(op.domain_dim), 0
     return op._solve_normal(a, b, cfg or IterativeSolverConfig())
 
 
 def solve_primal(op, f, alpha, cfg=None):
     """Minimize the penalized functional via the domain-space system.
 
-    Solves (A^T A + alpha I) u = A^T f.  The system operator is symmetric
-    positive definite with spectrum inside [alpha, sigma_1^2 + alpha], so
-    the conjugate-gradient fallback converges for every alpha > 0.
+    Solves (A^T A + alpha I) u = A^T f.  Without a direct form this is
+    damped LSQR on the Golub-Kahan space of f, to the certified error of
+    ``IterativeSolverConfig``.
     """
     return _minimize(op, f, alpha, cfg, "primal")
 
@@ -135,10 +139,11 @@ def solve_primal(op, f, alpha, cfg=None):
 def solve_dual(op, f, alpha, cfg=None):
     """Minimize the penalized functional via the range-space system.
 
-    Solves (A A^T + alpha I) w = f and returns u = A^T w.  Well defined
-    for every f: data outside the range of A is annihilated by A^T, and
-    the whole map is bounded by 1 / (2 sqrt(alpha)) independently of the
-    operator norm.
+    Solves (A A^T + alpha I) w = f and returns u = A^T w.  Without a direct
+    form it returns ``solve_primal``'s certified x_k: the two maps are one
+    operator, A^T (A A^T + alpha I)^{-1} = (A^T A + alpha I)^{-1} A^T.
+    Well defined for every f: data outside the range of A is annihilated by
+    A^T, and the map is bounded by 1 / (2 sqrt(alpha)) whatever ||A|| is.
     """
     return _minimize(op, f, alpha, cfg, "dual")
 

@@ -25,6 +25,23 @@ def matrix_free_view(op):
     )
 
 
+def gradient_callbacks(n):
+    """The gradient_family operator n (x[i+1] - x[i]) by O(n) callbacks."""
+
+    def adjoint(w):
+        out = np.zeros(n)
+        out[:-1] -= n * w
+        out[1:] += n * w
+        return out
+
+    return MatrixFreeOperator(n - 1, n, lambda x: n * np.diff(x), adjoint)
+
+
+def gradient_singular_values(n):
+    """The closed form sigma_j = 2n sin(pi j / 2n), j = 1..n-1, of that operator."""
+    return 2.0 * n * np.sin(np.pi * np.arange(1, n) / (2.0 * n))
+
+
 def operator_zoo():
     """Named operators covering kinds, shapes, and rank deficiency."""
     rng = philox(11)

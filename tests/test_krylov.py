@@ -24,7 +24,7 @@ from regkit import discrepancy, operators
 from regkit.discrepancy import DiscrepancyConfig, _select
 from regkit.operators import _DampedLSQR, _KrylovProjection, _krylov_append
 
-from conftest import matrix_free_view, philox
+from conftest import gradient_callbacks, matrix_free_view, philox
 
 C = 1.5
 
@@ -32,18 +32,6 @@ C = 1.5
 def _noisy(prob, rel_noise, seed):
     delta = rel_noise * float(np.linalg.norm(prob.f))
     return add_noise(prob, delta, seed).f_delta, delta
-
-
-def _gradient(n):
-    """The gradient_family operator n (x[i+1] - x[i]) by O(n) callbacks."""
-
-    def adjoint(w):
-        out = np.zeros(n)
-        out[:-1] -= n * w
-        out[1:] += n * w
-        return out
-
-    return MatrixFreeOperator(n - 1, n, lambda x: n * np.diff(x), adjoint)
 
 
 def _bases(projection):
@@ -149,7 +137,7 @@ def test_lsqr_monitor_matches_projected_problem():
 @pytest.mark.parametrize("name, rel_noise", [("gradient_family", 1e-2), ("deriv2", 1e-3)])
 def test_bases_stay_orthonormal(name, rel_noise):
     prob = make_problem(name, 256)
-    system = _gradient(256) if name == "gradient_family" else matrix_free_view(prob.op)
+    system = gradient_callbacks(256) if name == "gradient_family" else matrix_free_view(prob.op)
     fd, delta = _noisy(prob, rel_noise, 2)
     _, projection = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
     assert projection.exhausted == (name == "gradient_family")
@@ -177,7 +165,7 @@ def test_gradient_family_matches_dense_oracle():
     prob = make_problem("gradient_family", n)
     for rel_noise, seed in ((1e-2, 5), (1e-4, 6)):
         fd, delta = _noisy(prob, rel_noise, seed)
-        solution, selection = discrepancy.regularized_solve_auto(_gradient(n), fd, delta)
+        solution, selection = discrepancy.regularized_solve_auto(gradient_callbacks(n), fd, delta)
         target = C * delta
         assert abs(selection.achieved_residual - target) <= 1e-8 * target
         assert abs(solution.residual_norm - target) <= 1e-8 * target

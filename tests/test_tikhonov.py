@@ -12,17 +12,20 @@ from regkit import (
     apriori_alpha_schedule,
     diagonal_decomposition,
     functional_value,
+    PROBLEM_NAMES,
     make_problem,
     add_noise,
+    discrepancy_value,
     solution_operator_norm,
     solve_dual,
     solve_primal,
     solve_shifted_normal,
+    solve_alpha,
     solve_spectral,
     svd_decompose,
 )
 
-from conftest import philox, matrix_free_view
+from conftest import gradient_callbacks, gradient_singular_values, philox, matrix_free_view
 
 
 def _rel_gap(a, b):
@@ -37,12 +40,27 @@ def test_identity_halves_data(solver):
     np.testing.assert_allclose(sol.u, [1.0, 0.0], atol=1e-14)
 
 
+def _one_of_each_kind():
+    dense = DenseOperator(philox(1).standard_normal((4, 3)))
+    return dense, DiagonalOperator([2.0, 1.0, 0.0]), matrix_free_view(dense)
+
+
 @pytest.mark.parametrize("solver", [solve_primal, solve_dual])
 def test_zero_data_short_circuit(solver):
-    sol = solver(DenseOperator(philox(1).standard_normal((4, 3))), np.zeros(4), 0.3)
-    np.testing.assert_array_equal(sol.u, np.zeros(3))
-    assert sol.iterations == 0
-    assert sol.residual_norm == 0.0
+    # The Krylov kernels start from f / ||f||, so zero data must never reach them.
+    for op in _one_of_each_kind():
+        sol = solver(op, np.zeros(op.range_dim), 0.3)
+        np.testing.assert_array_equal(sol.u, np.zeros(op.domain_dim))
+        assert sol.iterations == 0
+        assert sol.residual_norm == 0.0
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["dense", "diagonal", "matrix_free"])
+def test_zero_rhs_shifted_normal_short_circuit(kind):
+    op = _one_of_each_kind()[kind]
+    x, iters = solve_shifted_normal(op, np.zeros(op.domain_dim), 0.3)
+    np.testing.assert_array_equal(x, np.zeros(op.domain_dim))
+    assert iters == 0
 
 
 @pytest.mark.parametrize("solver", [solve_primal, solve_dual])
@@ -155,7 +173,7 @@ def test_three_paths_agree():
             assert _rel_gap(ud, us) <= 1e-8
 
 
-# --- conjugate-gradient path -------------------------------------------------------
+# --- Golub-Kahan path ---------------------------------------------------------------
 
 @pytest.mark.parametrize("alpha", [1e-2, 1.0])
 def test_cg_matches_direct(alpha):
@@ -177,6 +195,16 @@ def test_cg_respects_budget():
     with pytest.raises(ConvergenceError) as err:
         solve_primal(free, prob.f, 1e-8, cfg)
     assert err.value.achieved_residual > 0
+
+
+def test_budget_error_carries_certificate_and_iterate():
+    prob = make_problem("deriv2", 24)
+    cfg = IterativeSolverConfig(rel_tolerance=1e-12, max_iterations=2)
+    with pytest.raises(ConvergenceError) as err:
+        solve_dual(matrix_free_view(prob.op), prob.f, 1e-8, cfg)
+    assert err.value.iterations == 2
+    assert err.value.achieved_residual > cfg.rel_tolerance
+    assert err.value.last_iterate.shape == (prob.op.domain_dim,)
 
 
 def test_cg_contract_on_shifted_normal_residual():
@@ -293,7 +321,7 @@ def test_apriori_schedule_validation():
 
 def test_solution_map_norm_identity_with_power_iteration():
     # max sigma/(sigma^2+alpha) from the singular values must match power
-    # iteration on the composed map (run matrix-free, CG inner solves).
+    # iteration on the composed map (run matrix-free, damped LSQR inner solves).
     rng = philox(41)
     op = DenseOperator(rng.standard_normal((9, 6)))
     alpha = 0.7
@@ -338,7 +366,7 @@ def test_bare_subclass_matches_dense_routes(shape):
 
 
 def test_non_finite_callback_output_rejected_in_primal():
-    # A^T f from a faulty adjoint callback must fail typed, not exhaust CG.
+    # Faulty adjoint callback output must fail typed, not exhaust the Krylov budget.
     op = MatrixFreeOperator(3, 3, lambda x: x.copy(), lambda w: np.full(3, np.nan))
     with pytest.raises(InvalidParameterError, match="finite"):
         solve_primal(op, np.ones(3), 0.1)
@@ -366,30 +394,81 @@ def test_solution_map_norm_huge_alpha_is_finite():
     np.testing.assert_allclose(tiny.u, [1.0, 1.0], rtol=1e-9)
 
 
-# --- conjugate-gradient stagnation ------------------------------------------------
+# --- inputs that stalled conjugate gradients ----------------------------------------
 
 def _stalling_inputs():
-    # Drawn so that CG at alpha = 1e-6 plateaus near 1e-10 relative,
-    # above its 1e-12 target, on both shapes.
+    # Drawn so that conjugate gradients on the normal equations at alpha = 1e-6
+    # plateaued near 1e-10 relative, above their 1e-12 target, on both shapes.
     rng = philox(3)
     tall, wide = rng.standard_normal((9, 5)), rng.standard_normal((4, 7))
     return tall, wide, rng.standard_normal(9), rng.standard_normal(7)
 
 
 @pytest.mark.parametrize("route", ["dual", "shifted_normal", "operator_norm"])
-def test_cg_stagnation_fails_fast(route):
+def test_small_alpha_krylov_routes_match_dense(route):
     tall, wide, f, b = _stalling_inputs()
-    tall, wide = matrix_free_view(DenseOperator(tall)), matrix_free_view(DenseOperator(wide))
-    cfg = IterativeSolverConfig()
-    run, budget = {
-        "dual": (lambda: solve_dual(tall, f, 1e-6, cfg), cfg.budget(9)),
-        "shifted_normal": (lambda: solve_shifted_normal(wide, b, 1e-6, cfg), cfg.budget(7)),
-        "operator_norm": (lambda: solution_operator_norm(wide, 1e-6, cfg=cfg), cfg.budget(7)),
+    tall, wide = DenseOperator(tall), DenseOperator(wide)
+    run = {
+        "dual": lambda op: solve_dual(op, f, 1e-6).u,
+        "shifted_normal": lambda op: solve_shifted_normal(op, b, 1e-6)[0],
+        "operator_norm": lambda op: solution_operator_norm(op, 1e-6),
     }[route]
-    with pytest.raises(ConvergenceError, match="stagnated") as err:
-        run()
-    assert err.value.iterations < budget
-    assert err.value.achieved_residual > cfg.rel_tolerance
+    op = tall if route == "dual" else wide
+    want = run(op)
+    assert _rel_gap(run(matrix_free_view(op)), want) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-8, 1e-10])
+def test_krylov_dual_does_not_cancel_data_outside_the_range(alpha):
+    # 94% of f lies outside the range of the tall matrix, so the Galerkin w of
+    # (A A^T + alpha I) w = f holds ~||f|| / alpha there; a readout that formed
+    # w and applied A^T to it lost 1.7e-7 at alpha = 1e-8.
+    tall, _, f, _ = _stalling_inputs()
+    dense = DenseOperator(tall)
+    got = solve_dual(matrix_free_view(dense), f, alpha).u
+    assert _rel_gap(got, solve_dual(dense, f, alpha).u) <= 1e-8
+
+
+# --- matrix-free fixed-alpha routes against closed forms ---------------------------
+
+def _at_discrepancy_alpha(prob, rel_noise, seed):
+    """Noisy data, the discrepancy alpha, and the spectral solution there."""
+    delta = rel_noise * float(np.linalg.norm(prob.f))
+    fd = add_noise(prob, delta, seed).f_delta
+    alpha = solve_alpha(prob.decomp, fd, delta).alpha
+    return fd, alpha, solve_spectral(prob.decomp, fd, alpha)
+
+
+_NOISE_LEVELS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_matrix_free_routes_match_spectral_at_discrepancy_alpha(name, n):
+    prob = make_problem(name, n)
+    free = matrix_free_view(prob.op)
+    for rel_noise in _NOISE_LEVELS:
+        fd, alpha, want = _at_discrepancy_alpha(prob, rel_noise, 3)
+        for solver in (solve_primal, solve_dual):
+            assert _rel_gap(solver(free, fd, alpha).u, want.u) <= 1e-8
+        g = discrepancy_value(free, fd, alpha)
+        assert g == pytest.approx(want.residual_norm**2, rel=1e-8, abs=0.0)
+
+
+def test_gradient_callbacks_dual_matches_spectral():
+    n = 512
+    prob = make_problem("gradient_family", n)
+    for rel_noise in _NOISE_LEVELS:
+        fd, alpha, want = _at_discrepancy_alpha(prob, rel_noise, 3)
+        assert _rel_gap(solve_dual(gradient_callbacks(n), fd, alpha).u, want.u) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1.0])
+def test_gradient_callbacks_solution_map_norm_matches_closed_form(alpha):
+    n = 64
+    s = gradient_singular_values(n)
+    want = float(np.max(s / (s**2 + alpha)))
+    assert solution_operator_norm(gradient_callbacks(n), alpha) == pytest.approx(want, rel=1e-8)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
