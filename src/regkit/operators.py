@@ -1,17 +1,19 @@
 """Linear operators, adjoints, and singular-value machinery.
 
-Operators come in three kinds: ``dense`` (an explicit matrix), ``diagonal``
-(a square nonnegative diagonal), and ``matrix_free`` (forward/adjoint
+Operators come in four kinds: ``dense`` (an explicit matrix), ``diagonal``
+(a square nonnegative diagonal), ``gradient`` (n times the forward
+difference on n points, in O(n)), and ``matrix_free`` (forward/adjoint
 callbacks).  All values are immutable after construction and every
 operation here is a pure function, so concurrent use needs no locking;
 matrix-free callbacks must themselves be re-entrant.
 
 Each kind owns the Tikhonov kernels that the routes in ``tikhonov`` call:
-direct forms for dense and diagonal operators, and in the base class
-readouts of one Golub-Kahan space grown until it certifies alpha.  Each
-also owns its singular
+direct forms for dense, diagonal and gradient operators, and in the base
+class readouts of one Golub-Kahan space grown until it certifies alpha.
+Each also owns its singular
 system (``_decompose``): a factored matrix up to ``MAX_DENSE_DIM``, sorted
-diagonal entries, or none.  Every other reader goes through it, including
+diagonal entries, the closed-form cosine and sine transforms of the
+gradient, or none.  Every other reader goes through it, including
 residual matching (``_project``), which uses a Golub-Kahan Krylov space
 when there is none.
 
@@ -44,6 +46,7 @@ __all__ = [
     "LinearOperator",
     "DenseOperator",
     "DiagonalOperator",
+    "GradientOperator",
     "MatrixFreeOperator",
     "SpectralDecomposition",
     "operator_norm_estimate",
@@ -643,6 +646,63 @@ class DiagonalOperator(LinearOperator):
         )
 
 
+class GradientOperator(LinearOperator):
+    """n D on R^n, with D the (n-1) x n forward difference: (A x)_i = n (x_{i+1} - x_i).
+
+    Applied in O(n) and solved through its closed-form singular system
+    (``_GradientDecomposition``) in O(n log n), so no size cap applies.
+    ``matrix`` is the dense matrix, built on first read up to
+    ``MAX_DENSE_DIM``.
+    """
+
+    kind = "gradient"
+
+    def __init__(self, n):
+        n = int(n)
+        super().__init__(n - 1, n)
+
+    def apply(self, x):
+        return self.domain_dim * np.diff(_as_vector(x, self.domain_dim, "x"))
+
+    def apply_adjoint(self, w):
+        scaled = self.domain_dim * _as_vector(w, self.range_dim, "w")
+        out = np.zeros(self.domain_dim)
+        out[:-1] -= scaled
+        out[1:] += scaled
+        return out
+
+    @functools.cached_property
+    def matrix(self):
+        n = self.domain_dim
+        if n > MAX_DENSE_DIM:
+            raise SizeLimitError(f"dense matrix capped at {MAX_DENSE_DIM}, got {n - 1} x {n}")
+        matrix = np.zeros((n - 1, n))
+        idx = np.arange(n - 1)
+        matrix[idx, idx] = -float(n)
+        matrix[idx, idx + 1] = float(n)
+        matrix.setflags(write=False)
+        return matrix
+
+    # The kernels read the untruncated system.  Its one null vector, the
+    # constants, is not among the right vectors; the shifted normal map
+    # scales it by 1 / a.
+
+    def _solve_normal(self, a, b, cfg):
+        d = self._decompose(0.0)
+        return d._right(d._right_t(b) / (d.singular_values**2 + a)) + b.mean() / a, 0
+
+    def _solve_primal(self, a, f, cfg):
+        d = self._decompose(0.0)
+        s = d.singular_values
+        return d._right(s / (s**2 + a) * d._left_t(f)), 0
+
+    _solve_dual = _solve_primal
+
+    def _decompose(self, rank_tolerance):
+        """The closed form, truncated at ``rank_tolerance`` like the others."""
+        return _GradientDecomposition(self.domain_dim, rank_tolerance)
+
+
 class MatrixFreeOperator(LinearOperator):
     """Operator given by forward/adjoint callbacks; never materialized.
 
@@ -721,7 +781,7 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Truncated singular system of a dense or diagonal operator.
+    """Truncated singular system of a dense, diagonal or gradient operator.
 
     ``singular_values`` is nonincreasing with every retained value above
     ``rank_tolerance * sigma_1``; ``left_vectors`` (range space) and
@@ -850,6 +910,93 @@ class _AxesDecomposition(SpectralDecomposition):
         return out
 
 
+class _GradientDecomposition(SpectralDecomposition):
+    """Singular system of ``GradientOperator(n)`` in closed form.
+
+    D^T D is the Neumann Laplacian, diagonalized by the DCT-II, and D D^T
+    the Dirichlet Laplacian, by the DST-I; both have eigenvalues
+    4 sin^2(pi j / 2n) (Strang, SIAM Review 41, 1999).  So, for j = n-1
+    down to 1, sigma_j = 2n sin(pi j / 2n), v_j[k] = sqrt(2/n)
+    cos(pi j (k + 1/2) / n) and u_j[i] = -sqrt(2/n) sin(pi j (i + 1) / n),
+    the sign making A v_j = sigma_j u_j.  Products with them are FFTs of
+    the data zero-padded to length 2n (Makhoul, IEEE TASSP 28, 1980):
+    O(n log n) work and O(n) memory.  The dense (n, rank) vectors are
+    built only when read.
+    """
+
+    def __init__(self, n, rank_tolerance):
+        s = 2.0 * n * np.sin(np.pi * np.arange(n - 1, 0, -1) / (2.0 * n))
+        keep = _kept(s, rank_tolerance)
+        # Straight into the instance dict, past the frozen __setattr__.
+        vars(self).update(
+            singular_values=_readonly(s[keep]), rank_tolerance=rank_tolerance, _n=n
+        )
+
+    @property
+    def range_dim(self):
+        return self._n - 1
+
+    @property
+    def domain_dim(self):
+        return self._n
+
+    @functools.cached_property
+    def _shift(self):
+        """exp(-i pi j / 2n), j = 0..n-1: turns a length-2n DFT into the DCT-II."""
+        return np.exp(-0.5j * np.pi * np.arange(self._n) / self._n)
+
+    def _dense(self, wave, rows, period):
+        """sqrt(2/n) wave(2 pi m / period), m = rows (x) j: a dense singular factor.
+
+        m is reduced mod ``period`` in integers, so the angle stays below
+        2 pi and exact to rounding.
+        """
+        if self._n > MAX_DENSE_DIM:
+            raise SizeLimitError(f"dense singular vectors capped at {MAX_DENSE_DIM}, got n = {self._n}")
+        j = np.arange(self._n - 1, self._n - 1 - self.rank, -1)
+        angle = 2.0 * np.pi / period * (np.outer(rows, j) % period)
+        return _readonly(math.sqrt(2.0 / self._n) * wave(angle))
+
+    @functools.cached_property
+    def left_vectors(self):
+        return self._dense(lambda t: -np.sin(t), np.arange(1, self._n), 2 * self._n)
+
+    @functools.cached_property
+    def right_vectors(self):
+        return self._dense(np.cos, 2 * np.arange(self._n) + 1, 4 * self._n)
+
+    # Coordinate c[r] belongs to j = n-1-r, so the length-n arrays below,
+    # indexed by j, hold the coordinates at [n-1 : n-1-rank : -1].
+
+    def _coordinates(self, by_j):
+        n = self._n
+        return math.sqrt(2.0 / n) * by_j[n - 1 : n - 1 - self.rank : -1]
+
+    def _by_j(self, c):
+        n = self._n
+        out = np.zeros(n)
+        out[n - 1 : n - 1 - self.rank : -1] = math.sqrt(2.0 / n) * c
+        return out
+
+    def _left_t(self, f):
+        # Im sum_i f_i e^{-i pi j (i+1) / n} = -sum_i f_i sin(pi j (i+1) / n).
+        padded = np.concatenate(([0.0], f))
+        return self._coordinates(np.fft.rfft(padded, 2 * self._n).imag)
+
+    def _left(self, c):
+        # The DST-I is its own transpose: the same transform, the other way.
+        return np.fft.rfft(self._by_j(c), 2 * self._n).imag[1 : self._n]
+
+    def _right_t(self, x):
+        # Re exp(-i pi j / 2n) sum_k x_k e^{-i pi j k / n} = sum_k x_k cos(pi j (k + 1/2) / n).
+        return self._coordinates((self._shift * np.fft.rfft(x, 2 * self._n)[: self._n]).real)
+
+    def _right(self, c):
+        n = self._n
+        spectrum = self._by_j(c) * self._shift.conj()
+        return n * np.fft.irfft(spectrum, 2 * n)[:n]
+
+
 def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     """Singular-value decomposition of a dense operator.
 
@@ -936,8 +1083,8 @@ def minimal_norm_solution(decomp, f):
 
 
 def as_dense_matrix(op):
-    """Materialize a dense or diagonal operator as a matrix."""
-    if isinstance(op, DenseOperator):
+    """Materialize a dense, diagonal or gradient operator as a matrix."""
+    if isinstance(op, (DenseOperator, GradientOperator)):
         return np.array(op.matrix)
     if isinstance(op, DiagonalOperator):
         return np.diag(op.values)

@@ -27,6 +27,7 @@ from .errors import (
 from .operators import (
     DenseOperator,
     DiagonalOperator,
+    GradientOperator,
     LinearOperator,
     DEFAULT_RANK_TOLERANCE,
     MAX_DENSE_DIM,
@@ -80,6 +81,12 @@ def _grid(n, a, b):
     return a + (np.arange(1, n + 1) - 0.5) * h, h
 
 
+def _check_dense(n):
+    """Refuse n above ``MAX_DENSE_DIM`` before a builder allocates an n x n matrix."""
+    if n > MAX_DENSE_DIM:
+        raise SizeLimitError(f"problem size {n} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
+
+
 def _build_diagonal(n, p=2.0):
     p = float(p)
     idx = np.arange(1, n + 1, dtype=float)
@@ -88,11 +95,13 @@ def _build_diagonal(n, p=2.0):
 
 
 def _build_hilbert(n):
+    _check_dense(n)
     hilbert = 1.0 / (1.0 + np.add.outer(np.arange(n), np.arange(n)))
     return DenseOperator(hilbert), np.ones(n), {}
 
 
 def _build_deriv2(n):
+    _check_dense(n)
     # Midpoint discretization of the Green's-function kernel for the
     # second derivative on [0, 1] with zero boundary values.
     t, h = _grid(n, 0.0, 1.0)
@@ -102,6 +111,7 @@ def _build_deriv2(n):
 
 
 def _build_phillips(n):
+    _check_dense(n)
     # Classical first-kind convolution on [-6, 6]: the kernel, and the
     # solution profile, are 1 + cos(pi x / 3) supported on |x| < 3.
     t, h = _grid(n, -6.0, 6.0)
@@ -115,14 +125,9 @@ def _build_gradient_family(n):
     # Forward differences scaled by n: the discrete d/dt on (n-1) interior
     # steps.  The norm grows like 2n, while the null space stays the
     # constants, so the family probes bounds claimed uniform in ||A||.
-    mat = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    mat[idx, idx] = -float(n)
-    mat[idx, idx + 1] = float(n)
     t = (np.arange(1, n + 1) - 0.5) / n
     y = np.sin(2.0 * np.pi * t)
-    y = y - y.mean()
-    return DenseOperator(mat), y, {}
+    return GradientOperator(n), y - y.mean(), {}
 
 
 _CATALOG = {
@@ -152,7 +157,9 @@ def make_problem(name, n, decompose=True, **params):
     name : str
         One of ``PROBLEM_NAMES``.
     n : int
-        Discretization size, at least 2 and at most ``MAX_DENSE_DIM``.
+        Discretization size, at least 2.  hilbert, deriv2 and phillips
+        build an n x n matrix and refuse n above ``MAX_DENSE_DIM``;
+        diagonal and gradient_family take O(n) memory at any n.
     decompose : bool
         Compute and attach the singular system (needed for spectral
         solves and for the null-space projection of the solution).
@@ -170,10 +177,6 @@ def make_problem(name, n, decompose=True, **params):
     n = int(n)
     if n < 2:
         raise InvalidParameterError(f"problem size must be >= 2, got {n}")
-    if n > MAX_DENSE_DIM:
-        raise SizeLimitError(
-            f"problem size {n} exceeds the dense-factorization cap {MAX_DENSE_DIM}"
-        )
     try:
         op, y, kept_params = _CATALOG[name](n, **params)
     except TypeError as exc:

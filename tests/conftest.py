@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regkit import DenseOperator, DiagonalOperator, MatrixFreeOperator
+from regkit import DenseOperator, DiagonalOperator, GradientOperator, MatrixFreeOperator
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests' child
 # interpreters need it too when regkit is not installed.
@@ -53,6 +53,7 @@ def operator_zoo():
         ("tall_dense", DenseOperator(tall)),
         ("wide_dense", DenseOperator(wide)),
         ("diag_mixed", DiagonalOperator([2.0, 0.5, 0.0, 1.0])),
+        ("gradient6", GradientOperator(6)),
         ("matrix_free_tall", matrix_free_view(DenseOperator(tall))),
     ]
     return zoo

@@ -114,8 +114,9 @@ def test_unknown_problem_and_bad_sizes():
         make_problem("mystery", 8)
     with pytest.raises(InvalidParameterError):
         make_problem("diagonal", 1)
+    # Only the builders that allocate an n x n matrix are capped.
     with pytest.raises(SizeLimitError):
-        make_problem("diagonal", 5000)
+        make_problem("hilbert", 5000)
     with pytest.raises(InvalidParameterError):
         make_problem("diagonal", 8, q=3)
 

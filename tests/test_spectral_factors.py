@@ -109,14 +109,24 @@ def test_truncated_diagonal_problem_solution_matches_dense_axes():
 
 
 class _ComplementFormula(SpectralDecomposition):
-    """A decomposition that always computes ||f - U U^T f||^2."""
+    """``decomp`` through its own products, but always computing ||f - U U^T f||^2."""
+
+    def __init__(self, decomp):
+        vars(self).update(
+            singular_values=decomp.singular_values,
+            rank_tolerance=decomp.rank_tolerance,
+            _decomp=decomp,
+        )
+
+    @property
+    def range_dim(self):
+        return self._decomp.range_dim
 
     def _project(self, f, cfg=None):
-        coeff = self.left_vectors.T @ f
-        outside = f - self.left_vectors @ coeff
-        return _Projection(
-            self.singular_values, coeff, outside @ outside, self.right_vectors.__matmul__
-        )
+        d = self._decomp
+        coeff = d._left_t(f)
+        outside = f - d._left(coeff)
+        return _Projection(self.singular_values, coeff, outside @ outside, d._right)
 
 
 @pytest.mark.parametrize("name", ["deriv2", "phillips", "gradient_family"])
@@ -124,10 +134,7 @@ def test_full_range_selection_matches_complement_formula(name):
     prob = make_problem(name, 256)
     decomp = prob.decomp
     assert decomp.rank == decomp.range_dim
-    ref = _ComplementFormula(
-        decomp.singular_values, decomp.left_vectors, decomp.right_vectors,
-        decomp.rank_tolerance,
-    )
+    ref = _ComplementFormula(decomp)
     # The complement formula adds rounding residue of order (eps ||f||)^2.
     # Over the benchmark's noise range, 1e-5 to 1e-1 of ||f||, that is far
     # below half an ulp of every g(alpha) the search reads; at ~1e-7 of
