@@ -112,9 +112,10 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
 
     The data is projected once onto a singular system of the operator:
     the given decomposition, the SVD of a dense operator (its
-    eigendecomposition when the matrix is exactly symmetric), the closed form
-    of a diagonal or gradient one, or a Golub-Kahan Krylov space for any other,
-    extended until its solution at the root is certified.  Every g(alpha)
+    eigendecomposition when the matrix is exactly symmetric), the closed
+    form of a diagonal, gradient or Green's one, or a Golub-Kahan Krylov
+    space for any other, extended until its solution at the root is
+    certified.  Every g(alpha)
     is then O(rank) arithmetic on the projected spectrum, or on a Krylov
     space of dimension k one O(k) sweep of Givens rotations over its
     bidiagonal.  The default

@@ -300,11 +300,12 @@ def run_verify_bounds(family, ns, alphas, params=None, slack=1e-12):
 
 
 def bounds_table(report):
-    header = f"{'n':>6} {'alpha':>10} {'||A||':>14} {'bound':>14} {'measured':>14} {'margin':>14}"
+    width = max([6] + [len(str(row.n)) for row in report.rows])
+    header = f"{'n':>{width}} {'alpha':>10} {'||A||':>14} {'bound':>14} {'measured':>14} {'margin':>14}"
     lines = [f"family: {report.family}", header]
     for row in report.rows:
         lines.append(
-            f"{row.n:>6} {row.alpha:>10.3g} {row.operator_norm:>14.6e} "
+            f"{row.n:>{width}} {row.alpha:>10.3g} {row.operator_norm:>14.6e} "
             f"{row.bound:>14.6e} {row.measured:>14.6e} {row.margin:>14.6e}"
         )
     lines.append(

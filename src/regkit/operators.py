@@ -1,21 +1,22 @@
 """Linear operators, adjoints, and singular-value machinery.
 
-Operators come in four kinds: ``dense`` (an explicit matrix), ``diagonal``
+Operators come in five kinds: ``dense`` (an explicit matrix), ``diagonal``
 (a square nonnegative diagonal), ``gradient`` (n times the forward
-difference on n points, in O(n)), and ``matrix_free`` (forward/adjoint
-callbacks).  All values are immutable after construction and every
-operation here is a pure function, so concurrent use needs no locking;
-matrix-free callbacks must themselves be re-entrant.
+difference on n points, in O(n)), ``green`` (the midpoint rule for the
+inverse of -d^2/dt^2 with zero boundary values, in O(n log n)), and
+``matrix_free`` (forward/adjoint callbacks).  All values are immutable
+after construction and every operation here is a pure function, so
+concurrent use needs no locking; matrix-free callbacks must themselves be
+re-entrant.
 
 Each kind owns the Tikhonov kernels that the routes in ``tikhonov`` call:
-direct forms for dense, diagonal and gradient operators, and in the base
-class readouts of one Golub-Kahan space grown until it certifies alpha.
-Each also owns its singular
-system (``_decompose``): a factored matrix up to ``MAX_DENSE_DIM``, sorted
-diagonal entries, the closed-form cosine and sine transforms of the
-gradient, or none.  Every other reader goes through it, including
-residual matching (``_project``), which uses a Golub-Kahan Krylov space
-when there is none.
+direct forms for dense, diagonal, gradient and Green's operators, and in
+the base class readouts of one Golub-Kahan space grown until it certifies
+alpha.  Each also owns its singular system (``_decompose``): a factored
+matrix up to ``MAX_DENSE_DIM``, sorted diagonal entries, the closed-form
+cosine and sine transforms of the gradient and Green's operators, or
+none.  Every other reader goes through it, including residual matching
+(``_project``), which uses a Golub-Kahan Krylov space when there is none.
 
 Scalars are real throughout.  The singular system provides the spectral
 calculus used elsewhere: filter factors, projections onto the range and its
@@ -47,6 +48,7 @@ __all__ = [
     "DenseOperator",
     "DiagonalOperator",
     "GradientOperator",
+    "GreenOperator",
     "MatrixFreeOperator",
     "SpectralDecomposition",
     "operator_norm_estimate",
@@ -584,7 +586,7 @@ class DenseOperator(LinearOperator):
             return None
         matrix = self.matrix
         if matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T):
-            # On hilbert, deriv2 and phillips at n = 1024 (one OpenBLAS thread,
+            # On hilbert and phillips at n = 1024 (one OpenBLAS thread,
             # 2-core x86 VM) eigh took 240-330 ms and the SVD 670-800 ms.
             lam, q = np.linalg.eigh(matrix)
             order = np.argsort(-np.abs(lam), kind="stable")
@@ -631,6 +633,8 @@ class DiagonalOperator(LinearOperator):
     def _solve_dual(self, a, f, cfg):
         return self.values * (f / (self.values**2 + a)), 0
 
+    _solve_primal = _solve_dual
+
     def _decompose(self, rank_tolerance):
         """The entries sorted nonincreasing, with their coordinate axes as indices."""
         order = np.argsort(-self.values, kind="stable")
@@ -646,7 +650,37 @@ class DiagonalOperator(LinearOperator):
         )
 
 
-class GradientOperator(LinearOperator):
+def _check_dense_dim(rows, cols, what):
+    """Refuse a dense (rows x cols) array above ``MAX_DENSE_DIM`` before allocating it."""
+    if max(rows, cols) > MAX_DENSE_DIM:
+        raise SizeLimitError(f"{what} capped at {MAX_DENSE_DIM}, got {rows} x {cols}")
+
+
+class _ClosedFormOperator(LinearOperator):
+    """An operator whose Tikhonov kernels filter through its closed-form system.
+
+    The kernels read the untruncated system ``_decompose(0.0)``, built
+    once.  Subclasses whose system misses a null space add its share to
+    ``_solve_normal``.
+    """
+
+    @functools.cached_property
+    def _system(self):
+        return self._decompose(0.0)
+
+    def _solve_normal(self, a, b, cfg):
+        d = self._system
+        return d._right(d._right_t(b) / (d.singular_values**2 + a)), 0
+
+    def _solve_primal(self, a, f, cfg):
+        d = self._system
+        s = d.singular_values
+        return d._right(s / (s**2 + a) * d._left_t(f)), 0
+
+    _solve_dual = _solve_primal
+
+
+class GradientOperator(_ClosedFormOperator):
     """n D on R^n, with D the (n-1) x n forward difference: (A x)_i = n (x_{i+1} - x_i).
 
     Applied in O(n) and solved through its closed-form singular system
@@ -674,8 +708,7 @@ class GradientOperator(LinearOperator):
     @functools.cached_property
     def matrix(self):
         n = self.domain_dim
-        if n > MAX_DENSE_DIM:
-            raise SizeLimitError(f"dense matrix capped at {MAX_DENSE_DIM}, got {n - 1} x {n}")
+        _check_dense_dim(n - 1, n, "dense matrix")
         matrix = np.zeros((n - 1, n))
         idx = np.arange(n - 1)
         matrix[idx, idx] = -float(n)
@@ -683,24 +716,54 @@ class GradientOperator(LinearOperator):
         matrix.setflags(write=False)
         return matrix
 
-    # The kernels read the untruncated system.  Its one null vector, the
-    # constants, is not among the right vectors; the shifted normal map
-    # scales it by 1 / a.
-
     def _solve_normal(self, a, b, cfg):
-        d = self._decompose(0.0)
-        return d._right(d._right_t(b) / (d.singular_values**2 + a)) + b.mean() / a, 0
-
-    def _solve_primal(self, a, f, cfg):
-        d = self._decompose(0.0)
-        s = d.singular_values
-        return d._right(s / (s**2 + a) * d._left_t(f)), 0
-
-    _solve_dual = _solve_primal
+        # The one null vector, the constants, is not among the right
+        # vectors; the shifted normal map scales it by 1 / a.
+        return super()._solve_normal(a, b, cfg)[0] + b.mean() / a, 0
 
     def _decompose(self, rank_tolerance):
         """The closed form, truncated at ``rank_tolerance`` like the others."""
         return _GradientDecomposition(self.domain_dim, rank_tolerance)
+
+
+class GreenOperator(_ClosedFormOperator):
+    """K = (-d^2/dt^2)^{-1} on [0, 1] with zero boundary values, on n midpoints.
+
+    The midpoint rule gives K = h G(t_i, t_j), h = 1/n, t_i = (i - 1/2) h,
+    with G(s, t) = s (t - 1) for s <= t the Green's function.  K is
+    symmetric and negative definite.  Applied and solved through its
+    closed-form singular system (``_GreenDecomposition``, a DST-II) in
+    O(n log n), so no size cap applies.  ``matrix`` is the dense matrix,
+    built on first read up to ``MAX_DENSE_DIM``.
+    """
+
+    kind = "green"
+
+    def __init__(self, n):
+        n = int(n)
+        super().__init__(n, n)
+
+    def apply(self, x):
+        d = self._system
+        return d._left(d.singular_values * d._right_t(_as_vector(x, self.domain_dim, "x")))
+
+    apply_adjoint = apply  # K is symmetric
+
+    @functools.cached_property
+    def matrix(self):
+        n = self.domain_dim
+        _check_dense_dim(n, n, "dense matrix")
+        h = 1.0 / n
+        t = (np.arange(1, n + 1) - 0.5) * h
+        s_col, t_row = np.meshgrid(t, t, indexing="ij")
+        kernel = np.where(s_col <= t_row, s_col * (t_row - 1.0), t_row * (s_col - 1.0))
+        matrix = h * kernel
+        matrix.setflags(write=False)
+        return matrix
+
+    def _decompose(self, rank_tolerance):
+        """The closed form, truncated at ``rank_tolerance`` like the others."""
+        return _GreenDecomposition(self.domain_dim, rank_tolerance)
 
 
 class MatrixFreeOperator(LinearOperator):
@@ -781,7 +844,7 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Truncated singular system of a dense, diagonal or gradient operator.
+    """Truncated singular system of a dense, diagonal, gradient or Green's operator.
 
     ``singular_values`` is nonincreasing with every retained value above
     ``rank_tolerance * sigma_1``; ``left_vectors`` (range space) and
@@ -910,7 +973,56 @@ class _AxesDecomposition(SpectralDecomposition):
         return out
 
 
-class _GradientDecomposition(SpectralDecomposition):
+class _HalfSampleDecomposition(SpectralDecomposition):
+    """A closed-form singular system whose right vectors sample cosines or
+    sines at the half-integer points k + 1/2, k = 0..n-1.
+
+    ``_half_sample(x)[j] = exp(-i pi j / 2n) sum_k x_k e^{-i pi j k / n}``,
+    j = 0..n, is one FFT of x zero-padded to length 2n (Makhoul, IEEE
+    TASSP 28, 1980): its real part is the DCT-II of x, sum_k x_k
+    cos(pi j (k + 1/2) / n), and minus its imaginary part the DST-II, with
+    sin in place of cos.  ``_from_half_sample`` is the matching synthesis.
+    O(n log n) work and O(n) memory; the dense (n, rank) vectors are built
+    only when read.
+    """
+
+    def __init__(self, n, s, rank_tolerance):
+        keep = _kept(s, rank_tolerance)
+        # Straight into the instance dict, past the frozen __setattr__.
+        vars(self).update(
+            singular_values=_readonly(s[keep]), rank_tolerance=rank_tolerance, _n=n
+        )
+
+    @functools.cached_property
+    def _shift(self):
+        """exp(-i pi j / 2n), j = 0..n: the half-sample twiddle."""
+        return np.exp(-0.5j * np.pi * np.arange(self._n + 1) / self._n)
+
+    def _half_sample(self, x):
+        return self._shift * np.fft.rfft(x, 2 * self._n)
+
+    def _from_half_sample(self, spectrum):
+        """x_k = sum_j w_j Re(X_j exp(i pi j (k + 1/2) / n)), k = 0..n-1, X = spectrum.
+
+        X holds j = 0..len - 1, at most n, and is zero past them.  The
+        weights are w_0 = w_n = 1/2 and w_j = 1 otherwise, as j = 0 and
+        j = n appear once in the length-2n inverse FFT and the others twice.
+        """
+        n = self._n
+        return n * np.fft.irfft(spectrum * self._shift[: spectrum.size].conj(), 2 * n)[:n]
+
+    def _dense(self, wave, rows, cols, period, scale):
+        """scale wave(2 pi m / period), m = rows (x) cols: a dense singular factor.
+
+        m is reduced mod ``period`` in integers, so the angle stays below
+        2 pi and exact to rounding.
+        """
+        _check_dense_dim(self._n, self.rank, "dense singular vectors")
+        angle = 2.0 * np.pi / period * (np.outer(rows, cols) % period)
+        return _readonly(scale * wave(angle))
+
+
+class _GradientDecomposition(_HalfSampleDecomposition):
     """Singular system of ``GradientOperator(n)`` in closed form.
 
     D^T D is the Neumann Laplacian, diagonalized by the DCT-II, and D D^T
@@ -918,19 +1030,14 @@ class _GradientDecomposition(SpectralDecomposition):
     4 sin^2(pi j / 2n) (Strang, SIAM Review 41, 1999).  So, for j = n-1
     down to 1, sigma_j = 2n sin(pi j / 2n), v_j[k] = sqrt(2/n)
     cos(pi j (k + 1/2) / n) and u_j[i] = -sqrt(2/n) sin(pi j (i + 1) / n),
-    the sign making A v_j = sigma_j u_j.  Products with them are FFTs of
-    the data zero-padded to length 2n (Makhoul, IEEE TASSP 28, 1980):
-    O(n log n) work and O(n) memory.  The dense (n, rank) vectors are
-    built only when read.
+    the sign making A v_j = sigma_j u_j.  The v_j go through the shared
+    half-sample transform, the u_j through an FFT of the data with one
+    leading zero, padded to length 2n.
     """
 
     def __init__(self, n, rank_tolerance):
         s = 2.0 * n * np.sin(np.pi * np.arange(n - 1, 0, -1) / (2.0 * n))
-        keep = _kept(s, rank_tolerance)
-        # Straight into the instance dict, past the frozen __setattr__.
-        vars(self).update(
-            singular_values=_readonly(s[keep]), rank_tolerance=rank_tolerance, _n=n
-        )
+        super().__init__(n, s, rank_tolerance)
 
     @property
     def range_dim(self):
@@ -940,30 +1047,17 @@ class _GradientDecomposition(SpectralDecomposition):
     def domain_dim(self):
         return self._n
 
-    @functools.cached_property
-    def _shift(self):
-        """exp(-i pi j / 2n), j = 0..n-1: turns a length-2n DFT into the DCT-II."""
-        return np.exp(-0.5j * np.pi * np.arange(self._n) / self._n)
-
-    def _dense(self, wave, rows, period):
-        """sqrt(2/n) wave(2 pi m / period), m = rows (x) j: a dense singular factor.
-
-        m is reduced mod ``period`` in integers, so the angle stays below
-        2 pi and exact to rounding.
-        """
-        if self._n > MAX_DENSE_DIM:
-            raise SizeLimitError(f"dense singular vectors capped at {MAX_DENSE_DIM}, got n = {self._n}")
+    def _vectors(self, wave, rows, period):
         j = np.arange(self._n - 1, self._n - 1 - self.rank, -1)
-        angle = 2.0 * np.pi / period * (np.outer(rows, j) % period)
-        return _readonly(math.sqrt(2.0 / self._n) * wave(angle))
+        return self._dense(wave, rows, j, period, math.sqrt(2.0 / self._n))
 
     @functools.cached_property
     def left_vectors(self):
-        return self._dense(lambda t: -np.sin(t), np.arange(1, self._n), 2 * self._n)
+        return self._vectors(lambda t: -np.sin(t), np.arange(1, self._n), 2 * self._n)
 
     @functools.cached_property
     def right_vectors(self):
-        return self._dense(np.cos, 2 * np.arange(self._n) + 1, 4 * self._n)
+        return self._vectors(np.cos, 2 * np.arange(self._n) + 1, 4 * self._n)
 
     # Coordinate c[r] belongs to j = n-1-r, so the length-n arrays below,
     # indexed by j, hold the coordinates at [n-1 : n-1-rank : -1].
@@ -988,13 +1082,66 @@ class _GradientDecomposition(SpectralDecomposition):
         return np.fft.rfft(self._by_j(c), 2 * self._n).imag[1 : self._n]
 
     def _right_t(self, x):
-        # Re exp(-i pi j / 2n) sum_k x_k e^{-i pi j k / n} = sum_k x_k cos(pi j (k + 1/2) / n).
-        return self._coordinates((self._shift * np.fft.rfft(x, 2 * self._n)[: self._n]).real)
+        return self._coordinates(self._half_sample(x)[: self._n].real)
 
     def _right(self, c):
-        n = self._n
-        spectrum = self._by_j(c) * self._shift.conj()
-        return n * np.fft.irfft(spectrum, 2 * n)[:n]
+        return self._from_half_sample(self._by_j(c))
+
+
+class _GreenDecomposition(_HalfSampleDecomposition):
+    """Singular system of ``GreenOperator(n)`` in closed form.
+
+    K^{-1} = -n^2 L, with L = tridiag(-1, 2, -1) but 3 in both corners:
+    the half-sample Dirichlet Laplacian, whose eigenvectors are the DST-II
+    columns sin(pi k (j + 1/2) / n) with eigenvalues 4 sin^2(pi k / 2n),
+    k = 1..n (Strang, SIAM Review 41, 1999).  So sigma_k = 1 / (4 n^2
+    sin^2(pi k / 2n)), already nonincreasing in k, v_k[j] = c_k
+    sin(pi k (j + 1/2) / n) with c_k = sqrt(2/n) but c_n = sqrt(1/n), and
+    u_k = -v_k, since K = -V diag(sigma) V^T.  Coordinate c[r] belongs to
+    k = r + 1.
+    """
+
+    def __init__(self, n, rank_tolerance):
+        s = 1.0 / (4.0 * n * n * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * n)) ** 2)
+        super().__init__(n, s, rank_tolerance)
+
+    @property
+    def range_dim(self):
+        return self._n
+
+    domain_dim = range_dim
+
+    @functools.cached_property
+    def _scale(self):
+        """c_k for the kept k = 1..rank."""
+        c = np.full(self.rank, math.sqrt(2.0 / self._n))
+        c[self._n - 1 :] = math.sqrt(1.0 / self._n)
+        return c
+
+    @functools.cached_property
+    def right_vectors(self):
+        k = np.arange(1, self.rank + 1)
+        return self._dense(np.sin, 2 * np.arange(self._n) + 1, k, 4 * self._n, self._scale)
+
+    @functools.cached_property
+    def left_vectors(self):
+        return _readonly(-self.right_vectors)
+
+    def _left_t(self, f):
+        # <u_k, f> = -<v_k, f> = c_k Im exp(-i pi k / 2n) sum_j f_j e^{-i pi k j / n}.
+        return self._scale * self._half_sample(f)[1 : self.rank + 1].imag
+
+    def _right_t(self, x):
+        return -self._left_t(x)
+
+    def _right(self, c):
+        spectrum = np.zeros(self.rank + 1, dtype=complex)
+        spectrum[1:] = -1j * self._scale * c  # Re(-i b e^{i t}) = b sin t
+        spectrum[self._n :] *= 2.0  # k = n, if kept, has weight 1/2
+        return self._from_half_sample(spectrum)
+
+    def _left(self, c):
+        return -self._right(c)
 
 
 def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
@@ -1083,8 +1230,8 @@ def minimal_norm_solution(decomp, f):
 
 
 def as_dense_matrix(op):
-    """Materialize a dense, diagonal or gradient operator as a matrix."""
-    if isinstance(op, (DenseOperator, GradientOperator)):
+    """Materialize a dense, diagonal, gradient or Green's operator as a matrix."""
+    if isinstance(op, (DenseOperator, GradientOperator, GreenOperator)):
         return np.array(op.matrix)
     if isinstance(op, DiagonalOperator):
         return np.diag(op.values)

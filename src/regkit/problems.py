@@ -28,6 +28,7 @@ from .operators import (
     DenseOperator,
     DiagonalOperator,
     GradientOperator,
+    GreenOperator,
     LinearOperator,
     DEFAULT_RANK_TOLERANCE,
     MAX_DENSE_DIM,
@@ -101,13 +102,10 @@ def _build_hilbert(n):
 
 
 def _build_deriv2(n):
-    _check_dense(n)
     # Midpoint discretization of the Green's-function kernel for the
     # second derivative on [0, 1] with zero boundary values.
-    t, h = _grid(n, 0.0, 1.0)
-    s_col, t_row = np.meshgrid(t, t, indexing="ij")
-    kernel = np.where(s_col <= t_row, s_col * (t_row - 1.0), t_row * (s_col - 1.0))
-    return DenseOperator(h * kernel), t * (1.0 - t), {}
+    t, _ = _grid(n, 0.0, 1.0)
+    return GreenOperator(n), t * (1.0 - t), {}
 
 
 def _build_phillips(n):
@@ -157,9 +155,9 @@ def make_problem(name, n, decompose=True, **params):
     name : str
         One of ``PROBLEM_NAMES``.
     n : int
-        Discretization size, at least 2.  hilbert, deriv2 and phillips
-        build an n x n matrix and refuse n above ``MAX_DENSE_DIM``;
-        diagonal and gradient_family take O(n) memory at any n.
+        Discretization size, at least 2.  hilbert and phillips build an
+        n x n matrix and refuse n above ``MAX_DENSE_DIM``; diagonal,
+        deriv2 and gradient_family take O(n) memory at any n.
     decompose : bool
         Compute and attach the singular system (needed for spectral
         solves and for the null-space projection of the solution).

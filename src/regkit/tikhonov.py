@@ -14,8 +14,9 @@ agreement is part of the test contract:
 
 The routes validate their input, call the operator's per-kind kernel
 (``regkit.operators``: QR on stacked systems for dense operators, closed
-forms for diagonal and gradient ones, otherwise one Golub-Kahan space
-grown until it certifies alpha), and recompute the certificates from the returned vector.
+forms for diagonal, gradient and Green's ones, otherwise one Golub-Kahan
+space grown until it certifies alpha), and recompute the certificates from
+the returned vector.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _minimize(op, f, alpha, cfg, path):
 def solve_shifted_normal(op, b, alpha, cfg=None):
     """Solve (A^T A + alpha I) x = b for a general domain vector b.
 
-    Direct for dense, diagonal and gradient operators; otherwise damped LSQR on [A; c I],
+    Direct for dense, diagonal, gradient and Green's operators; otherwise damped LSQR on [A; c I],
     c^2 = alpha / 2, to ``IterativeSolverConfig``'s certified error, which bounds
     the shifted normal residual by ``rel_tolerance * ||b|| / 2`` in exact arithmetic.
     """

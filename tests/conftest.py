@@ -4,7 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regkit import DenseOperator, DiagonalOperator, GradientOperator, MatrixFreeOperator
+from regkit import (
+    DenseOperator,
+    DiagonalOperator,
+    GradientOperator,
+    GreenOperator,
+    MatrixFreeOperator,
+)
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests' child
 # interpreters need it too when regkit is not installed.
@@ -54,6 +60,7 @@ def operator_zoo():
         ("wide_dense", DenseOperator(wide)),
         ("diag_mixed", DiagonalOperator([2.0, 0.5, 0.0, 1.0])),
         ("gradient6", GradientOperator(6)),
+        ("green5", GreenOperator(5)),
         ("matrix_free_tall", matrix_free_view(DenseOperator(tall))),
     ]
     return zoo

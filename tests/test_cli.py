@@ -227,6 +227,20 @@ def test_verify_bounds_table(capsys):
     assert out.count("\n") >= 6
 
 
+@pytest.mark.parametrize("family", ["deriv2", "gradient_family"])
+def test_verify_bounds_columns_line_up_past_six_digits(capsys, family):
+    code = main(["verify-bounds", "--family", family,
+                 "--ns", "16,1000000", "--alphas", "1e-4,1"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()[1:-1]
+    assert len(lines) == 5
+    # Every column ends where the header's does.
+    ends = [[i for i in range(1, len(ln) + 1) if ln[i - 1] != " " and ln[i:i + 1] in ("", " ")]
+            for ln in lines]
+    assert all(e == ends[0] for e in ends), lines
+    assert len(ends[0]) == 6
+
+
 def test_verify_bounds_violation_exits_one(capsys, monkeypatch):
     from regkit.experiments import BoundsReport, BoundsRow
 

@@ -1,4 +1,8 @@
-"""The gradient kind: n D in O(n), with its closed-form singular system."""
+"""The gradient kind: n D in O(n), with its closed-form singular system.
+
+The last section runs every catalog problem that takes O(n) memory past
+the dense cap.
+"""
 
 import tracemalloc
 
@@ -147,7 +151,7 @@ def _peak_bytes(build):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", ["gradient_family", "diagonal"])
+@pytest.mark.parametrize("name", ["gradient_family", "diagonal", "deriv2"])
 def test_o_n_problems_build_past_the_dense_cap(name):
     prob, peak = _peak_bytes(lambda: make_problem(name, _LARGE))
     assert prob.decomp.rank >= _LARGE - 1
@@ -155,8 +159,9 @@ def test_o_n_problems_build_past_the_dense_cap(name):
     assert peak < 256 * _LARGE
 
 
-def test_gradient_selection_past_the_dense_cap():
-    prob = make_problem("gradient_family", _LARGE)
+def _check_selection_past_the_dense_cap(name):
+    """Selection through ``op`` at O(n) memory, with the paper's certificates."""
+    prob = make_problem(name, _LARGE)
     y_norm = np.linalg.norm(prob.y)
     for rel_noise in (1e-1, 1e-3, 1e-5):
         noisy = add_noise(prob, rel_noise * np.linalg.norm(prob.f), 5)
@@ -172,7 +177,16 @@ def test_gradient_selection_past_the_dense_cap():
         assert solution_operator_norm(prob.op, selection.alpha) <= bound
 
 
-@pytest.mark.parametrize("name", ["hilbert", "deriv2", "phillips"])
+def test_gradient_selection_past_the_dense_cap():
+    _check_selection_past_the_dense_cap("gradient_family")
+
+
+def test_deriv2_selection_past_the_dense_cap():
+    # deriv2's Green's kind takes O(n) memory and has no size cap.
+    _check_selection_past_the_dense_cap("deriv2")
+
+
+@pytest.mark.parametrize("name", ["hilbert", "phillips"])
 def test_dense_problems_refuse_past_the_cap_before_allocating(name):
     tracemalloc.start()
     try:
