@@ -112,13 +112,13 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
 
     The data is projected once onto a singular system of the operator:
     the given decomposition, the SVD of a dense operator (its
-    eigendecomposition when the matrix is exactly symmetric), the closed
-    form of a diagonal, gradient or Green's one, or a Golub-Kahan Krylov
-    space for any other, extended until its solution at the root is
-    certified.  Every g(alpha)
-    is then O(rank) arithmetic on the projected spectrum, or on a Krylov
-    space of dimension k one O(k) sweep of Givens rotations over its
-    bidiagonal.  The default
+    eigendecomposition when the matrix is exactly symmetric, and built
+    from two half-size blocks when ``A[::-1, ::-1] == +-A`` exactly),
+    the closed form of a diagonal, gradient or Green's one, or a
+    Golub-Kahan Krylov space for any other, extended until its solution
+    at the root is certified.  Every g(alpha) is then O(rank) arithmetic
+    on the projected spectrum, or on a Krylov space of dimension k one
+    O(k) sweep of Givens rotations over its bidiagonal.  The default
     bracket is widened by factors of 10 (at most 20 steps per side) until
     it straddles the target; the root is then found by Newton steps on
     ln g against ln alpha with the analytic slope, bisecting whenever a

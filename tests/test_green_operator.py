@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from regkit import (
+    DEFAULT_RANK_TOLERANCE,
     MAX_DENSE_DIM,
     DenseOperator,
     GreenOperator,
     SizeLimitError,
+    SpectralDecomposition,
     add_noise,
     as_dense_matrix,
     make_problem,
@@ -17,7 +19,6 @@ from regkit import (
     solve_dual,
     solve_primal,
     solve_shifted_normal,
-    svd_decompose,
 )
 
 from conftest import philox
@@ -143,11 +144,25 @@ def test_kernels_match_dense_routes(n):
         assert _rel(x, solve_shifted_normal(dense, b, alpha)[0]) <= 1e-8
 
 
+def _eigh_decomposition(matrix):
+    """The singular system of a symmetric matrix from one ``np.linalg.eigh`` of all of it."""
+    lam, q = np.linalg.eigh(matrix)
+    order = np.argsort(-np.abs(lam), kind="stable")
+    s = np.abs(lam[order])
+    kept = order[s > DEFAULT_RANK_TOLERANCE * s[0]]
+    return SpectralDecomposition(
+        singular_values=np.abs(lam[kept]),
+        left_vectors=q[:, kept] * np.where(lam[kept] < 0, -1.0, 1.0),
+        right_vectors=q[:, kept],
+        rank_tolerance=DEFAULT_RANK_TOLERANCE,
+    )
+
+
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_selection_matches_the_eigh_route(n):
     prob = make_problem("deriv2", n)
     matrix = prob.op.matrix
-    eigh = svd_decompose(DenseOperator(matrix))
+    eigh = _eigh_decomposition(matrix)
     norm_f = np.linalg.norm(prob.f)
     for e in range(1, 10):
         noisy = add_noise(prob, 10.0**-e * norm_f, 17)

@@ -7,7 +7,7 @@ residual certificate |A u - f_delta| = C delta and the norm bound
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from regkit import (
     DenseOperator,
@@ -64,6 +64,54 @@ def symmetric_indefinite_systems(draw):
     return _noisy(rng, 0.5 * (matrix + matrix.T), basis, rel_noise)
 
 
+def _parity_dim(dim, parity):
+    """The dimension of the vectors of length dim with v[::-1] = parity v."""
+    return (dim + 1) // 2 if parity > 0 else dim // 2
+
+
+def _parity_vectors(rng, dim, k, parity):
+    """k orthonormal vectors v of length dim with v[::-1] = parity v, to rounding."""
+    z = rng.standard_normal((dim, k))
+    return np.linalg.qr(z + parity * z[::-1])[0]
+
+
+@st.composite
+def reflection_symmetric_systems(draw):
+    """Like ``noisy_systems``, for B + J B J or B - J B J, J the reversal.
+
+    Then A[::-1, ::-1] == +-A entry for entry, and dense operators factor
+    A as two half-size blocks.  B is built from singular vectors even or
+    odd under reversal, even to even and odd to odd for the + sign, even
+    to odd and odd to even for the - sign, so that A = 2B to rounding and
+    its spectrum is the one drawn.  Square draws with the + sign may take
+    B = Q diag(+-sigma) Q^T exactly symmetric; the blocks then factor by
+    eigh.
+    """
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    symmetric = sign > 0 and draw(st.booleans())
+    if symmetric:
+        m = n
+    # (parity of the left vectors, parity of the right vectors) per block
+    parities = ((1, 1), (-1, -1)) if sign > 0 else ((1, -1), (-1, 1))
+    sizes = [min(_parity_dim(m, p), _parity_dim(n, q)) for p, q in parities]
+    ranks = [draw(st.integers(0, size)) for size in sizes]
+    assume(sum(ranks) > 0)
+    log_sigma = draw(st.lists(st.floats(-8.0, 0.0), min_size=sum(ranks), max_size=sum(ranks)))
+    sigma = 0.5 * 10.0 ** (draw(st.floats(0.0, 6.0)) + np.array(log_sigma))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=len(sigma), max_size=len(sigma)))
+    rel_noise = 10.0 ** draw(st.floats(-6.0, -1.0))
+    rng = philox(draw(st.integers(0, 2**32 - 1)))
+    right = np.hstack([_parity_vectors(rng, n, k, q) for (_, q), k in zip(parities, ranks)])
+    if symmetric:
+        half = (right * (sigma * signs)) @ right.T
+        half = 0.5 * (half + half.T)
+    else:
+        left = np.hstack([_parity_vectors(rng, m, k, p) for (p, _), k in zip(parities, ranks)])
+        half = (left * sigma) @ right.T
+    return _noisy(rng, half + sign * half[::-1, ::-1], right, rel_noise)
+
+
 @st.composite
 def noisy_diagonals(draw, decades=8.0):
     """Like ``noisy_systems``, for A = diag(v) with v >= 0 and zeros allowed.
@@ -107,6 +155,15 @@ def test_selection_agrees_across_kinds(case):
 @given(symmetric_indefinite_systems())
 def test_selection_agrees_across_kinds_on_symmetric_indefinite(case):
     assert np.array_equal(case[0], case[0].T)
+    _assert_kinds_agree(case)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(reflection_symmetric_systems())
+def test_selection_agrees_across_kinds_on_reflection_symmetric(case):
+    matrix = case[0]
+    flipped = matrix[::-1, ::-1]
+    assert np.array_equal(flipped, matrix) or np.array_equal(flipped, -matrix)
     _assert_kinds_agree(case)
 
 

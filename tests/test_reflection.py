@@ -1,0 +1,140 @@
+"""Dense matrices with J A J = +-A, J the reversal, factored as two half-size blocks."""
+
+import math
+
+import numpy as np
+import pytest
+
+from regkit import DenseOperator, GradientOperator, make_problem, svd_decompose
+from regkit.operators import _ReflectionDecomposition
+
+from conftest import philox
+
+
+def _flip(b):
+    return b[::-1, ::-1]
+
+
+def _folded(b):
+    """b read at min(i, m-1-i), min(j, n-1-j): even in both indices, so its odd block is zero."""
+    m, n = b.shape
+    rows, cols = np.arange(m), np.arange(n)
+    return b[np.minimum(rows, m - 1 - rows)][:, np.minimum(cols, n - 1 - cols)]
+
+
+def _symmetric(n, rng):
+    s = rng.standard_normal((n, n))
+    return s + s.T
+
+
+def _cases():
+    rng = philox(23)
+    cases = [("1x1", np.array([[2.0]]))]
+    for m, n in [(1, 6), (1, 5), (6, 1), (5, 1), (2, 3), (7, 7), (8, 8), (6, 9)]:
+        b = rng.standard_normal((m, n))
+        cases.append((f"{m}x{n}+", b + _flip(b)))
+        cases.append((f"{m}x{n}-", b - _flip(b)))
+    cases += [
+        ("zero", np.zeros((4, 5))),
+        ("zero_odd_block_7x6", _folded(rng.standard_normal((7, 6)))),
+        ("zero_odd_block_8x8", _folded(rng.standard_normal((8, 8)))),
+        ("gradient8", GradientOperator(8).matrix),
+        ("gradient9", GradientOperator(9).matrix),
+    ]
+    for n in (7, 8):
+        s = _symmetric(n, rng)
+        cases.append((f"symmetric{n}+", s + _flip(s)))
+        cases.append((f"symmetric{n}-", s - _flip(s)))
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("matrix", [c[1] for c in CASES], ids=[c[0] for c in CASES])
+def test_split_is_a_singular_system_of_the_matrix(matrix):
+    m, n = matrix.shape
+    decomp = svd_decompose(DenseOperator(matrix), 0.0)
+    assert isinstance(decomp, _ReflectionDecomposition)
+    s, left, right = decomp.singular_values, decomp.left_vectors, decomp.right_vectors
+    oracle = np.linalg.svd(matrix, compute_uv=False)
+    scale = oracle[0]
+    padded = np.concatenate([s, np.zeros(min(m, n) - decomp.rank)])
+    assert np.abs(padded - oracle).max() <= 1e-13 * scale
+    assert np.all(np.diff(s) <= 0)
+    assert (decomp.range_dim, decomp.domain_dim) == (m, n)
+    assert left.shape == (m, decomp.rank) and right.shape == (n, decomp.rank)
+    assert np.abs(decomp.reconstruct() - matrix).max() <= 1e-13 * scale
+    for vectors in (left, right):
+        assert np.abs(vectors.T @ vectors - np.eye(decomp.rank)).max(initial=0.0) <= 1e-13
+
+    rng = philox(m * 100 + n)
+    f, x, c = (rng.standard_normal(k) for k in (m, n, decomp.rank))
+    for got, want in (
+        (decomp._left_t(f), left.T @ f),
+        (decomp._right_t(x), right.T @ x),
+        (decomp._left(c), left @ c),
+        (decomp._right(c), right @ c),
+    ):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * (1.0 + np.abs(want).max(initial=0.0))
+
+
+def test_split_truncates_the_merged_spectrum():
+    # The odd block's values sit below 1e-12 of the even block's largest.
+    rng = philox(29)
+    b = 1e-15 * rng.standard_normal((8, 8))
+    matrix = _folded(rng.standard_normal((8, 8))) + (b + _flip(b))
+    assert np.array_equal(_flip(matrix), matrix)
+    full, truncated = (svd_decompose(DenseOperator(matrix), t) for t in (0.0, 1e-12))
+    assert full.rank == 8
+    assert truncated.rank == 4
+    np.testing.assert_array_equal(truncated.singular_values, full.singular_values[:4])
+
+
+def test_one_entry_off_takes_the_whole_matrix():
+    rng = philox(31)
+    b = rng.standard_normal((6, 6))
+    matrix = b + _flip(b)
+    matrix[2, 3] = np.nextafter(matrix[2, 3], np.inf)
+    decomp = svd_decompose(DenseOperator(matrix), 0.0)
+    assert not isinstance(decomp, _ReflectionDecomposition)
+
+
+def _factorizations(monkeypatch, matrix):
+    """The (name, shape) of every eigh and SVD call that factoring the matrix makes."""
+    calls = []
+    for name in ("eigh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    svd_decompose(DenseOperator(matrix))
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, factorization",
+    [("phillips", "eigh"), ("deriv2", "eigh"), ("gradient_family", "svd")],
+)
+def test_catalog_matrices_factor_only_half_size_blocks(monkeypatch, name, factorization):
+    n = 128
+    calls = _factorizations(monkeypatch, make_problem(name, n, decompose=False).op.matrix)
+    assert [kind for kind, _ in calls] == [factorization] * 2
+    assert max(max(shape) for _, shape in calls) <= math.ceil(n / 2)
+
+
+def test_symmetric_blocks_of_opposite_parity_take_the_svd(monkeypatch):
+    s = _symmetric(8, philox(37))
+    calls = _factorizations(monkeypatch, s - _flip(s))
+    assert calls == [("svd", (4, 4))] * 2
+
+
+def test_hilbert_is_factored_whole(monkeypatch):
+    n = 128
+    calls = _factorizations(monkeypatch, make_problem("hilbert", n, decompose=False).op.matrix)
+    assert calls == [("eigh", (n, n))]
