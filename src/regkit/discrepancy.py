@@ -118,12 +118,13 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
     Golub-Kahan Krylov space for any other, extended until its solution
     at the root is certified.  Every g(alpha) is then O(rank) arithmetic
     on the projected spectrum, or on a Krylov space of dimension k one
-    O(k) sweep of Givens rotations over its bidiagonal.  The default
-    bracket is widened by factors of 10 (at most 20 steps per side) until
-    it straddles the target; the root is then found by Newton steps on
-    ln g against ln alpha with the analytic slope, bisecting whenever a
-    step leaves the bracket.  Success means the achieved residual matches
-    C*delta to ``root_rel_tolerance``.
+    O(k) sweep of Givens rotations over its bidiagonal.  The root is
+    found by Newton steps on ln g against ln alpha with the analytic
+    slope, bisecting whenever a step leaves the bracket.  g is evaluated
+    at the bracket's ends only when the iteration needs one; an end on
+    the wrong side of the target is widened by factors of 10 (at most 20
+    steps per side) and Newton restarts on the wider bracket.  Success
+    means the achieved residual matches C*delta to ``root_rel_tolerance``.
 
     Raises
     ------
@@ -180,49 +181,80 @@ def _root(projection, threshold, cfg, start=None):
     rules out a root before any g is evaluated.
     Newton starts at ``start``, the root on a shorter projection, when
     the bracket holds it, and at the bracket's log midpoint otherwise.
+    It assumes the bracket straddles the root, and ``_newton`` checks an
+    end only when the iteration needs it.  An end on the wrong side of
+    the target is widened by factors of 10, at most ``_MAX_EXPANSIONS``
+    times, and Newton restarts on the wider bracket: the iterates of a
+    search that evaluated both ends first and widened them at once.
     """
     target = threshold**2
     if not projection.exhausted and projection.floor() >= target:
         return None
-
-    def g(a):
-        return projection.discrepancy(a)[0]
-
     lo, hi = (float(v) for v in cfg.alpha_bracket)
-    g_lo, g_hi = g(lo), g(hi)
-    expansions = 0
-    while g_lo >= target and expansions < _MAX_EXPANSIONS:
-        lo /= 10.0
-        g_lo = g(lo)
-        expansions += 1
-    if g_lo >= target:
-        if not projection.exhausted:
-            return None
-        raise NoRootBelowError(
-            f"discrepancy value {g_lo:.6g} at alpha = {lo:.3g} already exceeds "
-            f"the target (C*delta)^2 = {target:.6g}; the data component outside "
-            "the operator range is larger than the stated noise level allows",
-            g_at_zero=g_lo,
-        )
-    hi_expansions = 0
-    while g_hi <= target and hi_expansions < _MAX_EXPANSIONS:
-        hi *= 10.0
-        g_hi = g(hi)
-        hi_expansions += 1
-    expansions += hi_expansions
-    if g_hi <= target:
-        if not projection.exhausted:
-            return None
-        raise ConvergenceError(
-            f"discrepancy value saturates at {g_hi:.6g} below the target "
-            f"{target:.6g} even at alpha = {hi:.3g}",
-            g_at_infinity=g_hi,
-        )
+    checked = set()  # the ends known to lie on their side of the root
+    lo_expansions = hi_expansions = 0
+    while True:
+        expansions = lo_expansions + hi_expansions
+        found = _newton(projection, threshold, cfg, lo, hi, start, checked, expansions)
+        if isinstance(found, AlphaSelection):
+            return found
+        end, g_end = found
+        if end == "lo":
+            while g_end >= target and lo_expansions < _MAX_EXPANSIONS:
+                lo /= 10.0
+                g_end = projection.discrepancy(lo)[0]
+                lo_expansions += 1
+            if g_end >= target:
+                if not projection.exhausted:
+                    return None
+                raise NoRootBelowError(
+                    f"discrepancy value {g_end:.6g} at alpha = {lo:.3g} already exceeds "
+                    f"the target (C*delta)^2 = {target:.6g}; the data component outside "
+                    "the operator range is larger than the stated noise level allows",
+                    g_at_zero=g_end,
+                )
+        else:
+            while g_end <= target and hi_expansions < _MAX_EXPANSIONS:
+                hi *= 10.0
+                g_end = projection.discrepancy(hi)[0]
+                hi_expansions += 1
+            if g_end <= target:
+                if not projection.exhausted:
+                    return None
+                raise ConvergenceError(
+                    f"discrepancy value saturates at {g_end:.6g} below the target "
+                    f"{target:.6g} even at alpha = {hi:.3g}",
+                    g_at_infinity=g_end,
+                )
+        checked.add(end)
 
-    # Newton on h(t) = ln g(e^t) - ln target, t = ln alpha, which is
-    # increasing; [t_lo, t_hi] always straddles its root.
+
+def _newton(projection, threshold, cfg, lo, hi, start, checked, expansions):
+    """Newton on [lo, hi]: the ``AlphaSelection``, or (end, g) for an end that misses the root.
+
+    Newton runs on h(t) = ln g(e^t) - ln target, t = ln alpha, which is
+    increasing, and bisects whenever a step leaves [t_lo, t_hi].  Any
+    evaluated point replaces the end on its side, and an end not in
+    ``checked`` is taken to straddle the root until the iteration needs
+    it: on its second bisection toward that end, or when the bracket
+    collapses or the iteration budget is spent before a root is found.
+    Only then is g evaluated there; an end on its side joins ``checked``.
+    While the root lies inside the bracket the iterates do not depend on
+    g at its ends.
+    """
+    target = threshold**2
+    ends = {"lo": lo, "hi": hi}
+
+    def misses(end):
+        g_end = projection.discrepancy(ends[end])[0]
+        if (g_end >= target) if end == "lo" else (g_end <= target):
+            return end, g_end
+        checked.add(end)
+        return None
+
     t_lo, t_hi = math.log(lo), math.log(hi)
     t = math.log(start) if start is not None and lo < start < hi else 0.5 * (t_lo + t_hi)
+    bisections = {"lo": 0, "hi": 0}
     iterations = 0
     while iterations < cfg.max_root_iterations:
         alpha_at = math.exp(t)
@@ -239,13 +271,27 @@ def _root(projection, threshold, cfg, start=None):
             )
         gap = math.log(max(g_at, _TINY) / target)
         if gap < 0:
-            t_lo = t
+            t_lo, passed, toward = t, "lo", "hi"
         else:
-            t_hi = t
+            t_hi, passed, toward = t, "hi", "lo"
+        checked.add(passed)
         step = t - gap * g_at / slope if slope > 0 else math.nan
-        t = step if t_lo < step < t_hi else 0.5 * (t_lo + t_hi)
+        if t_lo < step < t_hi:
+            t = step
+            continue
+        bisections[toward] += 1
+        if bisections[toward] >= 2 and toward not in checked:
+            missed = misses(toward)
+            if missed:
+                return missed
+        t = 0.5 * (t_lo + t_hi)
         if not t_lo < t < t_hi:
             break
+    for end in ends:
+        if end not in checked:
+            missed = misses(end)
+            if missed:
+                return missed
     raise ConvergenceError(
         "discrepancy root search exhausted its budget "
         f"({iterations} evaluations, bracket [{math.exp(t_lo):.6g}, {math.exp(t_hi):.6g}])",

@@ -12,10 +12,13 @@ re-entrant.
 Each kind owns the Tikhonov kernels that the routes in ``tikhonov`` call:
 direct forms for dense, diagonal, gradient and Green's operators, and in
 the base class readouts of one Golub-Kahan space grown until it certifies
-alpha.  Each also owns its singular system (``_decompose``): a factored
-matrix up to ``MAX_DENSE_DIM``, sorted diagonal entries, the closed-form
-cosine and sine transforms of the gradient and Green's operators, or
-none.  Every other reader goes through it, including residual matching
+alpha.  Its bases stay orthonormal to working precision, with
+Gram-Schmidt only where an O(1) bound on the loss of orthogonality asks
+for it (``_KrylovProjection._append``).  Each kind also owns its
+singular system (``_decompose``): a factored matrix up to
+``MAX_DENSE_DIM``, sorted diagonal entries, the closed-form cosine and
+sine transforms of the gradient and Green's operators, or none.  Every
+other reader goes through it, including residual matching
 (``_project``), which uses a Golub-Kahan Krylov space when there is none.
 
 Scalars are real throughout.  The singular system provides the spectral
@@ -83,6 +86,19 @@ _KRYLOV_START = 8
 #: A Gram-Schmidt pass that leaves less than this share of a vector's norm
 #: is repeated.
 _DGKS_RATIO = 1.0 / math.sqrt(2.0)
+
+#: Largest |<q, q_i>| a stored Golub-Kahan vector q keeps against the earlier
+#: vectors of its basis.  A vector whose bound passes it is measured, and
+#: orthogonalized if it measures past a tenth of it: a bound restarted from
+#: more than that would pass the limit again within a step or two.
+_LOSS_LIMIT = 1e-14
+
+_EPS = float(np.finfo(float).eps)
+
+#: Rounding a Golub-Kahan half-step adds to <vec, q_i>, per unit of the
+#: largest bidiagonal entry: eps ||B_k||, with ||B_k|| up to twice that
+#: entry, and a factor 2 for the operator's own rounding.
+_ROUNDING = 4.0 * _EPS
 
 
 def _as_vector(x, dim, label):
@@ -196,24 +212,8 @@ class _Projection:
         return True
 
 
-def _krylov_append(rows, count, vec, op_norm):
-    """Orthogonalize vec against rows[:count]; store it unless it vanishes.
-
-    One classical Gram-Schmidt pass, and a second only when the first
-    shrank vec below 1/sqrt(2) of its norm: the test of Daniel, Gragg,
-    Kaufman and Stewart (Math. Comp. 30, 1976).  A pass that keeps more
-    of the norm than that leaves vec orthogonal to the basis to a small
-    multiple of rounding, so the basis stays orthonormal to working
-    precision either way.  Returns (rows, norm) with the norm zeroed at
-    breakdown.
-    """
-    basis = rows[:count]
-    before = math.sqrt(vec @ vec)
-    vec = vec - (basis @ vec) @ basis
-    norm = math.sqrt(vec @ vec)
-    if norm < before * _DGKS_RATIO:
-        vec = vec - (basis @ vec) @ basis
-        norm = math.sqrt(vec @ vec)
+def _krylov_store(rows, count, vec, norm, op_norm):
+    """Store vec / norm as rows[count], growing rows; (rows, 0.0) at breakdown."""
     if not math.isfinite(norm):
         raise InvalidParameterError("operator output must be finite; it holds inf or nan")
     if norm <= DEFAULT_RANK_TOLERANCE * op_norm or count == rows.shape[1]:
@@ -224,46 +224,58 @@ def _krylov_append(rows, count, vec, op_norm):
     return rows, norm
 
 
+def _krylov_append(rows, count, vec, op_norm, coefficients=None, before=None):
+    """Orthogonalize vec against rows[:count]; store it unless it vanishes.
+
+    One classical Gram-Schmidt pass, and a second only when the first
+    shrank vec below 1/sqrt(2) of its norm: the test of Daniel, Gragg,
+    Kaufman and Stewart (Math. Comp. 30, 1976).  A pass that keeps more
+    of the norm than that leaves vec orthogonal to the basis to a small
+    multiple of rounding, so the basis stays orthonormal to working
+    precision either way.  ``coefficients`` and ``before``, when given,
+    are rows[:count] @ vec and ||vec||, already formed.  Returns (rows,
+    norm) with the norm zeroed at breakdown.
+    """
+    basis = rows[:count]
+    if coefficients is None:
+        coefficients, before = basis @ vec, math.sqrt(vec @ vec)
+    vec = vec - coefficients @ basis
+    norm = math.sqrt(vec @ vec)
+    if norm < before * _DGKS_RATIO:
+        vec = vec - (basis @ vec) @ basis
+        norm = math.sqrt(vec @ vec)
+    return _krylov_store(rows, count, vec, norm, op_norm)
+
+
 class _DampedLSQR:
     """Damped LSQR's rotations of a stored bidiagonal.
 
     LSQR (Paige & Saunders, ACM TOMS 8, 1982) with damp = sqrt(alpha)
     solves min ||A x - f||^2 + alpha ||x||^2 on the Golub-Kahan space of
     f through the QR factorization of [B_k; sqrt(alpha) I], one column at
-    a time, by Givens rotations (Elden, BIT 17, 1977).  ``rotate`` takes
-    beta_{k+1} and alpha_{k+1}, the next column of B_k, and returns the
-    new row of the upper bidiagonal R with its rotated right-hand side,
-    and the two rotations.  ``step`` returns, at O(1) cost and without
-    forming a vector, the normal-equation residual
+    a time, by Givens rotations (Elden, BIT 17, 1977).  ``step`` takes
+    beta_{k+1} and alpha_{k+1}, the next column of B_k, and returns, at
+    O(1) cost and without forming a vector, the normal-equation residual
     ||A^T (f - A x_k) - alpha x_k|| = alpha_{k+1} |tau_k| of the iterate
     x_k, and ||x_k|| from the LQ factorization of R.
+    ``_KrylovProjection._sweep`` runs the same rotations inline.
     """
 
     def __init__(self, alpha, alpha_1, beta_1):
         self._damp_sq = alpha
-        self._rhobar, self.phibar = alpha_1, beta_1
+        self._rhobar, self._phibar = alpha_1, beta_1
         self._cs2, self._sn2, self._z, self._xxnorm = -1.0, 0.0, 0.0, 0.0
 
-    def rotate(self, beta, alpha_next):
-        """((rho_k, theta_{k+1}, phi_k), (cbar, sbar, psi_k, c, s)) for column k.
-
-        (cbar, sbar) rotates the damping row sqrt(alpha) e_k into row k,
-        leaving psi_k in the damping row's right-hand side; the reflection
-        (c, s) then takes beta_{k+1} out of row k+1, whose right-hand side
-        becomes ``phibar``.
-        """
+    def step(self, beta, alpha_next):
+        # (cbar, sbar) rotates the damping row into row k; the reflection
+        # (cs, sn) then takes beta_{k+1} out of row k+1.
         rhobar1 = math.sqrt(self._rhobar**2 + self._damp_sq)
-        cbar, sbar = self._rhobar / rhobar1, math.sqrt(self._damp_sq) / rhobar1
-        psi = -sbar * self.phibar
-        phibar = cbar * self.phibar
+        phibar = self._rhobar / rhobar1 * self._phibar
         rho = math.hypot(rhobar1, beta)
         cs, sn = rhobar1 / rho, beta / rho
         self._rhobar = -cs * alpha_next
-        phi, self.phibar = cs * phibar, sn * phibar
-        return (rho, sn * alpha_next, phi), (cbar, sbar, psi, cs, sn)
-
-    def step(self, beta, alpha_next):
-        (rho, theta, phi), (*_, sn) = self.rotate(beta, alpha_next)
+        phi, self._phibar = cs * phibar, sn * phibar
+        theta = sn * alpha_next
         # Rotate theta away on the right; the rotated system gives ||x_k||.
         gambar = -self._cs2 * rho
         rhs = phi - self._sn2 * rho * self._z
@@ -278,12 +290,13 @@ class _DampedLSQR:
 class _KrylovProjection:
     """Projection of f onto a Golub-Kahan Krylov space, grown on demand.
 
-    k steps of bidiagonalization from u_1 = f / ||f||, with both bases
-    kept orthonormal by full reorthogonalization (``_krylov_append``), give
-    A V_k = U_{k+1} B_k with B_k lower bidiagonal of size (k+1) x k.
-    Krylov spaces are shift-invariant, so one space serves every alpha:
-    the projected problem min ||B_k y - beta_1 e_1||^2 + alpha ||y||^2 is
-    solved per alpha by one O(k) sweep of Givens rotations over the stored
+    k steps of bidiagonalization from u_1 = f / ||f|| give A V_k =
+    U_{k+1} B_k with B_k lower bidiagonal of size (k+1) x k.  Both bases
+    are kept orthonormal to working precision, but Gram-Schmidt runs only
+    where orthogonality is lost (``_append``).  Krylov spaces are
+    shift-invariant, so one space serves every alpha: the projected
+    problem min ||B_k y - beta_1 e_1||^2 + alpha ||y||^2 is solved per
+    alpha by one O(k) sweep of Givens rotations over the stored
     bidiagonal (``_sweep``), with no factorization of B_k.  g(alpha) is
     read from the projected residual r, which is why U must stay
     orthonormal to working precision.  The projected solution x_k = V_k y
@@ -292,6 +305,8 @@ class _KrylovProjection:
     alpha; ``certifies`` asks that to be at most ``rel_tolerance *
     ||x_k||``, and it alone accepts a root or a solve.  ``extend`` grows the
     space to the size damped LSQR says a rejected alpha needs, or doubles it.
+    ``products`` and ``subtractions`` count the vectors whose product with
+    their basis was formed and those that were orthogonalized.
     """
 
     exhausted = False
@@ -303,21 +318,55 @@ class _KrylovProjection:
         self._budget = cfg.budget(op.domain_dim)
         self._norm = 0.0  # largest bidiagonal entry: a lower bound on ||A||
         self._sized = False  # whether the LSQR monitor chose the current size
-        self.steps = 0
+        self._u_loss = self._v_loss = 0.0  # bounds on the newest u's and v's loss
+        self.steps = self.products = self.subtractions = 0
         beta = math.sqrt(f @ f)
         self._u = (f / beta)[None, :]
         self._v = np.empty((1, op.domain_dim))
         self._beta = [beta]
         self._alpha = []
-        self._orthogonal_step(op.apply_adjoint(self._u[0]))
+        self._orthogonal_step(op.apply_adjoint(self._u[0]), 0.0)
         self._grow(min(_KRYLOV_START, self._budget))
         while alpha is not None and not self.certifies(alpha):
             self.extend(alpha)
 
-    def _orthogonal_step(self, vec):
+    def _append(self, rows, count, vec, carried):
+        """Store vec as rows[count]: (rows, norm, a bound on its loss of orthogonality).
+
+        The loss is max_i |<q, q_i>| over the rows i < count, for the
+        stored q = vec / ||vec||.  ``carried`` bounds max_i |<vec, q_i>|
+        as Simon's recurrence (Lin. Alg. Appl. 61, 1984) carries the last
+        two vectors' losses forward; with rounding of order eps ||B_k||,
+        over ||vec||, it bounds the loss at O(1) cost.  A bound past
+        ``_LOSS_LIMIT`` forms h = rows[:count] @ vec.  Past ten times the
+        limit the loss rarely measures under a tenth of it, so vec is
+        orthogonalized at once; otherwise the loss max|h| / ||vec|| is
+        measured, and vec is orthogonalized only if it passes a tenth of
+        the limit.  ``_krylov_append`` reuses h.  The next bound starts
+        from the measured loss, or from eps once vec is orthogonalized.
+        """
+        norm = math.sqrt(vec @ vec)
+        loss = (carried + _ROUNDING * self._norm) / norm if norm > 0.0 else 0.0
+        if loss > _LOSS_LIMIT and count:
+            self.products += 1
+            coefficients = rows[:count] @ vec
+            if loss <= 10.0 * _LOSS_LIMIT:
+                loss = float(np.abs(coefficients).max()) / norm
+            if loss > 0.1 * _LOSS_LIMIT:
+                self.subtractions += 1
+                rows, norm = _krylov_append(rows, count, vec, self._norm, coefficients, norm)
+                return rows, norm, _EPS
+        rows, norm = _krylov_store(rows, count, vec, norm, self._norm)
+        return rows, norm, loss
+
+    def _orthogonal_step(self, vec, beta):
         """Append v_k, alpha_k from vec = A^T u_k - beta_k v_{k-1}."""
         k = len(self._alpha)
-        self._v, alpha = _krylov_append(self._v, k, vec, self._norm)
+        # alpha_k <v_k, v_i> = beta_{i+1} <u_k, u_{i+1}> + alpha_i <u_k, u_i>
+        # - beta_k <v_{k-1}, v_i>, up to rounding, with alpha_i, beta_{i+1}
+        # at most the largest entry.
+        carried = 2.0 * self._norm * self._u_loss + beta * self._v_loss
+        self._v, alpha, self._v_loss = self._append(self._v, k, vec, carried)
         self._alpha.append(alpha)
         self._norm = max(self._norm, alpha)
         self.exhausted = alpha == 0.0
@@ -325,8 +374,12 @@ class _KrylovProjection:
     def _step(self):
         """One Golub-Kahan step: u_{k+1}, beta_{k+1}, then v_{k+1}, alpha_{k+1}."""
         j = self.steps
-        vec = self._op.apply(self._v[j]) - self._alpha[j] * self._u[j]
-        self._u, beta = _krylov_append(self._u, j + 1, vec, self._norm)
+        alpha = self._alpha[j]
+        vec = self._op.apply(self._v[j]) - alpha * self._u[j]
+        # beta_{k+1} <u_{k+1}, u_i> = alpha_i <v_k, v_i> + beta_i <v_k, v_{i-1}>
+        # - alpha_k <u_k, u_i>, up to rounding.
+        carried = 2.0 * self._norm * self._v_loss + alpha * self._u_loss
+        self._u, beta, self._u_loss = self._append(self._u, j + 1, vec, carried)
         self._beta.append(beta)
         self._norm = max(self._norm, beta)
         self.steps = j + 1
@@ -334,7 +387,7 @@ class _KrylovProjection:
             self._alpha.append(0.0)
             self.exhausted = True
             return
-        self._orthogonal_step(self._op.apply_adjoint(self._u[j + 1]) - beta * self._v[j])
+        self._orthogonal_step(self._op.apply_adjoint(self._u[j + 1]) - beta * self._v[j], beta)
 
     def _grow(self, k):
         """Extend to k steps or to breakdown, then fix B_k (``_factor``)."""
@@ -345,12 +398,11 @@ class _KrylovProjection:
     def _factor(self):
         """Fix the projected problem at the current k.
 
-        Stores the columns (beta_{j+1}, alpha_{j+1}), j = 1..k, which with
-        alpha_1 and beta_1 are B_k and alpha_{k+1}, and the basis V_k that
-        lifts y.  Each alpha then costs one ``_sweep``.
+        B_k is alpha_1..alpha_k on the diagonal and beta_2..beta_{k+1}
+        below it; alpha_{k+1} and the basis V_k that lifts y are kept with
+        it.  Each alpha then costs one ``_sweep``.
         """
-        k = self.steps
-        self._columns = list(zip(self._beta[1 : k + 1], self._alpha[1 : k + 1]))
+        k = self._size = self.steps
         self._alpha_next = self._alpha[k]
         self._basis = self._v[:k]
         self._swept = None
@@ -368,26 +420,47 @@ class _KrylovProjection:
         """
         if self._swept is not None and self._swept[0] == alpha:
             return self._swept
-        lsqr = _DampedLSQR(alpha, self._alpha[0], self._beta[0])
-        rotated = [lsqr.rotate(beta, a) for beta, a in self._columns]
-        k = len(rotated)
-        y = [0.0] * k
-        later = 0.0
+        k = self._size
+        sqrt, hypot = math.sqrt, math.hypot
+        damp = sqrt(alpha)
+        rhobar, phibar = self._alpha[0], self._beta[0]
+        # Per column j: R's diagonal rho_j and superdiagonal theta_{j+1}, the
+        # rotated right-hand side phi_j, and what the backward pass needs to
+        # rotate r back: cs_j, cbar_j sn_j and sbar_j psi_j.
+        rho, theta, phi, cs, decay, push = ([0.0] * k for _ in range(6))
+        for j, (beta, alpha_next) in enumerate(zip(self._beta[1 : k + 1], self._alpha[1 : k + 1])):
+            rhobar1 = sqrt(rhobar**2 + alpha)
+            cbar = rhobar / rhobar1
+            sbar = damp / rhobar1
+            psi = -sbar * phibar
+            phibar = cbar * phibar
+            rho_j = hypot(rhobar1, beta)
+            c = rhobar1 / rho_j
+            s = beta / rho_j
+            rhobar = -c * alpha_next
+            phi[j] = c * phibar
+            phibar = s * phibar
+            rho[j] = rho_j
+            theta[j] = s * alpha_next
+            cs[j] = c
+            decay[j] = cbar * s
+            push[j] = sbar * psi
+        # Backwards: y by substitution on R, and r from its last entry,
+        # s_{k+1} = r[k], to its first.
+        y, r = [0.0] * k, [0.0] * (k + 1)
+        later, t = 0.0, phibar
         for j in range(k - 1, -1, -1):
-            rho, theta, phi = rotated[j][0]
-            y[j] = later = (phi - theta * later) / rho
-        w_sq, w, theta = 0.0, 0.0, 0.0
-        for ((rho, theta_next, _), _), y_j in zip(rotated, y):
-            w = (y_j - theta * w) / rho
+            y[j] = later = (phi[j] - theta[j] * later) / rho[j]
+            r[j + 1] = -cs[j] * t
+            t = decay[j] * t - push[j]
+        r[0] = t
+        w_sq, w, above = 0.0, 0.0, 0.0
+        for y_j, rho_j, theta_j in zip(y, rho, theta):
+            w = (y_j - above * w) / rho_j
             w_sq += w * w
-            theta = theta_next
-        t, r = lsqr.phibar, []  # r from its last entry, s_{k+1}, to its first
-        for _, (cbar, sbar, psi, cs, sn) in reversed(rotated):
-            r.append(-cs * t)
-            t = cbar * sn * t - sbar * psi
-        r.append(t)
-        g = math.fsum(v * v for v in r)
-        self._swept = (alpha, np.array(y), g, 2.0 * alpha * alpha * w_sq, r[0])
+            above = theta_j
+        g = math.fsum([v * v for v in r])
+        self._swept = (alpha, np.array(y), g, 2.0 * alpha * alpha * w_sq, r[k])
         return self._swept
 
     def discrepancy(self, alpha):
@@ -415,10 +488,12 @@ class _KrylovProjection:
         beta_{j+1} nonzero, which holds until the space is exhausted.
         """
         k = self.steps
-        ratios = np.log(self._alpha[:k]) - np.log(self._beta[1 : k + 1])
-        logs = np.concatenate(([0.0], np.cumsum(ratios)))
-        top = float(logs.max())
-        scaled_sq = float(np.exp(2.0 * (logs - top)).sum())  # ||z||^2 / e^(2 top)
+        log_z, logs = 0.0, [0.0]
+        for alpha, beta in zip(self._alpha[:k], self._beta[1 : k + 1]):
+            log_z += math.log(alpha) - math.log(beta)
+            logs.append(log_z)
+        top = max(logs)
+        scaled_sq = math.fsum([math.exp(2.0 * (v - top)) for v in logs])  # ||z||^2 / e^(2 top)
         return self._beta[0] ** 2 * math.exp(-2.0 * top) / scaled_sq
 
     def extend(self, alpha=None):

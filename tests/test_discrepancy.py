@@ -25,6 +25,9 @@ from regkit import (
     svd_decompose,
 )
 
+from regkit.discrepancy import _root
+from regkit.operators import _KrylovProjection, _Projection
+
 from conftest import matrix_free_view, philox
 
 
@@ -285,6 +288,71 @@ def test_newton_root_search_is_short(name):
             fd, delta = _noisy(prob, rel_noise, 5)
             for system in (prob.decomp, dense):
                 assert solve_alpha(system, fd, delta).iterations <= 12, (n, rel_noise)
+
+
+def _evaluated_alphas(monkeypatch, projection_class):
+    """Every alpha at which g is evaluated on projections of the given class."""
+    alphas = []
+    discrepancy_at = projection_class.discrepancy
+
+    def counted(self, alpha):
+        alphas.append(alpha)
+        return discrepancy_at(self, alpha)
+
+    monkeypatch.setattr(projection_class, "discrepancy", counted)
+    return alphas
+
+
+@pytest.mark.parametrize("route", ["spectral", "krylov"])
+def test_bracket_ends_are_not_evaluated_around_an_inside_root(route, monkeypatch):
+    prob = make_problem("deriv2", 256)
+    delta = 1e-3 * np.linalg.norm(prob.f)
+    fd = add_noise(prob, delta, 4).f_delta
+    if route == "spectral":
+        system, projection_class = prob.decomp, _Projection
+    else:
+        system, projection_class = matrix_free_view(prob.op), _KrylovProjection
+    alphas = _evaluated_alphas(monkeypatch, projection_class)
+    selection = solve_alpha(system, fd, delta)
+    assert selection.bracket_expansions == 0
+    assert not set(DiscrepancyConfig().alpha_bracket) & set(alphas)
+    if route == "spectral":
+        assert len(alphas) == selection.iterations
+
+
+def test_root_below_the_bracket_still_widens_it(monkeypatch):
+    # The root lies near 1e-19: g is evaluated at the low end once the
+    # iteration heads there a second time, and the bracket is widened five
+    # times.  Newton
+    # then restarts on the wider bracket, so it ends where a search started
+    # on that bracket ends, which is where widening before Newton ended.
+    values = 1e-5 * np.geomspace(1.0, 1e-3, 40)
+    rng = philox(4)
+    f = values * rng.standard_normal(40)
+    delta = 1e-6 * np.linalg.norm(f)
+    fd = f + 0.5 * delta * rng.standard_normal(40) / np.sqrt(40)
+    alphas = _evaluated_alphas(monkeypatch, _Projection)
+    selection = solve_alpha(diagonal_decomposition(values), fd, delta)
+    assert selection.bracket_expansions == 5
+    low, high = DiscrepancyConfig().alpha_bracket
+    assert low in alphas and high not in alphas
+    # Two evaluations before the low end is needed, and the end itself.
+    assert len(alphas) == 3 + selection.bracket_expansions + selection.iterations
+    for _ in range(selection.bracket_expansions):
+        low /= 10.0
+    widened = solve_alpha(
+        diagonal_decomposition(values), fd, delta, DiscrepancyConfig(alpha_bracket=(low, high))
+    )
+    assert widened.bracket_expansions == 0
+    assert (widened.alpha, widened.iterations) == (selection.alpha, selection.iterations)
+    assert abs(selection.achieved_residual - 1.5 * delta) <= 1e-10 * 1.5 * delta
+    # A root search from a start below the default bracket restarts there too.
+    projection = diagonal_decomposition(values)._project(fd)
+    from_start = [
+        _root(projection, 1.5 * delta, config, start=3e-19).alpha
+        for config in (DiscrepancyConfig(), DiscrepancyConfig(alpha_bracket=(low, high)))
+    ]
+    assert from_start[0] == from_start[1]
 
 
 def test_krylov_budget_exhaustion():

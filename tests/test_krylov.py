@@ -1,12 +1,13 @@
 """The Golub-Kahan projection of matrix-free alpha selection.
 
-Reorthogonalization by the DGKS test, the damped-LSQR monitor that sizes
-the Krylov space, the doubling that remains for the cases the monitor
-cannot size, the per-alpha Givens sweep that replaces a factorization of
-B_k, and the null-vector floor that skips root searches on spaces without
-a root.
+Reorthogonalization on demand and by the DGKS test, the damped-LSQR
+monitor that sizes the Krylov space, the doubling that remains for the
+cases the monitor cannot size, the per-alpha Givens sweep that replaces a
+factorization of B_k, and the null-vector floor that skips root searches
+on spaces without a root.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from regkit import (
+    GradientOperator,
     IterativeSolverConfig,
     MatrixFreeOperator,
     add_noise,
@@ -145,6 +147,54 @@ def test_bases_stay_orthonormal(name, rel_noise):
         assert _orthonormality(rows) <= 1e-13
 
 
+def test_gram_schmidt_runs_on_demand():
+    # The space is exhausted at k = 255: 511 vectors, 510 of them with a
+    # basis before them.  Full reorthogonalization forms a product with the
+    # basis for each of the 510 and subtracts it, 510 and 510.
+    prob = make_problem("gradient_family", 256)
+    fd, delta = _noisy(prob, 1e-2, 1)
+    counts = []
+    for _ in range(2):
+        _, projection = _select(gradient_callbacks(256), fd, delta, DiscrepancyConfig(C=C), None)
+        assert len(projection._alpha) + len(projection._beta) - 1 == 511
+        counts.append((projection.steps, projection.products, projection.subtractions))
+    assert counts == [(255, 273, 45)] * 2
+
+
+def _clustered_diagonal():
+    """Matrix-free diag(v): two clusters 1e-9 wide at 1 and 1e-3, and a tail to 1e-8."""
+    rng = philox(21)
+    values = np.concatenate([
+        1.0 + 1e-9 * rng.random(100),
+        1e-3 * (1.0 + 1e-9 * rng.random(100)),
+        np.geomspace(1.0, 1e-8, 56),
+    ])
+    y = rng.standard_normal(values.size)
+    f = values * y
+    return MatrixFreeOperator(values.size, values.size, values.__mul__, values.__mul__), f, rng
+
+
+@pytest.mark.parametrize("case", ["gradient_1024", "deriv2", "clustered_diagonal"])
+def test_bases_stay_orthonormal_with_gram_schmidt_on_demand(case):
+    if case == "gradient_1024":
+        prob = make_problem("gradient_family", 1024)
+        fds = [(gradient_callbacks(1024), *_noisy(prob, 1e-4, 6))]
+    elif case == "deriv2":
+        prob = make_problem("deriv2", 256)
+        system = matrix_free_view(prob.op)
+        fds = [(system, *_noisy(prob, rel, 3)) for rel in (1e-1, 1e-3, 1e-6)]
+    else:
+        system, f, rng = _clustered_diagonal()
+        fds = []
+        for rel in (1e-2, 1e-5, 1e-8):
+            delta = rel * np.linalg.norm(f)
+            fds.append((system, f + delta * rng.standard_normal(f.size) / np.sqrt(4 * f.size), delta))
+    for system, fd, delta in fds:
+        _, projection = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
+        for rows in _bases(projection):
+            assert _orthonormality(rows) <= 1e-13
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_deriv2_space_is_sized_not_doubled(seed, factor_sizes):
     prob = make_problem("deriv2", 256)
@@ -174,6 +224,19 @@ def test_gradient_family_matches_dense_oracle():
         assert np.linalg.norm(solution.u - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
+def test_gradient_callbacks_match_the_closed_form_at_n_2048():
+    # Past the dense oracle: the closed-form singular system is the reference.
+    n = 2048
+    prob = make_problem("gradient_family", n)
+    fd, delta = _noisy(prob, 1e-2, 5)
+    solution, selection = discrepancy.regularized_solve_auto(gradient_callbacks(n), fd, delta)
+    target = C * delta
+    assert abs(selection.achieved_residual - target) <= 1e-8 * target
+    assert abs(solution.residual_norm - target) <= 1e-8 * target
+    reference = solve_spectral(GradientOperator(n)._decompose(0.0), fd, selection.alpha).u
+    assert np.linalg.norm(solution.u - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
 def test_failed_certificate_on_a_sized_space_doubles(monkeypatch, factor_sizes):
     certifies = _KrylovProjection.certifies
     forced = []
@@ -191,6 +254,49 @@ def test_failed_certificate_on_a_sized_space_doubles(monkeypatch, factor_sizes):
     sized = forced[0]
     assert operators._KRYLOV_START < sized < 2 * operators._KRYLOV_START
     assert factor_sizes == [operators._KRYLOV_START, sized, 2 * sized]
+
+
+def _rotated_sweep(projection, alpha):
+    """The sweep as damped LSQR's rotations column by column, stored as tuples."""
+    k = projection.steps
+    rhobar, phibar, columns = projection._alpha[0], projection._beta[0], []
+    for beta, alpha_next in zip(projection._beta[1 : k + 1], projection._alpha[1 : k + 1]):
+        rhobar1 = math.sqrt(rhobar**2 + alpha)
+        cbar, sbar = rhobar / rhobar1, math.sqrt(alpha) / rhobar1
+        psi, phibar = -sbar * phibar, cbar * phibar
+        rho = math.hypot(rhobar1, beta)
+        cs, sn = rhobar1 / rho, beta / rho
+        rhobar = -cs * alpha_next
+        phi, phibar = cs * phibar, sn * phibar
+        columns.append((rho, sn * alpha_next, phi, cbar, sbar, psi, cs, sn))
+    y, later = [0.0] * k, 0.0
+    for j in range(k - 1, -1, -1):
+        rho, theta, phi = columns[j][:3]
+        y[j] = later = (phi - theta * later) / rho
+    w_sq, w, theta = 0.0, 0.0, 0.0
+    for (rho, theta_next, *_), y_j in zip(columns, y):
+        w = (y_j - theta * w) / rho
+        w_sq += w * w
+        theta = theta_next
+    t, r = phibar, []
+    for *_, cbar, sbar, psi, cs, sn in reversed(columns):
+        r.append(-cs * t)
+        t = cbar * sn * t - sbar * psi
+    r.append(t)
+    return y, math.fsum(v * v for v in r), 2.0 * alpha * alpha * w_sq, r[0]
+
+
+@pytest.mark.parametrize("k", [8, 13, 40])
+def test_fused_sweep_is_bit_identical_to_the_rotations(k):
+    prob = make_problem("deriv2", 128)
+    fd, _ = _noisy(prob, 1e-2, 4)
+    projection = _KrylovProjection(matrix_free_view(prob.op), fd, IterativeSolverConfig())
+    projection._grow(k)
+    for alpha in (1e-14, 1e-9, 1e-5, 1.0, 1e14):
+        _, y, g, slope, s_last = projection._sweep(alpha)
+        want_y, want_g, want_slope, want_s_last = _rotated_sweep(projection, alpha)
+        assert (g, slope, s_last) == (want_g, want_slope, want_s_last)
+        assert y.tolist() == want_y
 
 
 @pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-3])
