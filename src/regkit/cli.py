@@ -175,10 +175,10 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _params(args):
+def _params(args, name):
     params = {}
-    if getattr(args, "p", None) is not None:
-        if args.problem != "diagonal":
+    if args.p is not None:
+        if name != "diagonal":
             raise InvalidParameterError("--p applies only to the diagonal problem")
         params["p"] = args.p
     return params
@@ -206,7 +206,7 @@ def _summary(record):
 
 
 def _cmd_solve(args):
-    record = experiments.run_solve(args.problem, args.n, args.alpha, _params(args))
+    record = experiments.run_solve(args.problem, args.n, args.alpha, _params(args, args.problem))
     _emit_records([record], args, single=True)
     print(_summary(record), file=sys.stderr)
     return 0
@@ -215,7 +215,7 @@ def _cmd_solve(args):
 def _cmd_choose_alpha(args):
     seed = args.seed if args.seed is not None else _default_seed()
     record = experiments.run_choose_alpha(
-        args.problem, args.n, args.delta, seed, args.C, _params(args)
+        args.problem, args.n, args.delta, seed, args.C, _params(args, args.problem)
     )
     _emit_records([record], args, single=True)
     print(_summary(record), file=sys.stderr)
@@ -225,7 +225,7 @@ def _cmd_choose_alpha(args):
 def _cmd_sweep(args):
     seed = args.seed if args.seed is not None else _default_seed()
     records = experiments.run_sweep(
-        args.problem, args.n, args.deltas, seed, args.rule, args.C, _params(args)
+        args.problem, args.n, args.deltas, seed, args.rule, args.C, _params(args, args.problem)
     )
     _emit_records(records, args, single=False)
     print(experiments.sweep_summary(records), file=sys.stderr)
@@ -233,7 +233,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify_bounds(args):
-    params = {"p": args.p} if args.p is not None and args.family == "diagonal" else {}
+    params = _params(args, args.family)
     report = experiments.run_verify_bounds(args.family, args.ns, args.alphas, params)
     _emit(experiments.bounds_table(report), args.out)
     return 0 if report.violations == 0 else 1

@@ -9,6 +9,7 @@ and seed must produce byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -75,24 +76,19 @@ def _f17(value):
     return f"{float(value):.17g}"
 
 
-def _record_fields(record):
-    return [
-        record.problem,
-        str(record.n),
-        _f17(record.delta),
-        record.C,
-        _f17(record.alpha),
-        _f17(record.residual),
-        _f17(record.error_to_y),
-        _f17(record.u_norm),
-        _f17(record.y_norm),
-        "0",  # wall time excluded from machine output (determinism)
-    ]
+def _record_dict(record):
+    """The record's fields in schema order, with wall time written as 0 (determinism).
+
+    The CSV's 17 digits round-trip exactly, so JSON and CSV carry the same values.
+    """
+    return {**dataclasses.asdict(record), "wall_ms": 0.0}
 
 
 def records_to_csv(records):
     lines = [CSV_HEADER]
-    lines.extend(",".join(_record_fields(r)) for r in records)
+    for record in records:
+        values = _record_dict(record).values()
+        lines.append(",".join(str(v) if isinstance(v, (str, int)) else _f17(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -122,20 +118,6 @@ def parse_records_csv(text):
     return records
 
 
-def _record_dict(record):
-    keys = CSV_HEADER.split(",")
-    values = _record_fields(record)
-    out = {}
-    for key, raw in zip(keys, values):
-        if key in ("problem", "C"):
-            out[key] = raw
-        elif key == "n":
-            out[key] = int(raw)
-        else:
-            out[key] = float(raw)
-    return out
-
-
 def record_to_json(record):
     return json.dumps(_record_dict(record), indent=2) + "\n"
 
@@ -145,16 +127,22 @@ def records_to_json(records):
 
 
 def _finish(problem, solution, delta, c_label, started):
+    """The record of one row; a failed row, without a ``solution``, holds NaN."""
     wall = (time.perf_counter() - started) * 1e3
+    if solution is None:
+        alpha = residual = error_to_y = u_norm = math.nan
+    else:
+        alpha, residual, u_norm = solution.alpha, solution.residual_norm, solution.solution_norm
+        error_to_y = float(np.linalg.norm(solution.u - problem.y))
     return ExperimentRecord(
         problem=problem.name,
         n=problem.n,
         delta=float(delta),
         C=c_label,
-        alpha=solution.alpha,
-        residual=solution.residual_norm,
-        error_to_y=float(np.linalg.norm(solution.u - problem.y)),
-        u_norm=solution.solution_norm,
+        alpha=alpha,
+        residual=residual,
+        error_to_y=error_to_y,
+        u_norm=u_norm,
         y_norm=float(np.linalg.norm(problem.y)),
         wall_ms=wall,
     )
@@ -192,6 +180,11 @@ def run_sweep(name, n, deltas, seed, rule="discrepancy", C=1.5, params=None):
         raise InvalidParameterError("all noise levels must be positive")
     if not all(b < a for a, b in zip(deltas, deltas[1:])):
         raise InvalidParameterError("noise levels must be strictly decreasing")
+    if rule not in ("discrepancy", "apriori"):
+        raise InvalidParameterError(
+            f"unknown rule {rule!r}; expected 'discrepancy' or 'apriori'"
+        )
+    label = _f17(C) if rule == "discrepancy" else C_APRIORI
     problem = make_problem(name, n, **(params or {}))
     records = []
     for delta in deltas:
@@ -203,32 +196,11 @@ def run_sweep(name, n, deltas, seed, rule="discrepancy", C=1.5, params=None):
                 solution, _sel = regularized_solve_auto(
                     problem.decomp, noisy.f_delta, noisy.delta, cfg
                 )
-                label = _f17(C)
-            elif rule == "apriori":
+            else:
                 alpha = apriori_alpha_schedule(noisy.delta)
                 solution = solve_spectral(problem.decomp, noisy.f_delta, alpha)
-                label = C_APRIORI
-            else:
-                raise InvalidParameterError(
-                    f"unknown rule {rule!r}; expected 'discrepancy' or 'apriori'"
-                )
         except (DataTooNoisyError, NoRootBelowError, ConvergenceError):
-            label = _f17(C) if rule == "discrepancy" else C_APRIORI
-            records.append(
-                ExperimentRecord(
-                    problem=problem.name,
-                    n=problem.n,
-                    delta=noisy.delta,
-                    C=label,
-                    alpha=math.nan,
-                    residual=math.nan,
-                    error_to_y=math.nan,
-                    u_norm=math.nan,
-                    y_norm=float(np.linalg.norm(problem.y)),
-                    wall_ms=(time.perf_counter() - started) * 1e3,
-                )
-            )
-            continue
+            solution = None
         records.append(_finish(problem, solution, noisy.delta, label, started))
     return records
 

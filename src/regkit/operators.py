@@ -14,12 +14,17 @@ direct forms for dense, diagonal, gradient and Green's operators, and in
 the base class readouts of one Golub-Kahan space grown until it certifies
 alpha.  Its bases stay orthonormal to working precision, with
 Gram-Schmidt only where an O(1) bound on the loss of orthogonality asks
-for it (``_KrylovProjection._append``).  Each kind also owns its
+for it; one method, ``_KrylovProjection._append``, bounds, measures,
+orthogonalizes and stores every basis vector.  Each kind also owns its
 singular system (``_decompose``): a factored matrix up to
 ``MAX_DENSE_DIM``, sorted diagonal entries, the closed-form cosine and
 sine transforms of the gradient and Green's operators, or none.  Every
 other reader goes through it, including residual matching
 (``_project``), which uses a Golub-Kahan Krylov space when there is none.
+Each system sets its shape once, and the sorted entries and closed forms
+build dense vectors only when read.  A dense matrix or vector set of
+any kind is refused above ``MAX_DENSE_DIM`` before it is allocated
+(``_check_dense_dim``).
 
 Scalars are real throughout.  The singular system provides the spectral
 calculus used elsewhere: filter factors, projections onto the range and its
@@ -212,41 +217,6 @@ class _Projection:
         return True
 
 
-def _krylov_store(rows, count, vec, norm, op_norm):
-    """Store vec / norm as rows[count], growing rows; (rows, 0.0) at breakdown."""
-    if not math.isfinite(norm):
-        raise InvalidParameterError("operator output must be finite; it holds inf or nan")
-    if norm <= DEFAULT_RANK_TOLERANCE * op_norm or count == rows.shape[1]:
-        return rows, 0.0
-    if count == rows.shape[0]:
-        rows = np.concatenate([rows, np.empty_like(rows)])
-    rows[count] = vec / norm
-    return rows, norm
-
-
-def _krylov_append(rows, count, vec, op_norm, coefficients=None, before=None):
-    """Orthogonalize vec against rows[:count]; store it unless it vanishes.
-
-    One classical Gram-Schmidt pass, and a second only when the first
-    shrank vec below 1/sqrt(2) of its norm: the test of Daniel, Gragg,
-    Kaufman and Stewart (Math. Comp. 30, 1976).  A pass that keeps more
-    of the norm than that leaves vec orthogonal to the basis to a small
-    multiple of rounding, so the basis stays orthonormal to working
-    precision either way.  ``coefficients`` and ``before``, when given,
-    are rows[:count] @ vec and ||vec||, already formed.  Returns (rows,
-    norm) with the norm zeroed at breakdown.
-    """
-    basis = rows[:count]
-    if coefficients is None:
-        coefficients, before = basis @ vec, math.sqrt(vec @ vec)
-    vec = vec - coefficients @ basis
-    norm = math.sqrt(vec @ vec)
-    if norm < before * _DGKS_RATIO:
-        vec = vec - (basis @ vec) @ basis
-        norm = math.sqrt(vec @ vec)
-    return _krylov_store(rows, count, vec, norm, op_norm)
-
-
 class _DampedLSQR:
     """Damped LSQR's rotations of a stored bidiagonal.
 
@@ -342,21 +312,41 @@ class _KrylovProjection:
         limit the loss rarely measures under a tenth of it, so vec is
         orthogonalized at once; otherwise the loss max|h| / ||vec|| is
         measured, and vec is orthogonalized only if it passes a tenth of
-        the limit.  ``_krylov_append`` reuses h.  The next bound starts
-        from the measured loss, or from eps once vec is orthogonalized.
+        the limit.  The next bound starts from the measured loss, or from
+        eps once vec is orthogonalized.
+
+        Orthogonalizing is one classical Gram-Schmidt pass that reuses h,
+        and a second only when the first shrank vec below 1/sqrt(2) of its
+        norm: the test of Daniel, Gragg, Kaufman and Stewart (Math. Comp.
+        30, 1976).  A pass that keeps more of the norm than that leaves vec
+        orthogonal to the basis to a small multiple of rounding.  Rows grow
+        by doubling.  A norm at most ``DEFAULT_RANK_TOLERANCE`` times the
+        largest bidiagonal entry, or a basis already spanning its space,
+        is breakdown: nothing is stored and the norm is returned as 0.
         """
         norm = math.sqrt(vec @ vec)
         loss = (carried + _ROUNDING * self._norm) / norm if norm > 0.0 else 0.0
         if loss > _LOSS_LIMIT and count:
             self.products += 1
-            coefficients = rows[:count] @ vec
+            basis = rows[:count]
+            coefficients = basis @ vec
             if loss <= 10.0 * _LOSS_LIMIT:
                 loss = float(np.abs(coefficients).max()) / norm
             if loss > 0.1 * _LOSS_LIMIT:
                 self.subtractions += 1
-                rows, norm = _krylov_append(rows, count, vec, self._norm, coefficients, norm)
-                return rows, norm, _EPS
-        rows, norm = _krylov_store(rows, count, vec, norm, self._norm)
+                before, loss = norm, _EPS
+                vec = vec - coefficients @ basis
+                norm = math.sqrt(vec @ vec)
+                if norm < before * _DGKS_RATIO:
+                    vec = vec - (basis @ vec) @ basis
+                    norm = math.sqrt(vec @ vec)
+        if not math.isfinite(norm):
+            raise InvalidParameterError("operator output must be finite; it holds inf or nan")
+        if norm <= DEFAULT_RANK_TOLERANCE * self._norm or count == rows.shape[1]:
+            return rows, 0.0, loss
+        if count == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        rows[count] = vec / norm
         return rows, norm, loss
 
     def _orthogonal_step(self, vec, beta):
@@ -1004,7 +994,9 @@ class SpectralDecomposition:
     stores only the indices of its kept entries: its singular vectors are
     coordinate axes, so every product with them is a gather or a scatter.
     It takes O(n) memory and O(n) work per alpha selection, and builds
-    the dense (n, rank) vectors only when a caller reads them.
+    the dense (n, rank) vectors only when a caller reads them, up to
+    ``MAX_DENSE_DIM``.  Every decomposition sets its shape once, so
+    ``range_dim`` and ``domain_dim`` build no vectors either.
 
     Two decompositions are equal only if they are the same object, and the
     repr leaves the vectors out, so neither builds them.
@@ -1015,17 +1007,21 @@ class SpectralDecomposition:
     right_vectors: np.ndarray = field(repr=False)
     rank_tolerance: float
 
+    def __post_init__(self):
+        # Straight into the instance dict, past the frozen __setattr__.
+        vars(self)["_shape"] = (self.left_vectors.shape[0], self.right_vectors.shape[0])
+
     @property
     def rank(self):
         return self.singular_values.shape[0]
 
     @property
     def range_dim(self):
-        return self.left_vectors.shape[0]
+        return self._shape[0]
 
     @property
     def domain_dim(self):
-        return self.right_vectors.shape[0]
+        return self._shape[1]
 
     # Products with the singular factors: U c, U^T f, V c and V^T x.
     # ``_AxesDecomposition`` does them by gather and scatter.
@@ -1083,12 +1079,16 @@ class _AxesDecomposition(SpectralDecomposition):
     def __init__(self, singular_values, axes, dim, rank_tolerance):
         # Straight into the instance dict, past the frozen __setattr__.
         vars(self).update(
-            singular_values=singular_values, rank_tolerance=rank_tolerance, _axes=axes, _dim=dim
+            singular_values=singular_values,
+            rank_tolerance=rank_tolerance,
+            _axes=axes,
+            _shape=(dim, dim),
         )
 
     @functools.cached_property
     def left_vectors(self):
-        vectors = np.zeros((self._dim, self.rank))
+        _check_dense_dim(self.range_dim, self.rank, "dense singular vectors")
+        vectors = np.zeros((self.range_dim, self.rank))
         vectors[self._axes, np.arange(self.rank)] = 1.0
         vectors.setflags(write=False)
         return vectors
@@ -1097,17 +1097,11 @@ class _AxesDecomposition(SpectralDecomposition):
     def right_vectors(self):
         return self.left_vectors
 
-    @property
-    def range_dim(self):
-        return self._dim
-
-    domain_dim = range_dim
-
     def _gather(self, x):
         return x[self._axes]
 
     def _scatter(self, c):
-        out = np.zeros(self._dim)
+        out = np.zeros(self.range_dim)
         out[self._axes] = c
         return out
 
@@ -1115,7 +1109,8 @@ class _AxesDecomposition(SpectralDecomposition):
     _left = _right = _scatter
 
     def reconstruct(self):
-        out = np.zeros((self._dim, self._dim))
+        _check_dense_dim(*self._shape, "dense matrix")
+        out = np.zeros(self._shape)
         out[self._axes, self._axes] = self.singular_values
         return out
 
@@ -1162,14 +1157,6 @@ class _ReflectionDecomposition(SpectralDecomposition):
             _right_parts=tuple(right[c] for c in cols),
         )
 
-    @property
-    def range_dim(self):
-        return self._shape[0]
-
-    @property
-    def domain_dim(self):
-        return self._shape[1]
-
     def _analysis(self, parts, x):
         c = np.empty(self.rank)
         for (vectors, where), half in zip(parts, _fold(x)):
@@ -1215,11 +1202,14 @@ class _HalfSampleDecomposition(SpectralDecomposition):
     only when read.
     """
 
-    def __init__(self, n, s, rank_tolerance):
+    def __init__(self, shape, s, rank_tolerance):
         keep = _kept(s, rank_tolerance)
         # Straight into the instance dict, past the frozen __setattr__.
         vars(self).update(
-            singular_values=_readonly(s[keep]), rank_tolerance=rank_tolerance, _n=n
+            singular_values=_readonly(s[keep]),
+            rank_tolerance=rank_tolerance,
+            _shape=shape,
+            _n=shape[1],
         )
 
     @functools.cached_property
@@ -1266,15 +1256,7 @@ class _GradientDecomposition(_HalfSampleDecomposition):
 
     def __init__(self, n, rank_tolerance):
         s = 2.0 * n * np.sin(np.pi * np.arange(n - 1, 0, -1) / (2.0 * n))
-        super().__init__(n, s, rank_tolerance)
-
-    @property
-    def range_dim(self):
-        return self._n - 1
-
-    @property
-    def domain_dim(self):
-        return self._n
+        super().__init__((n - 1, n), s, rank_tolerance)
 
     def _vectors(self, wave, rows, period):
         j = np.arange(self._n - 1, self._n - 1 - self.rank, -1)
@@ -1332,13 +1314,7 @@ class _GreenDecomposition(_HalfSampleDecomposition):
 
     def __init__(self, n, rank_tolerance):
         s = 1.0 / (4.0 * n * n * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * n)) ** 2)
-        super().__init__(n, s, rank_tolerance)
-
-    @property
-    def range_dim(self):
-        return self._n
-
-    domain_dim = range_dim
+        super().__init__((n, n), s, rank_tolerance)
 
     @functools.cached_property
     def _scale(self):
@@ -1466,6 +1442,7 @@ def as_dense_matrix(op):
     if isinstance(op, (DenseOperator, GradientOperator, GreenOperator)):
         return np.array(op.matrix)
     if isinstance(op, DiagonalOperator):
+        _check_dense_dim(op.range_dim, op.domain_dim, "dense matrix")
         return np.diag(op.values)
     raise UnsupportedKindError(
         f"cannot materialize operator of kind {op.kind!r}"

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    SizeLimitError,
-    UnknownProblemError,
-)
+from .errors import InvalidParameterError, UnknownProblemError
 from .operators import (
     DenseOperator,
     DiagonalOperator,
@@ -31,8 +27,8 @@ from .operators import (
     GreenOperator,
     LinearOperator,
     DEFAULT_RANK_TOLERANCE,
-    MAX_DENSE_DIM,
     SpectralDecomposition,
+    _check_dense_dim,
     _readonly,
     svd_decompose,  # noqa: F401  (perfbench/spans.py wraps this binding)
     write_dense_text,
@@ -82,12 +78,6 @@ def _grid(n, a, b):
     return a + (np.arange(1, n + 1) - 0.5) * h, h
 
 
-def _check_dense(n):
-    """Refuse n above ``MAX_DENSE_DIM`` before a builder allocates an n x n matrix."""
-    if n > MAX_DENSE_DIM:
-        raise SizeLimitError(f"problem size {n} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
-
-
 def _build_diagonal(n, p=2.0):
     p = float(p)
     idx = np.arange(1, n + 1, dtype=float)
@@ -96,7 +86,7 @@ def _build_diagonal(n, p=2.0):
 
 
 def _build_hilbert(n):
-    _check_dense(n)
+    _check_dense_dim(n, n, "dense matrix")
     hilbert = 1.0 / (1.0 + np.add.outer(np.arange(n), np.arange(n)))
     return DenseOperator(hilbert), np.ones(n), {}
 
@@ -109,7 +99,7 @@ def _build_deriv2(n):
 
 
 def _build_phillips(n):
-    _check_dense(n)
+    _check_dense_dim(n, n, "dense matrix")
     # Classical first-kind convolution on [-6, 6]: the kernel, and the
     # solution profile, are 1 + cos(pi x / 3) supported on |x| < 3.
     t, h = _grid(n, -6.0, 6.0)

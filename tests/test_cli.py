@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,11 @@ from regkit import ConvergenceError, make_problem
 from regkit.cli import main
 from regkit.experiments import (
     CSV_HEADER,
+    ExperimentRecord,
     parse_records_csv,
+    record_to_json,
     records_to_csv,
+    records_to_json,
     run_choose_alpha,
     run_solve,
     run_sweep,
@@ -241,6 +245,15 @@ def test_verify_bounds_columns_line_up_past_six_digits(capsys, family):
     assert len(ends[0]) == 6
 
 
+def test_verify_bounds_p_on_other_family_exits_two(capsys):
+    code = main(["verify-bounds", "--family", "deriv2", "--ns", "16",
+                 "--alphas", "1", "--p", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--p applies only to the diagonal problem" in captured.err
+
+
 def test_verify_bounds_violation_exits_one(capsys, monkeypatch):
     from regkit.experiments import BoundsReport, BoundsRow
 
@@ -332,6 +345,55 @@ def test_csv_roundtrip_is_lossless():
                       "error_to_y", "u_norm", "y_norm"):
             a, b = getattr(before, field), getattr(after, field)
             assert a == b or a == pytest.approx(b, rel=0, abs=0)
+
+
+_GOLDEN_RECORDS = (
+    ExperimentRecord("deriv2", 32, math.nan, "1.5", -0.0, 5e-324,
+                     1.7976931348623157e308, 0.1, 1.0 / 3.0, 12.5),
+    ExperimentRecord("diagonal", 4097, 1e-13, "apriori", math.nan, math.nan,
+                     math.nan, math.nan, 2.0, 0.25),
+)
+
+_GOLDEN_JSON = (
+    """{
+  "problem": "deriv2",
+  "n": 32,
+  "delta": NaN,
+  "C": "1.5",
+  "alpha": -0.0,
+  "residual": 5e-324,
+  "error_to_y": 1.7976931348623157e+308,
+  "u_norm": 0.1,
+  "y_norm": 0.3333333333333333,
+  "wall_ms": 0.0
+}""",
+    """{
+  "problem": "diagonal",
+  "n": 4097,
+  "delta": 1e-13,
+  "C": "apriori",
+  "alpha": NaN,
+  "residual": NaN,
+  "error_to_y": NaN,
+  "u_norm": NaN,
+  "y_norm": 2.0,
+  "wall_ms": 0.0
+}""",
+)
+
+
+def test_record_serialization_is_byte_exact():
+    # nan, -0.0, the smallest subnormal and the largest double survive; wall
+    # time is written as 0 whatever was measured.
+    assert record_to_json(_GOLDEN_RECORDS[0]) == _GOLDEN_JSON[0] + "\n"
+    listed = ",\n  ".join(text.replace("\n", "\n  ") for text in _GOLDEN_JSON)
+    assert records_to_json(_GOLDEN_RECORDS) == "[\n  " + listed + "\n]\n"
+    assert records_to_csv(_GOLDEN_RECORDS) == (
+        CSV_HEADER + "\n"
+        "deriv2,32,nan,1.5,-0,4.9406564584124654e-324,1.7976931348623157e+308,"
+        "0.10000000000000001,0.33333333333333331,0\n"
+        "diagonal,4097,1e-13,apriori,nan,nan,nan,nan,2,0\n"
+    )
 
 
 def test_csv_header_contract():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from regkit import (
+    DenseOperator,
     GradientOperator,
     IterativeSolverConfig,
     MatrixFreeOperator,
@@ -24,7 +25,7 @@ from regkit import (
 )
 from regkit import discrepancy, operators
 from regkit.discrepancy import DiscrepancyConfig, _select
-from regkit.operators import _DampedLSQR, _KrylovProjection, _krylov_append
+from regkit.operators import _DampedLSQR, _KrylovProjection
 
 from conftest import gradient_callbacks, matrix_free_view, philox
 
@@ -109,9 +110,13 @@ def test_second_pass_restores_orthogonality_under_cancellation():
     e -= (q @ e) @ q
     e /= np.linalg.norm(e)
     vec = rng.standard_normal(count) @ q + 1e-6 * e
-    rows, norm = _krylov_append(rows, count, vec, 1.0)
+    # A space of R^1, exhausted at once, with no Gram-Schmidt of its own;
+    # a carried bound of 1.0 then forces the subtraction.
+    projection = _KrylovProjection(DenseOperator(np.eye(1)), np.ones(1), IterativeSolverConfig())
+    rows, norm, _ = projection._append(rows, count, vec, 1.0)
     assert norm == pytest.approx(1e-6, rel=1e-6)
     assert np.abs(q @ rows[count]).max() <= 1e-14
+    assert projection.subtractions == 1
 
 
 def test_lsqr_monitor_matches_projected_problem():

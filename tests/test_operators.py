@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from regkit import (
     DiagonalOperator,
     DimensionMismatchError,
     InvalidParameterError,
+    MAX_DENSE_DIM,
     MatrixFreeOperator,
     NotInRangeError,
     SizeLimitError,
@@ -250,6 +253,28 @@ def test_svd_size_cap():
     op = DenseOperator(np.zeros((4097, 1)))
     with pytest.raises(SizeLimitError):
         svd_decompose(op)
+
+
+def test_diagonal_dense_reads_above_the_cap_raise_without_allocating(tmp_path):
+    values = np.ones(MAX_DENSE_DIM + 1)
+    op = DiagonalOperator(values)
+    decomp = diagonal_decomposition(values)
+    tracemalloc.start()
+    try:
+        for read in (
+            lambda: decomp.left_vectors,
+            lambda: decomp.right_vectors,
+            decomp.reconstruct,
+            lambda: as_dense_matrix(op),
+            lambda: write_dense_text(op, tmp_path / "a.txt"),
+        ):
+            with pytest.raises(SizeLimitError):
+                read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not (tmp_path / "a.txt").exists()
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
