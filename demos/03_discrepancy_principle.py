@@ -40,8 +40,7 @@ print("root found:")
 print(f"  alpha(delta)      = {selection.alpha:.6e}")
 print(f"  achieved residual = {selection.achieved_residual:.10e}")
 print(f"  target            = {cfg.C * noisy.delta:.10e}")
-print(f"  root evaluations  = {selection.iterations} "
-      f"(+{selection.bracket_expansions} bracket expansions)")
+print(f"  root evaluations  = {selection.iterations}")
 print()
 half = discrepancy_value(prob.decomp, noisy.f_delta, selection.alpha / 2)
 twice = discrepancy_value(prob.decomp, noisy.f_delta, 2 * selection.alpha)

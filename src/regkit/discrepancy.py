@@ -12,11 +12,13 @@ Given ||f_delta|| > C * delta with C > 1, the equation g(alpha) =
 (C delta)^2 therefore has exactly one positive root.  The solver projects
 the data once onto a singular system of the operator (for matrix-free
 operators, a Golub-Kahan Krylov space grown until it certifies the
-root), brackets the root geometrically, and runs Newton's method on
-ln g against ln alpha, safeguarded by bisection in the bracket.
-Acceptance is judged on the achieved residual, since the downstream
-guarantees (in particular ||u|| <= ||y||) are stated through the
-residual value.
+root), and runs Newton's method on phi(beta) = (g(1/beta) - g(0+))^(-1/2)
+in beta = 1/alpha from beta = 0, alpha = infinity.  phi is concave and
+increasing, so the iterates climb to the root without crossing it, as in
+Reinsch's smoothing-spline iteration (Numer. Math. 10, 1967): no bracket
+is needed, and scaling A by s scales the root by s^2.  Acceptance
+is judged on the achieved residual, since the downstream guarantees (in
+particular ||u|| <= ||y||) are stated through the residual value.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ __all__ = [
     "regularized_solve_auto",
 ]
 
-_MAX_EXPANSIONS = 20  # per bracket side, factor-10 steps
-_TINY = 5e-324  # floor for ln g when g underflows to zero
-
 
 @dataclass(frozen=True)
 class DiscrepancyConfig:
@@ -54,22 +53,18 @@ class DiscrepancyConfig:
 
     ``C`` must exceed 1: the target residual C*delta has to sit strictly
     above the noise level for the root to exist and for the norm bound
-    ||u_delta|| <= ||y|| to follow.
+    ||u_delta|| <= ||y|| to follow.  A root is accepted once the achieved
+    residual matches C*delta to ``root_rel_tolerance``, and the search on
+    one projection makes at most ``max_root_iterations`` g evaluations.
     """
 
     C: float = 1.5
-    alpha_bracket: tuple[float, float] = (1e-14, 1e14)
     root_rel_tolerance: float = 1e-10
     max_root_iterations: int = 200
 
     def __post_init__(self):
         if not self.C > 1.0:
             raise InvalidParameterError(f"C must exceed 1, got {self.C}")
-        lo, hi = self.alpha_bracket
-        if not (0.0 < lo < hi):
-            raise InvalidParameterError(
-                f"alpha_bracket must be 0 < low < high, got {self.alpha_bracket}"
-            )
         if not 0.0 < self.root_rel_tolerance < 1.0:
             raise InvalidParameterError("root_rel_tolerance must lie in (0, 1)")
         if int(self.max_root_iterations) < 1:
@@ -78,7 +73,11 @@ class DiscrepancyConfig:
 
 @dataclass(frozen=True)
 class AlphaSelection:
-    """A root of the discrepancy equation with its certificate."""
+    """A root of the discrepancy equation with its certificate.
+
+    ``iterations`` counts the g evaluations of the last root search.
+    ``bracket_expansions`` is always 0: the search takes no bracket.
+    """
 
     alpha: float
     g_value: float
@@ -119,12 +118,13 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
     at the root is certified.  Every g(alpha) is then O(rank) arithmetic
     on the projected spectrum, or on a Krylov space of dimension k one
     O(k) sweep of Givens rotations over its bidiagonal.  The root is
-    found by Newton steps on ln g against ln alpha with the analytic
-    slope, bisecting whenever a step leaves the bracket.  g is evaluated
-    at the bracket's ends only when the iteration needs one; an end on
-    the wrong side of the target is widened by factors of 10 (at most 20
-    steps per side) and Newton restarts on the wider bracket.  Success
-    means the achieved residual matches C*delta to ``root_rel_tolerance``.
+    found by Newton steps on phi(beta) = (g(1/beta) - g(0+))^(-1/2) in
+    beta = 1/alpha with the analytic slope, the first from beta = 0 in
+    closed form.  phi is concave and increasing, so every iterate before
+    the root lies above it in alpha and g stays above the target (see
+    ``_root``); the search needs no bracket, and scaling A by s scales the
+    root by s^2.  Success means the achieved residual matches C*delta to
+    ``root_rel_tolerance``.
 
     Raises
     ------
@@ -132,10 +132,10 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
         If ``||f_delta|| <= C * delta``: then g(inf) = ||f_delta||^2 never
         reaches the target and the equation has no root.
     NoRootBelowError
-        If g stays above the target as alpha -> 0, i.e. the data component
-        outside the range already exceeds C*delta; this signals an
-        understated noise level, since that component is at most delta
-        for admissible noise.
+        If g(0+) reaches the target, i.e. the data component outside the
+        range is at least C*delta; this signals an understated noise
+        level, since that component is at most delta for admissible noise.
+        It is decided before any g is evaluated.
     ConvergenceError
         If the root search or the Krylov space exhausts its budget.
     """
@@ -175,129 +175,65 @@ def _select(system, f_delta, delta, cfg, solver_cfg):
 def _root(projection, threshold, cfg, start=None):
     """The root on one projection, or None if it needs a longer one.
 
-    A projection that is not ``exhausted`` may see no root below or a
-    saturating g only because it resolves too little of the spectrum.
-    Since g increases from g(0+), a ``floor`` g(0+) at or above the target
-    rules out a root before any g is evaluated.
-    Newton starts at ``start``, the root on a shorter projection, when
-    the bracket holds it, and at the bracket's log midpoint otherwise.
-    It assumes the bracket straddles the root, and ``_newton`` checks an
-    end only when the iteration needs it.  An end on the wrong side of
-    the target is widened by factors of 10, at most ``_MAX_EXPANSIONS``
-    times, and Newton restarts on the wider bracket: the iterates of a
-    search that evaluated both ends first and widened them at once.
+    With beta = 1/alpha and G(beta) = g(1/beta) - g(0+), the function
+    phi(beta) = G(beta)^(-1/2) is increasing and concave: it is
+    beta / ||p(1/beta)||, the perspective of 1/||p||, which is concave for
+    p(lambda) = sum_i c_i u_i / (lambda + sigma_i^2) (More & Sorensen,
+    SIAM J. Sci. Stat. Comput. 4, 1983).  Newton's tangent lies above a
+    concave phi, so from a point left of the root, where phi is below
+    (target - g(0+))^(-1/2), it lands left of the root again: the iterates
+    climb to it monotonically, as in Reinsch's smoothing-spline iteration
+    (Numer. Math. 10, 1967).  The first step is taken from beta = 0,
+    alpha = infinity, in closed form, since phi(0) and phi'(0) need only
+    the projection's ``moments``.  So the search needs no bracket, and
+    scaling A by s scales every iterate by s^2.
+
+    ``start``, the root on a shorter projection, is tried first.  A Newton
+    step from right of the root that lands at beta <= 0 restarts from the
+    beta = 0 step.  g(0+) at or above the target rules out a root before
+    any g is evaluated; a projection that is not ``exhausted`` may only be
+    too short to resolve the range.
     """
     target = threshold**2
-    if not projection.exhausted and projection.floor() >= target:
-        return None
-    lo, hi = (float(v) for v in cfg.alpha_bracket)
-    checked = set()  # the ends known to lie on their side of the root
-    lo_expansions = hi_expansions = 0
-    while True:
-        expansions = lo_expansions + hi_expansions
-        found = _newton(projection, threshold, cfg, lo, hi, start, checked, expansions)
-        if isinstance(found, AlphaSelection):
-            return found
-        end, g_end = found
-        if end == "lo":
-            while g_end >= target and lo_expansions < _MAX_EXPANSIONS:
-                lo /= 10.0
-                g_end = projection.discrepancy(lo)[0]
-                lo_expansions += 1
-            if g_end >= target:
-                if not projection.exhausted:
-                    return None
-                raise NoRootBelowError(
-                    f"discrepancy value {g_end:.6g} at alpha = {lo:.3g} already exceeds "
-                    f"the target (C*delta)^2 = {target:.6g}; the data component outside "
-                    "the operator range is larger than the stated noise level allows",
-                    g_at_zero=g_end,
-                )
-        else:
-            while g_end <= target and hi_expansions < _MAX_EXPANSIONS:
-                hi *= 10.0
-                g_end = projection.discrepancy(hi)[0]
-                hi_expansions += 1
-            if g_end <= target:
-                if not projection.exhausted:
-                    return None
-                raise ConvergenceError(
-                    f"discrepancy value saturates at {g_end:.6g} below the target "
-                    f"{target:.6g} even at alpha = {hi:.3g}",
-                    g_at_infinity=g_end,
-                )
-        checked.add(end)
-
-
-def _newton(projection, threshold, cfg, lo, hi, start, checked, expansions):
-    """Newton on [lo, hi]: the ``AlphaSelection``, or (end, g) for an end that misses the root.
-
-    Newton runs on h(t) = ln g(e^t) - ln target, t = ln alpha, which is
-    increasing, and bisects whenever a step leaves [t_lo, t_hi].  Any
-    evaluated point replaces the end on its side, and an end not in
-    ``checked`` is taken to straddle the root until the iteration needs
-    it: on its second bisection toward that end, or when the bracket
-    collapses or the iteration budget is spent before a root is found.
-    Only then is g evaluated there; an end on its side joins ``checked``.
-    While the root lies inside the bracket the iterates do not depend on
-    g at its ends.
-    """
-    target = threshold**2
-    ends = {"lo": lo, "hi": hi}
-
-    def misses(end):
-        g_end = projection.discrepancy(ends[end])[0]
-        if (g_end >= target) if end == "lo" else (g_end <= target):
-            return end, g_end
-        checked.add(end)
-        return None
-
-    t_lo, t_hi = math.log(lo), math.log(hi)
-    t = math.log(start) if start is not None and lo < start < hi else 0.5 * (t_lo + t_hi)
-    bisections = {"lo": 0, "hi": 0}
-    iterations = 0
-    while iterations < cfg.max_root_iterations:
-        alpha_at = math.exp(t)
-        g_at, slope = projection.discrepancy(alpha_at)
-        iterations += 1
-        residual = math.sqrt(g_at)
+    floor = projection.outside_sq
+    if floor >= target:
+        if not projection.exhausted:
+            return None
+        raise NoRootBelowError(
+            f"discrepancy value {floor:.6g} as alpha -> 0 already reaches the target "
+            f"(C*delta)^2 = {target:.6g}; the data component outside the operator "
+            "range is larger than the stated noise level allows",
+            g_at_zero=floor,
+        )
+    span = target - floor  # G at the root
+    inside_sq, gradient_sq = projection.moments()  # G(0) and ||A^T f||^2
+    # The excess is positive unless ||f|| meets C*delta to rounding.
+    excess = max(math.sqrt(inside_sq / span) - 1.0, math.ulp(1.0))
+    first = gradient_sq / (inside_sq * excess)
+    alpha = first if start is None else start
+    for iterations in range(1, cfg.max_root_iterations + 1):
+        g, slope = projection.discrepancy(alpha)
+        residual = math.sqrt(g)
         if abs(residual - threshold) <= cfg.root_rel_tolerance * threshold:
             return AlphaSelection(
-                alpha=alpha_at,
-                g_value=g_at,
+                alpha=alpha,
+                g_value=g,
                 achieved_residual=residual,
-                bracket_expansions=expansions,
+                bracket_expansions=0,
                 iterations=iterations,
             )
-        gap = math.log(max(g_at, _TINY) / target)
-        if gap < 0:
-            t_lo, passed, toward = t, "lo", "hi"
-        else:
-            t_hi, passed, toward = t, "hi", "lo"
-        checked.add(passed)
-        step = t - gap * g_at / slope if slope > 0 else math.nan
-        if t_lo < step < t_hi:
-            t = step
-            continue
-        bisections[toward] += 1
-        if bisections[toward] >= 2 and toward not in checked:
-            missed = misses(toward)
-            if missed:
-                return missed
-        t = 0.5 * (t_lo + t_hi)
-        if not t_lo < t < t_hi:
-            break
-    for end in ends:
-        if end not in checked:
-            missed = misses(end)
-            if missed:
-                return missed
+        # The Newton step on phi is beta -> beta * scale, with
+        # dG/d(beta) = -alpha * slope.
+        above = g - floor
+        scale = 0.0
+        if above > 0.0 and slope > 0.0:
+            scale = 1.0 + 2.0 * above * (math.sqrt(above / span) - 1.0) / slope
+        last, alpha = alpha, (alpha / scale if scale > 0.0 else first)
     raise ConvergenceError(
-        "discrepancy root search exhausted its budget "
-        f"({iterations} evaluations, bracket [{math.exp(t_lo):.6g}, {math.exp(t_hi):.6g}])",
+        f"discrepancy root search exhausted its budget ({iterations} evaluations)",
         iterations=iterations,
-        last_alpha=alpha_at,
-        achieved_residual=math.sqrt(g_at),
+        last_alpha=last,
+        achieved_residual=residual,
     )
 
 

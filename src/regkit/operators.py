@@ -188,7 +188,7 @@ class _Projection:
     at O(rank) per alpha, and u_alpha = sum_i (1 - w_i) c_i / sigma_i v_i,
     which ``lift`` assembles from its coordinates against the v_i.  A
     full singular system is exact: it is ``exhausted`` and certifies
-    every alpha.
+    every alpha.  ``outside_sq`` is g(0+).
     """
 
     exhausted = True
@@ -204,6 +204,11 @@ class _Projection:
         damped_sq = (w * self.coeff) ** 2
         slope = 2.0 * float(damped_sq @ (1.0 - w))
         return float(damped_sq.sum()) + self.outside_sq, slope
+
+    def moments(self):
+        """||f||^2 - g(0+) = sum_i c_i^2 and ||A^T f||^2 = sum_i sigma_i^2 c_i^2."""
+        scaled = self.sigma * self.coeff
+        return float(self.coeff @ self.coeff), float(scaled @ scaled)
 
     def _coordinates(self, alpha):
         return self.sigma / (self.sigma**2 + alpha) * self.coeff
@@ -389,13 +394,15 @@ class _KrylovProjection:
         """Fix the projected problem at the current k.
 
         B_k is alpha_1..alpha_k on the diagonal and beta_2..beta_{k+1}
-        below it; alpha_{k+1} and the basis V_k that lifts y are kept with
-        it.  Each alpha then costs one ``_sweep``.
+        below it; alpha_{k+1}, the basis V_k that lifts y and g(0+), as
+        ``outside_sq``, are kept with it.  Each alpha then costs one
+        ``_sweep``.
         """
         k = self._size = self.steps
         self._alpha_next = self._alpha[k]
         self._basis = self._v[:k]
         self._swept = None
+        self.outside_sq = self.floor()
 
     def _sweep(self, alpha):
         """(alpha, y, g, slope, s_{k+1}) at alpha; the last sweep is kept.
@@ -470,14 +477,23 @@ class _KrylovProjection:
         """Whether ||x_k - u_alpha|| <= ``rel_tolerance`` ||x_k||: always once exhausted."""
         return self.exhausted or self._error_bound(alpha) <= self._rel_tolerance
 
+    def moments(self):
+        """||f||^2 - g(0+) and ||A^T f||^2 = ||B_k^T beta_1 e_1||^2 = (alpha_1 beta_1)^2."""
+        beta_sq = self._beta[0] ** 2
+        return beta_sq - self.outside_sq, beta_sq * self._alpha[0] ** 2
+
     def floor(self):
         """g(0+) = beta_1^2 / ||z||^2, with z the null vector of B_k^T.
 
         z_1 = 1 and z_{j+1} = -(alpha_j / beta_{j+1}) z_j; the ratios are
-        summed in logs, since |z_j| can overflow.  Needs every alpha_j and
-        beta_{j+1} nonzero, which holds until the space is exhausted.
+        summed in logs, since |z_j| can overflow.  Every alpha_j, j <= k,
+        is nonzero, and so is every beta_{j+1} but on a space exhausted by
+        beta_{k+1} = 0: there B_k is square with a nonzero diagonal, f lies
+        in its range, and g(0+) = 0.
         """
         k = self.steps
+        if self._beta[k] == 0.0:
+            return 0.0
         log_z, logs = 0.0, [0.0]
         for alpha, beta in zip(self._alpha[:k], self._beta[1 : k + 1]):
             log_z += math.log(alpha) - math.log(beta)

@@ -126,6 +126,17 @@ def test_choose_alpha_data_too_noisy_exit_three(capsys):
     assert "C*delta" in err
 
 
+def test_choose_alpha_tiny_noise_on_a_small_operator(capsys):
+    # The root lies near 1e-39.  The data lie in the kept range of
+    # diag(i^-20), so there is one, however small.
+    code = main(["choose-alpha", "--problem", "diagonal", "--n", "64", "--p", "20",
+                 "--delta", "1e-30"])
+    assert code == 0
+    record, err = _json_out(capsys)
+    assert "residual=1.5e-30" in err
+    assert abs(record["residual"] - 1.5e-30) <= 1e-10 * 1.5e-30
+
+
 def test_choose_alpha_deterministic(capsys):
     argv = ["choose-alpha", "--problem", "phillips", "--n", "16",
             "--delta", "1e-2", "--seed", "5"]

@@ -6,6 +6,7 @@ from regkit import (
     ConvergenceError,
     DataTooNoisyError,
     DenseOperator,
+    DiagonalOperator,
     DiscrepancyConfig,
     InvalidParameterError,
     IterativeSolverConfig,
@@ -153,6 +154,16 @@ def test_data_too_noisy_rejected():
     assert "C*delta" in str(err.value)
 
 
+def test_data_norm_one_ulp_above_the_target():
+    # ||f|| = 3 and C*delta = 3 - 4.4e-16: ||f||^2 - g(0+) meets the target
+    # to rounding, which leaves the first step from alpha = infinity no
+    # room.  It goes far out instead, where g meets ||f||^2 to rounding.
+    delta = np.nextafter(2.0, 0.0)
+    selection = solve_alpha(diagonal_decomposition([1.0, 0.5, 0.25]), [1.0, 2.0, 2.0], delta)
+    assert selection.iterations == 1
+    assert abs(selection.achieved_residual - 1.5 * delta) <= 1e-10 * 1.5 * delta
+
+
 def test_pure_null_data_has_no_root_below():
     # ||f|| > C*delta but g is constant at ||f||^2 > (C*delta)^2.
     decomp = svd_decompose(DenseOperator(np.diag([1.0, 0.0])))
@@ -175,9 +186,11 @@ def test_exact_data_rejected():
 
 
 def test_root_budget_exhaustion():
+    # Two singular values: the first step, exact for one, misses the root.
     cfg = DiscrepancyConfig(root_rel_tolerance=1e-14, max_root_iterations=1)
-    with pytest.raises(ConvergenceError):
-        solve_alpha(SCALAR, [1.0], 0.123 / 1.5, cfg)
+    with pytest.raises(ConvergenceError) as err:
+        solve_alpha(diagonal_decomposition([1.0, 0.1]), [1.0, 1.0], 0.123 / 1.5, cfg)
+    assert err.value.iterations == 1
 
 
 @pytest.mark.parametrize("kind", ["spectral", "dense", "matrix_free"])
@@ -199,8 +212,6 @@ def test_non_finite_data_rejected(kind):
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         DiscrepancyConfig(C=1.0)
-    with pytest.raises(InvalidParameterError):
-        DiscrepancyConfig(alpha_bracket=(1.0, 0.5))
     with pytest.raises(InvalidParameterError):
         DiscrepancyConfig(root_rel_tolerance=0.0)
 
@@ -315,44 +326,85 @@ def test_bracket_ends_are_not_evaluated_around_an_inside_root(route, monkeypatch
     alphas = _evaluated_alphas(monkeypatch, projection_class)
     selection = solve_alpha(system, fd, delta)
     assert selection.bracket_expansions == 0
-    assert not set(DiscrepancyConfig().alpha_bracket) & set(alphas)
     if route == "spectral":
         assert len(alphas) == selection.iterations
 
 
-def test_root_below_the_bracket_still_widens_it(monkeypatch):
-    # The root lies near 1e-19: g is evaluated at the low end once the
-    # iteration heads there a second time, and the bracket is widened five
-    # times.  Newton
-    # then restarts on the wider bracket, so it ends where a search started
-    # on that bracket ends, which is where widening before Newton ended.
+def _root_near_1e_19():
+    """A diagonal whose root lies near 1e-19: (values, f_delta, delta)."""
     values = 1e-5 * np.geomspace(1.0, 1e-3, 40)
     rng = philox(4)
     f = values * rng.standard_normal(40)
     delta = 1e-6 * np.linalg.norm(f)
-    fd = f + 0.5 * delta * rng.standard_normal(40) / np.sqrt(40)
+    return values, f + 0.5 * delta * rng.standard_normal(40) / np.sqrt(40), delta
+
+
+@pytest.mark.parametrize(
+    "case, start",
+    [
+        # Newton on phi from alpha = 1e-4, right of the root near 2.1, steps
+        # to beta = -1645 / 1e-4.
+        (([0.65, 0.06, 2e-4], np.array([-0.17, -0.004, -0.05]), 0.1), 1e-4),
+        # g and its slope underflow to 0 at the start.
+        (_root_near_1e_19(), 1e-300),
+    ],
+    ids=["negative_beta", "underflow"],
+)
+def test_start_right_of_the_root_restarts_from_alpha_infinity(case, start, monkeypatch):
+    # The search goes on from the closed-form first step, as one without a
+    # start does, and ends at the same root.
+    values, fd, delta = case
+    projection = diagonal_decomposition(values)._project(fd)
+    alphas = _evaluated_alphas(monkeypatch, _Projection)
+    cold = _root(projection, 1.5 * delta, DiscrepancyConfig())
+    assert len(alphas) == cold.iterations
+    first = alphas[0]
+    alphas.clear()
+    warm = _root(projection, 1.5 * delta, DiscrepancyConfig(), start=start)
+    assert alphas[:2] == [start, first]
+    assert warm.iterations == cold.iterations + 1
+    assert warm.alpha == cold.alpha
+
+
+def test_root_near_1e_19_needs_no_bracket(monkeypatch):
+    values, fd, delta = _root_near_1e_19()
     alphas = _evaluated_alphas(monkeypatch, _Projection)
     selection = solve_alpha(diagonal_decomposition(values), fd, delta)
-    assert selection.bracket_expansions == 5
-    low, high = DiscrepancyConfig().alpha_bracket
-    assert low in alphas and high not in alphas
-    # Two evaluations before the low end is needed, and the end itself.
-    assert len(alphas) == 3 + selection.bracket_expansions + selection.iterations
-    for _ in range(selection.bracket_expansions):
-        low /= 10.0
-    widened = solve_alpha(
-        diagonal_decomposition(values), fd, delta, DiscrepancyConfig(alpha_bracket=(low, high))
-    )
-    assert widened.bracket_expansions == 0
-    assert (widened.alpha, widened.iterations) == (selection.alpha, selection.iterations)
+    assert 1e-20 < selection.alpha < 1e-18
+    assert len(alphas) == selection.iterations <= 12
     assert abs(selection.achieved_residual - 1.5 * delta) <= 1e-10 * 1.5 * delta
-    # A root search from a start below the default bracket restarts there too.
-    projection = diagonal_decomposition(values)._project(fd)
-    from_start = [
-        _root(projection, 1.5 * delta, config, start=3e-19).alpha
-        for config in (DiscrepancyConfig(), DiscrepancyConfig(alpha_bracket=(low, high)))
-    ]
-    assert from_start[0] == from_start[1]
+
+
+_SCALES = (1e-18, 1e-16, 1.0, 1e18, 1e22)
+
+
+def _scaled(kind, scale):
+    """s diag(1, 1/2, 1/4, 1/8) as a dense, a diagonal or a matrix-free operator."""
+    values = scale * np.array([1.0, 0.5, 0.25, 0.125])
+    if kind == "diagonal":
+        return DiagonalOperator(values)
+    dense = DenseOperator(np.diag(values))
+    return dense if kind == "dense" else matrix_free_view(dense)
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "matrix_free"])
+@pytest.mark.parametrize("scale", _SCALES)
+def test_selection_is_invariant_to_the_scale_of_the_operator(kind, scale):
+    # The data f_delta and delta stay fixed while A becomes s A.  Then
+    # g_{sA}(s^2 alpha) = g_A(alpha), so the root moves to s^2 alpha and the
+    # solution to u / s, on full-rank operators however small or large.
+    values = np.array([1.0, 0.5, 0.25, 0.125])
+    f = values * np.ones(4)
+    delta = 1e-3 * np.linalg.norm(f)
+    noise = philox(17).standard_normal(4)
+    fd = f + delta * noise / np.linalg.norm(noise)
+    cfg = DiscrepancyConfig()
+    reference, unit = regularized_solve_auto(_scaled(kind, 1.0), fd, delta, cfg)
+    solution, selection = regularized_solve_auto(_scaled(kind, scale), fd, delta, cfg)
+    target = cfg.C * delta
+    assert abs(selection.achieved_residual - target) <= cfg.root_rel_tolerance * target
+    assert selection.alpha == pytest.approx(scale**2 * unit.alpha, rel=cfg.root_rel_tolerance)
+    assert np.linalg.norm(scale * solution.u - reference.u) <= 1e-8 * np.linalg.norm(reference.u)
 
 
 def test_krylov_budget_exhaustion():

@@ -3,8 +3,8 @@
 Reorthogonalization on demand and by the DGKS test, the damped-LSQR
 monitor that sizes the Krylov space, the doubling that remains for the
 cases the monitor cannot size, the per-alpha Givens sweep that replaces a
-factorization of B_k, and the null-vector floor that skips root searches
-on spaces without a root.
+factorization of B_k, and the null-vector floor g(0+) that skips root
+searches on spaces without a root.
 """
 
 import math
@@ -22,6 +22,7 @@ from regkit import (
     add_noise,
     make_problem,
     solve_spectral,
+    svd_decompose,
 )
 from regkit import discrepancy, operators
 from regkit.discrepancy import DiscrepancyConfig, _select
@@ -328,6 +329,45 @@ def test_floor_is_the_null_vector_share_of_the_data():
     b[np.arange(1, k + 1), np.arange(k)] = projection._beta[1 : k + 1]
     null = np.linalg.svd(b)[0][:, k]  # the left singular vector B_k^T annihilates
     assert projection.floor() == pytest.approx((projection._beta[0] * null[0]) ** 2, rel=1e-12)
+
+
+def test_moments_match_the_singular_system():
+    # A tall matrix exhausts the space at k = 3 by alpha_4 = 0, and the
+    # projected problem is then exact: g(0+), ||f||^2 - g(0+) and ||A^T f||^2
+    # are the singular system's.
+    dense = DenseOperator(philox(9).standard_normal((6, 3)))
+    f = philox(10).standard_normal(6)
+    krylov = _KrylovProjection(matrix_free_view(dense), f, IterativeSolverConfig())
+    spectral = svd_decompose(dense)._project(f)
+    assert krylov.exhausted and krylov.steps == 3
+    assert krylov.outside_sq == pytest.approx(spectral.outside_sq, rel=1e-12)
+    np.testing.assert_allclose(krylov.moments(), spectral.moments(), rtol=1e-12)
+
+
+def test_floor_is_zero_on_a_space_exhausted_by_beta(factor_sizes, monkeypatch):
+    # The gradient's rows span R^(n-1), so beta_n = 0 ends its space at
+    # k = n - 1 with f in the range of a square B_k.  g(0+) is read once per
+    # factorization of B_k, including that last one.
+    reads = []
+    floor = _KrylovProjection.floor
+
+    def counted(self):
+        reads.append(self.steps)
+        return floor(self)
+
+    monkeypatch.setattr(_KrylovProjection, "floor", counted)
+    n = 16
+    f = philox(5).standard_normal(n - 1)
+    projection = _KrylovProjection(gradient_callbacks(n), f, IterativeSolverConfig())
+    projection._grow(n)
+    assert projection.exhausted and projection.steps == n - 1
+    assert projection._beta[n - 1] == 0.0
+    assert projection.outside_sq == 0.0
+    assert reads == factor_sizes == [8, n - 1]
+    # Residual matching certifies its root only there, where g(0+) = 0.
+    selection, projection = _select(gradient_callbacks(n), f, 1e-3, DiscrepancyConfig(C=C), None)
+    assert projection.exhausted and reads[-1] == n - 1
+    assert abs(selection.achieved_residual - C * 1e-3) <= 1e-10 * C * 1e-3
 
 
 def test_sweep_residual_does_not_cancel():

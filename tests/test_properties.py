@@ -6,17 +6,23 @@ residual certificate |A u - f_delta| = C delta and the norm bound
 ||u|| <= ||y||, and the three kinds must return the same u.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from regkit import (
     DenseOperator,
     DiagonalOperator,
+    NoRootBelowError,
     diagonal_decomposition,
     regularized_solve_auto,
     solution_operator_norm,
     svd_decompose,
+    solve_alpha,
 )
+from regkit.operators import _Projection
 
 from conftest import matrix_free_view, philox
 
@@ -195,3 +201,52 @@ def test_diagonal_solution_map_norm_agrees_across_kinds(case):
         want = solution_operator_norm(DiagonalOperator(values), alpha)
         got = solution_operator_norm(DenseOperator(case[0]), alpha)
         assert abs(got - want) <= 1e-12 * want
+
+
+
+def _evaluations(decomp, f_delta, delta):
+    """solve_alpha's selection and every g it evaluated, in order."""
+    evaluated = []
+    discrepancy_at = _Projection.discrepancy
+
+    def counted(self, alpha):
+        g = discrepancy_at(self, alpha)
+        evaluated.append(g[0])
+        return g
+
+    with mock.patch.object(_Projection, "discrepancy", counted):
+        return solve_alpha(decomp, f_delta, delta), evaluated
+
+
+# phi(beta) = (g(1/beta) - g(0+))^(-1/2) is concave and increasing in
+# beta = 1/alpha, so Newton on it from beta = 0 climbs to the root without
+# crossing it: every g before the accepted one lies above the target.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(noisy_diagonals(decades=14.0))
+def test_diagonal_root_search_climbs_to_the_root(case):
+    matrix, _, f_delta, delta = case
+    selection, evaluated = _evaluations(diagonal_decomposition(np.diag(matrix)), f_delta, delta)
+    assert len(evaluated) == selection.iterations <= 12
+    assert all(g > (C * delta) ** 2 for g in evaluated[:-1])
+
+
+# A stated noise level up to a thousandfold too small puts the data outside
+# the kept entries above C delta on about half the draws.  g(0+) decides
+# that before any g is evaluated; otherwise the climb is as above, though a
+# root on a plateau of g near the smallest entries can take more steps.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(noisy_diagonals(decades=14.0), st.floats(-3.0, 0.0))
+def test_diagonal_no_root_below_exactly_when_g_at_zero_reaches_the_target(case, understate):
+    matrix, _, f_delta, delta = case
+    delta *= 10.0**understate
+    decomp = diagonal_decomposition(np.diag(matrix))
+    target = (C * delta) ** 2
+    outside = f_delta - decomp.project_range(f_delta)
+    if outside @ outside >= target:
+        unevaluated = mock.patch.object(_Projection, "discrepancy", side_effect=AssertionError)
+        with unevaluated, pytest.raises(NoRootBelowError):
+            solve_alpha(decomp, f_delta, delta)
+        return
+    selection, evaluated = _evaluations(decomp, f_delta, delta)
+    assert len(evaluated) == selection.iterations
+    assert all(g > target for g in evaluated[:-1])
