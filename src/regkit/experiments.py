@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,6 @@ __all__ = [
     "bounds_table",
 ]
 
-CSV_HEADER = "problem,n,delta,C,alpha,residual,error_to_y,u_norm,y_norm,wall_ms"
-
 #: Marker in the C column for fixed-alpha solves.
 C_FIXED = "fixed"
 #: Marker in the C column for the a-priori schedule alpha = delta.
@@ -70,6 +69,12 @@ class ExperimentRecord:
     u_norm: float
     y_norm: float
     wall_ms: float
+
+
+_TYPES = typing.get_type_hints(ExperimentRecord)
+#: Field name -> the type that parses its CSV text, in schema order.
+_PARSERS = {f.name: _TYPES[f.name] for f in dataclasses.fields(ExperimentRecord)}
+CSV_HEADER = ",".join(_PARSERS)
 
 
 def _f17(value):
@@ -99,22 +104,9 @@ def parse_records_csv(text):
     records = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 10:
+        if len(parts) != len(_PARSERS):
             raise InvalidParameterError(f"malformed CSV row: {ln!r}")
-        records.append(
-            ExperimentRecord(
-                problem=parts[0],
-                n=int(parts[1]),
-                delta=float(parts[2]),
-                C=parts[3],
-                alpha=float(parts[4]),
-                residual=float(parts[5]),
-                error_to_y=float(parts[6]),
-                u_norm=float(parts[7]),
-                y_norm=float(parts[8]),
-                wall_ms=float(parts[9]),
-            )
-        )
+        records.append(ExperimentRecord(*(parse(v) for parse, v in zip(_PARSERS.values(), parts))))
     return records
 
 

@@ -9,22 +9,26 @@ after construction and every operation here is a pure function, so
 concurrent use needs no locking; matrix-free callbacks must themselves be
 re-entrant.
 
-Each kind owns the Tikhonov kernels that the routes in ``tikhonov`` call:
-direct forms for dense, diagonal, gradient and Green's operators, and in
-the base class readouts of one Golub-Kahan space grown until it certifies
-alpha.  Its bases stay orthonormal to working precision, with
-Gram-Schmidt only where an O(1) bound on the loss of orthogonality asks
-for it; one method, ``_KrylovProjection._append``, bounds, measures,
-orthogonalizes and stores every basis vector.  Each kind also owns its
-singular system (``_decompose``): a factored matrix up to
-``MAX_DENSE_DIM``, sorted diagonal entries, the closed-form cosine and
+Each kind owns its singular system (``_decompose``): a factored matrix up
+to ``MAX_DENSE_DIM``, sorted diagonal entries, the closed-form cosine and
 sine transforms of the gradient and Green's operators, or none.  Every
-other reader goes through it, including residual matching
-(``_project``), which uses a Golub-Kahan Krylov space when there is none.
-Each system sets its shape once, and the sorted entries and closed forms
-build dense vectors only when read.  A dense matrix or vector set of
-any kind is refused above ``MAX_DENSE_DIM`` before it is allocated
-(``_check_dense_dim``).
+reader goes through it.  ``svd_decompose``, ``diagonal_decomposition``
+and ``make_problem`` truncate it at a rank tolerance, for minimal-norm
+solutions at alpha = 0.  Each operator also keeps it untruncated, built
+once, as ``_system``: Theorem 1 bounds every filter factor by
+1 / (2 sqrt(alpha)), so no sigma > 0 is dropped for a Tikhonov solve.
+The Tikhonov kernels that the routes in ``tikhonov`` call live in the
+base class, and so does residual matching (``_project``).  Each reads
+``_system``, or, when there is none, one Golub-Kahan space grown until
+it certifies alpha.  Only dense operators override the kernels, with QR
+forms, so that the routes stay independent checks of each other.  The
+Krylov bases stay orthonormal to working precision, with Gram-Schmidt
+only where an O(1) bound on the loss of orthogonality asks for it; one
+method, ``_KrylovProjection._append``, bounds, measures, orthogonalizes
+and stores every basis vector.  Each system sets its shape once, and
+the sorted entries and closed forms build dense vectors only when read.
+A dense matrix or vector set of any kind is refused above
+``MAX_DENSE_DIM`` before it is allocated (``_check_dense_dim``).
 
 Scalars are real throughout.  The singular system provides the spectral
 calculus used elsewhere: filter factors, projections onto the range and its
@@ -575,11 +579,21 @@ class LinearOperator:
     # (vector, iterations), with zero iterations for direct forms.
 
     def _solve_normal(self, a, b, cfg):
-        """x with (A^T A + a I) x = b: damped LSQR on [A; c I] x ~ [0; b / c].
+        """x with (A^T A + a I) x = b, filtered through ``_system``.
 
-        c^2 = a / 2 and damping a / 2 add up to a, and keep the stacked
-        matrix's smallest singular value at least sqrt(a / 2).
+        The part of b outside the right vectors lies in the null space,
+        which the shifted normal map scales by a.  Without a system, damped
+        LSQR on [A; c I] x ~ [0; b / c]: c^2 = a / 2 and damping a / 2 add
+        up to a, and keep the stacked matrix's smallest singular value at
+        least sqrt(a / 2).
         """
+        d = self._system
+        if d is not None:
+            coeff = d._right_t(b)
+            x = d._right(coeff / (d.singular_values**2 + a))
+            if d.rank < self.domain_dim:
+                x = x + (b - d._right(coeff)) / a
+            return x, 0
         m, n, c = self.range_dim, self.domain_dim, math.sqrt(a / 2.0)
         stacked = MatrixFreeOperator(
             m + n, n,
@@ -589,24 +603,31 @@ class LinearOperator:
         return stacked._solve_primal(a / 2.0, np.concatenate([np.zeros(m), b / c]), cfg)
 
     def _solve_primal(self, a, f, cfg):
-        """The minimizer x_k = V_k y for data f, by damped LSQR."""
-        projection = _KrylovProjection(self, f, cfg, a)
-        return projection.solution(a), projection.steps
+        """The minimizer for data f, read off ``_project`` at a."""
+        p = self._project(f, cfg, a)
+        return p.solution(a), p.steps
 
     def _solve_dual(self, a, f, cfg):
-        """u = A^T (A A^T + a I)^{-1} f: the primal map, so the same certified x_k."""
+        """u = A^T (A A^T + a I)^{-1} f: the primal map, so the same solution."""
         return self._solve_primal(a, f, cfg)
 
     def _decompose(self, rank_tolerance):
         """The singular system truncated at ``rank_tolerance``, or None without one."""
         return None
 
-    def _project(self, f, cfg):
-        """The ``_Projection`` of data f on the singular system, else on a Krylov space."""
-        decomp = self._decompose(DEFAULT_RANK_TOLERANCE)
-        if decomp is None:
-            return _KrylovProjection(self, f, cfg)
-        return decomp._project(f)
+    @functools.cached_property
+    def _system(self):
+        """The untruncated singular system ``_decompose(0.0)``, or None; kept with the operator."""
+        return self._decompose(0.0)
+
+    def _project(self, f, cfg, alpha=None):
+        """The ``_Projection`` of data f on ``_system``, else a Krylov space.
+
+        The Krylov space is grown until it certifies ``alpha``, if one is given.
+        """
+        if self._system is None:
+            return _KrylovProjection(self, f, cfg, alpha)
+        return self._system._project(f)
 
     def __repr__(self):
         return (
@@ -780,14 +801,6 @@ class DiagonalOperator(LinearOperator):
     def apply_adjoint(self, w):
         return self.values * _as_vector(w, self.range_dim, "w")
 
-    def _solve_normal(self, a, b, cfg):
-        return b / (self.values**2 + a), 0
-
-    def _solve_dual(self, a, f, cfg):
-        return self.values * (f / (self.values**2 + a)), 0
-
-    _solve_primal = _solve_dual
-
     def _decompose(self, rank_tolerance):
         """The entries sorted nonincreasing, with their coordinate axes as indices."""
         order = np.argsort(-self.values, kind="stable")
@@ -809,31 +822,7 @@ def _check_dense_dim(rows, cols, what):
         raise SizeLimitError(f"{what} capped at {MAX_DENSE_DIM}, got {rows} x {cols}")
 
 
-class _ClosedFormOperator(LinearOperator):
-    """An operator whose Tikhonov kernels filter through its closed-form system.
-
-    The kernels read the untruncated system ``_decompose(0.0)``, built
-    once.  Subclasses whose system misses a null space add its share to
-    ``_solve_normal``.
-    """
-
-    @functools.cached_property
-    def _system(self):
-        return self._decompose(0.0)
-
-    def _solve_normal(self, a, b, cfg):
-        d = self._system
-        return d._right(d._right_t(b) / (d.singular_values**2 + a)), 0
-
-    def _solve_primal(self, a, f, cfg):
-        d = self._system
-        s = d.singular_values
-        return d._right(s / (s**2 + a) * d._left_t(f)), 0
-
-    _solve_dual = _solve_primal
-
-
-class GradientOperator(_ClosedFormOperator):
+class GradientOperator(LinearOperator):
     """n D on R^n, with D the (n-1) x n forward difference: (A x)_i = n (x_{i+1} - x_i).
 
     Applied in O(n) and solved through its closed-form singular system
@@ -869,17 +858,12 @@ class GradientOperator(_ClosedFormOperator):
         matrix.setflags(write=False)
         return matrix
 
-    def _solve_normal(self, a, b, cfg):
-        # The one null vector, the constants, is not among the right
-        # vectors; the shifted normal map scales it by 1 / a.
-        return super()._solve_normal(a, b, cfg)[0] + b.mean() / a, 0
-
     def _decompose(self, rank_tolerance):
         """The closed form, truncated at ``rank_tolerance`` like the others."""
         return _GradientDecomposition(self.domain_dim, rank_tolerance)
 
 
-class GreenOperator(_ClosedFormOperator):
+class GreenOperator(LinearOperator):
     """K = (-d^2/dt^2)^{-1} on [0, 1] with zero boundary values, on n midpoints.
 
     The midpoint rule gives K = h G(t_i, t_j), h = 1/n, t_i = (i - 1/2) h,
@@ -960,16 +944,23 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
 
     Raises
     ------
+    InvalidParameterError
+        Before any iteration, if ``tol`` is not finite and positive or
+        ``max_iters`` is not an integer >= 1.
     ConvergenceError
         If the budget runs out; the last estimate and iteration count are
         attached as diagnostics.
     """
     tol = float(tol)
-    max_iters = int(max_iters)
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    if max_iters < 1:
-        raise InvalidParameterError("max_iters must be >= 1")
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
+    try:
+        count = int(max_iters)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count < 1 or count != max_iters:
+        raise InvalidParameterError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    max_iters = count
     rng = np.random.default_rng(np.random.Philox(_POWER_START_SEED))
     v = rng.standard_normal(op.domain_dim)
     v /= np.linalg.norm(v)

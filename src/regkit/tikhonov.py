@@ -12,11 +12,12 @@ agreement is part of the test contract:
   u = sum_i sigma_i / (sigma_i^2 + alpha) <u_i, f> v_i from a singular
   system; exact finite sum, used as the oracle for the other two.
 
-The routes validate their input, call the operator's per-kind kernel
-(``regkit.operators``: QR on stacked systems for dense operators, closed
-forms for diagonal, gradient and Green's ones, otherwise one Golub-Kahan
-space grown until it certifies alpha), and recompute the certificates from
-the returned vector.
+The routes validate their input, call the operator's kernel
+(``regkit.operators``: QR on stacked systems for dense operators, the
+filter formula on the operator's untruncated singular system for the
+other kinds that have one, otherwise one Golub-Kahan space grown until
+it certifies alpha), and recompute the certificates from the returned
+vector.
 """
 
 from __future__ import annotations
@@ -116,9 +117,10 @@ def _minimize(op, f, alpha, cfg, path):
 def solve_shifted_normal(op, b, alpha, cfg=None):
     """Solve (A^T A + alpha I) x = b for a general domain vector b.
 
-    Direct for dense, diagonal, gradient and Green's operators; otherwise damped LSQR on [A; c I],
-    c^2 = alpha / 2, to ``IterativeSolverConfig``'s certified error, which bounds
-    the shifted normal residual by ``rel_tolerance * ||b|| / 2`` in exact arithmetic.
+    Direct for dense operators and for any operator with a singular
+    system; otherwise damped LSQR on [A; c I], c^2 = alpha / 2, to
+    ``IterativeSolverConfig``'s certified error, which bounds the shifted
+    normal residual by ``rel_tolerance * ||b|| / 2`` in exact arithmetic.
     """
     a = _check_alpha(alpha)
     b = _as_data(b, op.domain_dim, "b")
@@ -189,14 +191,14 @@ def solution_operator_norm(target, alpha, tol=1e-10, max_iters=20000, cfg=None):
 
     Equals max_i sigma_i / (sigma_i^2 + alpha), which never exceeds
     1 / (2 sqrt(alpha)).  Evaluated from the singular values when
-    ``target`` is a decomposition or its operator has one, untruncated as
-    the direct solves are; otherwise by ``operator_norm_estimate`` on the
-    adjoint map R^T = A (A^T A + alpha I)^{-1}, at one pair of
-    shifted-normal solves per step.
+    ``target`` is a decomposition, or from the operator's untruncated
+    ``_system``, the one its solves filter through, when it has one;
+    otherwise by ``operator_norm_estimate`` on the adjoint map
+    R^T = A (A^T A + alpha I)^{-1}, at one pair of shifted-normal solves
+    per step.
     """
     a = _check_alpha(alpha)
-    is_decomp = isinstance(target, SpectralDecomposition)
-    decomp = target if is_decomp else target._decompose(0.0)
+    decomp = target if isinstance(target, SpectralDecomposition) else target._system
     if decomp is not None:
         s = decomp.singular_values
         return float(np.max(filter_factors(s, a))) if s.size else 0.0

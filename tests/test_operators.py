@@ -182,6 +182,47 @@ def test_norm_estimate_validation():
         operator_norm_estimate(op, max_iters=0)
 
 
+# Each is refused before the first matvec.  nan ran the whole budget into a
+# ConvergenceError, inf stopped after one step (2.907 for a norm of 3), and
+# int(nan) leaked a ValueError.
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"max_iters": float("nan")}, "max_iters"),
+        ({"max_iters": float("inf")}, "max_iters"),
+        ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": "100"}, "max_iters"),
+    ],
+    ids=["tol-nan", "tol-inf", "iters-nan", "iters-inf", "iters-fraction", "iters-str"],
+)
+def test_norm_estimate_refuses_bad_stopping_rules(kwargs, name):
+    calls = []
+    op = MatrixFreeOperator(
+        3, 3,
+        lambda x: calls.append(x) or np.array([3.0, 2.0, 1.0]) * x,
+        lambda w: np.array([3.0, 2.0, 1.0]) * w,
+    )
+    with pytest.raises(InvalidParameterError, match=name):
+        operator_norm_estimate(op, **kwargs)
+    assert not calls
+
+
+def test_norm_estimate_takes_integral_budgets():
+    op = DiagonalOperator([3.0, 2.0, 1.0])
+    assert operator_norm_estimate(op, max_iters=5000.0) == operator_norm_estimate(op)
+
+
+def test_solution_map_norm_refuses_an_infinite_tolerance():
+    # tol=inf returned 0.380; the norm, max sigma / (sigma^2 + alpha) over
+    # sigma in (3, 2, 1) at alpha = 1e-2, is 1 / 1.01 = 0.990.
+    op = matrix_free_view(DiagonalOperator([3.0, 2.0, 1.0]))
+    with pytest.raises(InvalidParameterError, match="tol"):
+        solution_operator_norm(op, 1e-2, tol=float("inf"))
+    assert solution_operator_norm(op, 1e-2) == pytest.approx(1.0 / 1.01, rel=1e-9)
+
+
 # --- singular-value machinery -------------------------------------------------
 
 def test_svd_diagonal_with_null_direction():

@@ -75,6 +75,15 @@ def test_dual_annihilates_data_outside_range():
     np.testing.assert_array_equal(sol.u, [0.0, 0.0])
 
 
+def test_shifted_normal_scales_a_diagonal_null_space_by_one_over_alpha():
+    # The zero entries are outside the singular system; the kernel adds them.
+    values = np.array([2.0, 0.0, 0.5, 0.0])
+    b = np.array([1.0, -3.0, 2.0, 4.0])
+    x, iters = solve_shifted_normal(DiagonalOperator(values), b, 0.3)
+    np.testing.assert_array_equal(x, b / (values**2 + 0.3))
+    assert iters == 0
+
+
 @pytest.mark.parametrize("solver", [solve_primal, solve_dual])
 def test_alpha_validation(solver):
     with pytest.raises(InvalidParameterError):
