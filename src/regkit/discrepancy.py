@@ -34,7 +34,7 @@ from .errors import (
     InvalidParameterError,
     NoRootBelowError,
 )
-from .operators import SpectralDecomposition, _as_data, _check_alpha
+from .operators import SpectralDecomposition, _as_data, _check_alpha, _check_count
 from .tikhonov import IterativeSolverConfig, _solution, solve_primal
 from .tikhonov import solve_spectral  # noqa: F401  (perfbench/spans.py wraps this binding)
 
@@ -67,8 +67,8 @@ class DiscrepancyConfig:
             raise InvalidParameterError(f"C must exceed 1, got {self.C}")
         if not 0.0 < self.root_rel_tolerance < 1.0:
             raise InvalidParameterError("root_rel_tolerance must lie in (0, 1)")
-        if int(self.max_root_iterations) < 1:
-            raise InvalidParameterError("max_root_iterations must be >= 1")
+        count = _check_count(self.max_root_iterations, "max_root_iterations")
+        object.__setattr__(self, "max_root_iterations", count)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,9 @@ or its negative, ``A[::-1, ::-1] == +-A`` entry for entry, is factored
 as two half-size blocks, in the bases of vectors even and odd under J,
 for a quarter of the flops (``_ReflectionDecomposition``); each block
 takes eigh when A is exactly symmetric with the + sign, else the SVD.
+A truncated system of any other matrix first tries one certified random
+block (``_sketch``), in O(n^2 r) when the numerical rank r is below its
+width, as for hilbert.
 """
 
 from __future__ import annotations
@@ -86,8 +89,15 @@ DEFAULT_RANK_TOLERANCE = 1e-12
 #: Largest dimension accepted for dense factorizations.
 MAX_DENSE_DIM = 4096
 
-#: Fixed seed for the power-iteration start vector (reproducible runs).
+#: Fixed seed for the power-iteration start vector and the random block of
+#: ``_sketch`` (reproducible runs).
 _POWER_START_SEED = 0x5EED
+
+#: Columns of ``_sketch``'s random block, tried on matrices at least 8 times as wide.
+_SKETCH_WIDTH = 32
+
+#: Gaussian probes whose residuals bound what the block misses (``_sketch``).
+_SKETCH_PROBES = 10
 
 #: Golub-Kahan steps taken before the first root search.
 _KRYLOV_START = 8
@@ -148,6 +158,17 @@ def _check_rank_tolerance(rank_tolerance):
     if not np.isfinite(t) or t < 0.0:
         raise InvalidParameterError(f"rank_tolerance must be finite and >= 0, got {t}")
     return t
+
+
+def _check_count(value, name):
+    """``value`` as an int if it is an integer >= 1 (5.0 counts), else InvalidParameterError."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count < 1 or count != value:
+        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def _kept(s, rank_tolerance):
@@ -693,7 +714,8 @@ class DenseOperator(LinearOperator):
         as its two half-size reflection blocks (``_ReflectionDecomposition``);
         the test compares row 0 with the reversed last row first, so other
         matrices fail it in O(n).  Any other matrix is factored whole, by
-        eigh if exactly symmetric, else by the SVD (``_factor``).
+        eigh if exactly symmetric, else by the SVD (``_factor``), unless
+        a truncated system comes from one random block first (``_sketch``).
         """
         if max(self.range_dim, self.domain_dim) > MAX_DENSE_DIM:
             return None
@@ -702,7 +724,7 @@ class DenseOperator(LinearOperator):
         sign = _reflection_sign(matrix)
         if sign is not None:
             return _ReflectionDecomposition(matrix, sign, symmetric, rank_tolerance)
-        s, pick = _factor(matrix, symmetric)
+        s, pick = _sketch(matrix, symmetric, rank_tolerance) or _factor(matrix, symmetric)
         keep = _kept(s, rank_tolerance)
         s, (left, right) = s[keep], pick(keep)
         for factor in (s, left, right):
@@ -725,8 +747,10 @@ def _factor(matrix, symmetric):
     other by the SVD.  Only the picked columns are copied.
     """
     if symmetric:
-        # On hilbert and phillips at n = 1024 (one OpenBLAS thread,
-        # 2-core x86 VM) eigh took 240-330 ms and the SVD 670-800 ms.
+        # On hilbert at n = 1024 and phillips at n = 1025 (one OpenBLAS
+        # thread, 2-core x86 VM) eigh takes 200-300 ms and the SVD
+        # 670-800 ms.  hilbert's truncated system comes from ``_sketch``
+        # in ~12 ms instead.
         lam, q = np.linalg.eigh(matrix)
         order = np.argsort(-np.abs(lam), kind="stable")
 
@@ -738,6 +762,52 @@ def _factor(matrix, symmetric):
         return np.abs(lam[order]), pick
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     return s, lambda index: (u[:, index], vt[index].T)
+
+
+def _sketch(matrix, symmetric, rank_tolerance):
+    """``_factor``'s (sigma, pick) for the values above ``rank_tolerance * sigma_1``, or None.
+
+    Tried with ``rank_tolerance`` > 0 on matrices at least
+    ``8 * _SKETCH_WIDTH`` wide.  Q spans A A Omega (A A^T A Omega if A is
+    not symmetric) for a fixed-seed Gaussian Omega of ``_SKETCH_WIDTH``
+    columns; Rayleigh-Ritz factors Q^T A Q, or Q^T A, by ``_factor``
+    (Halko, Martinsson & Tropp, SIAM Review 53, 2011).  It is kept only if
+    its smallest Ritz value is at or below the cut, if every kept pair has
+    ||A v_i - sigma_i u_i|| <= n eps sigma_1, and if 10 sqrt(2/pi) times
+    the largest of ``_SKETCH_PROBES`` probe residuals, which bounds
+    ||(I - Q Q^T) A|| except with probability 10^-10 (their Lemma 4.1), is
+    as small and below the cut.  A failed attempt costs a few percent of
+    factoring the whole matrix.
+    """
+    if rank_tolerance == 0.0 or min(matrix.shape) < 8 * _SKETCH_WIDTH:
+        return None
+    rng = np.random.default_rng(np.random.Philox(_POWER_START_SEED))
+    q = np.linalg.qr(matrix @ rng.standard_normal((matrix.shape[1], _SKETCH_WIDTH)))[0]
+    if symmetric:
+        q = np.linalg.qr(matrix @ q)[0]
+        aq = matrix @ q
+        s, pick = _factor(q.T @ aq, True)
+    else:
+        q = np.linalg.qr(matrix @ np.linalg.qr(matrix.T @ q)[0])[0]
+        s, pick = _factor(q.T @ matrix, False)
+    cut = rank_tolerance * s[0]
+    if not s[-1] <= cut:
+        return None
+    limit = max(matrix.shape) * _EPS * s[0]
+    probes = matrix @ rng.standard_normal((matrix.shape[1], _SKETCH_PROBES))
+    missed = np.linalg.norm(probes - q @ (q.T @ probes), axis=0).max()
+    if not 10.0 * math.sqrt(2.0 / math.pi) * missed <= min(limit, cut):
+        return None
+    keep = _kept(s, rank_tolerance)
+    s, (left, right) = s[keep], pick(keep)
+    left = q @ left
+    if symmetric:
+        applied, right = aq @ right, q @ right
+    else:
+        applied = matrix @ right
+    if not np.linalg.norm(applied - left * s, axis=0).max(initial=0.0) <= limit:
+        return None
+    return s, lambda index: (left[:, index], right[:, index])
 
 
 def _reflection_sign(matrix):
@@ -954,13 +1024,7 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
     tol = float(tol)
     if not math.isfinite(tol) or tol <= 0.0:
         raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
-    try:
-        count = int(max_iters)
-    except (TypeError, ValueError, OverflowError):
-        count = 0
-    if count < 1 or count != max_iters:
-        raise InvalidParameterError(f"max_iters must be an integer >= 1, got {max_iters!r}")
-    max_iters = count
+    max_iters = _check_count(max_iters, "max_iters")
     rng = np.random.default_rng(np.random.Philox(_POWER_START_SEED))
     v = rng.standard_normal(op.domain_dim)
     v /= np.linalg.norm(v)
@@ -1369,6 +1433,11 @@ def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     nonincreasing.  Values at or below ``rank_tolerance * sigma_1`` are
     truncated into the null space.  Dimensions are capped at
     ``MAX_DENSE_DIM`` (dense factorization only).
+
+    With ``rank_tolerance`` > 0, any other matrix at least 256 wide first
+    tries one certified random block of 32 columns, which serves when the
+    numerical rank is below that: hilbert at n = 1024 (rank 23) takes
+    ~12 ms instead of ~250 ms.
 
     Raises
     ------

@@ -33,6 +33,7 @@ from .operators import (
     _as_data,
     _as_vector,
     _check_alpha,
+    _check_count,
     _readonly,
     filter_factors,
     operator_norm_estimate,
@@ -66,13 +67,14 @@ class IterativeSolverConfig:
     def __post_init__(self):
         if not 0.0 < self.rel_tolerance < 1.0:
             raise InvalidParameterError("rel_tolerance must lie in (0, 1)")
-        if self.max_iterations is not None and int(self.max_iterations) < 1:
-            raise InvalidParameterError("max_iterations must be >= 1")
+        if self.max_iterations is not None:
+            count = _check_count(self.max_iterations, "max_iterations")
+            object.__setattr__(self, "max_iterations", count)
 
     def budget(self, domain_dim):
         if self.max_iterations is None:
             return 10 * int(domain_dim)
-        return int(self.max_iterations)
+        return self.max_iterations
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,19 @@ def test_config_validation():
         DiscrepancyConfig(root_rel_tolerance=0.0)
 
 
+# nan leaked a ValueError from int(); 2.5 was accepted.
+@pytest.mark.parametrize("count", [float("nan"), float("inf"), 2.5, "100", 0])
+def test_config_refuses_a_non_integral_root_budget(count):
+    with pytest.raises(InvalidParameterError, match="max_root_iterations"):
+        DiscrepancyConfig(max_root_iterations=count)
+
+
+def test_config_takes_an_integral_root_budget():
+    # 200.0 passed the old check, then range() refused it mid-search.
+    cfg = DiscrepancyConfig(C=1.5, max_root_iterations=200.0)
+    assert solve_alpha(SCALAR, [1.0], 0.1 / 1.5, cfg).alpha == pytest.approx(1.0 / 9.0, rel=1e-10)
+
+
 def test_selection_is_deterministic():
     prob = make_problem("diagonal", 8)
     fd = add_noise(prob, 1e-2, 12).f_delta

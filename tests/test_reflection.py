@@ -1,4 +1,7 @@
-"""Dense matrices with J A J = +-A, J the reversal, factored as two half-size blocks."""
+"""Dense matrices with J A J = +-A, J the reversal, factored as two half-size blocks.
+
+Also which eigh and SVD calls other dense matrices take.
+"""
 
 import math
 
@@ -6,7 +9,13 @@ import numpy as np
 import pytest
 
 from regkit import DenseOperator, GradientOperator, make_problem, svd_decompose
-from regkit.operators import _ReflectionDecomposition
+from regkit.operators import (
+    DEFAULT_RANK_TOLERANCE,
+    _SKETCH_WIDTH,
+    _ReflectionDecomposition,
+    _factor,
+    _kept,
+)
 
 from conftest import philox
 
@@ -101,7 +110,7 @@ def test_one_entry_off_takes_the_whole_matrix():
     assert not isinstance(decomp, _ReflectionDecomposition)
 
 
-def _factorizations(monkeypatch, matrix):
+def _factorizations(monkeypatch, matrix, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     """The (name, shape) of every eigh and SVD call that factoring the matrix makes."""
     calls = []
     for name in ("eigh", "svd"):
@@ -112,7 +121,7 @@ def _factorizations(monkeypatch, matrix):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
-    svd_decompose(DenseOperator(matrix))
+    svd_decompose(DenseOperator(matrix), rank_tolerance)
     monkeypatch.undo()
     return calls
 
@@ -138,3 +147,35 @@ def test_hilbert_is_factored_whole(monkeypatch):
     n = 128
     calls = _factorizations(monkeypatch, make_problem("hilbert", n, decompose=False).op.matrix)
     assert calls == [("eigh", (n, n))]
+
+
+def test_truncated_hilbert_factors_only_the_block(monkeypatch):
+    calls = _factorizations(monkeypatch, make_problem("hilbert", 1024, decompose=False).op.matrix)
+    assert calls == [("eigh", (_SKETCH_WIDTH, _SKETCH_WIDTH))]
+
+
+def test_untruncated_hilbert_is_factored_whole(monkeypatch):
+    # The operator's own system, _decompose(0.0), keeps every sigma > 0:
+    # no block is wider than that rank.
+    n = 256
+    calls = _factorizations(monkeypatch, make_problem("hilbert", n, decompose=False).op.matrix, 0.0)
+    assert calls == [("eigh", (n, n))]
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+def test_full_rank_matrices_are_factored_whole_after_the_block(monkeypatch, symmetric):
+    n = 512
+    matrix = _symmetric(n, philox(47)) if symmetric else philox(47).standard_normal((n, n))
+    calls = _factorizations(monkeypatch, matrix)
+    kind = "eigh" if symmetric else "svd"
+    block = (_SKETCH_WIDTH, _SKETCH_WIDTH if symmetric else n)
+    assert calls == [(kind, block), (kind, (n, n))]
+    # The whole-matrix route, bit for bit.
+    decomp = svd_decompose(DenseOperator(matrix))
+    s, pick = _factor(matrix, symmetric)
+    keep = _kept(s, decomp.rank_tolerance)
+    for got, want in zip(
+        (decomp.singular_values, decomp.left_vectors, decomp.right_vectors),
+        (s[keep], *pick(keep)),
+    ):
+        np.testing.assert_array_equal(got, want)

@@ -1,0 +1,104 @@
+"""Truncated singular systems of numerically low-rank dense matrices from one random block."""
+
+import functools
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from regkit import DenseOperator, make_problem, regularized_solve_auto, svd_decompose
+from regkit import operators
+from regkit.operators import _SKETCH_WIDTH, DEFAULT_RANK_TOLERANCE
+
+from conftest import philox
+
+
+def _low_rank(m, n, indefinite=False):
+    """X diag(10^(-j/2.2)) Y^T with orthonormal X (m x k), Y (n x k), k = min(m, n): rank 27.
+
+    With 10^(-j/2), sigma_24 / sigma_1 would be 1e-12 itself, the cut, and
+    the two routes round it to opposite sides of it.  ``indefinite`` takes
+    Y = X and alternates the signs, then symmetrizes exactly.
+    """
+    rng = philox(41)
+    x, y = (np.linalg.qr(rng.standard_normal((rows, rows)))[0] for rows in (m, n))
+    k = min(m, n)
+    x, y, d = x[:, :k], y[:, :k], 10.0 ** (-np.arange(k) / 2.2)
+    if indefinite:
+        b = (x * (d * (-1.0) ** np.arange(k))) @ x.T
+        return (b + b.T) / 2.0
+    return (x * d) @ y.T
+
+
+CASES = {f"hilbert{n}": (lambda n=n: make_problem("hilbert", n, decompose=False).op.matrix)
+         for n in (256, 512, 1024, 2048)}
+for m, n in [(512, 512), (300, 600), (600, 300)]:
+    CASES[f"low_rank{m}x{n}"] = lambda m=m, n=n: _low_rank(m, n)
+CASES["indefinite512"] = lambda: _low_rank(512, 512, indefinite=True)
+
+
+def _routes(name):
+    """(matrix, sketched, direct): the default-truncated system by each route."""
+    matrix = CASES[name]()
+    sketched = svd_decompose(DenseOperator(matrix))
+    with mock.patch.object(operators, "_sketch", lambda *args: None):
+        direct = svd_decompose(DenseOperator(matrix))
+    return matrix, sketched, direct
+
+
+@pytest.fixture(scope="module")
+def routes():
+    return functools.cache(_routes)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_block_is_taken(name):
+    matrix = CASES[name]()
+    symmetric = np.array_equal(matrix, matrix.T)
+    assert symmetric == (not name.startswith("low_rank"))
+    assert operators._sketch(matrix, symmetric, DEFAULT_RANK_TOLERANCE) is not None
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_block_matches_the_whole_matrix_factorization(routes, name):
+    matrix, sketched, direct = routes(name)
+    scale = direct.singular_values[0]
+    assert sketched.rank == direct.rank < _SKETCH_WIDTH
+    assert np.abs(sketched.singular_values - direct.singular_values).max() <= 1e-14 * scale
+    errors = [np.abs(d.reconstruct() - matrix).max() for d in (sketched, direct)]
+    assert errors[0] <= errors[1] + 1e-14 * scale
+    for vectors in (sketched.left_vectors, sketched.right_vectors):
+        assert np.abs(vectors.T @ vectors - np.eye(sketched.rank)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_selections_agree_with_the_whole_matrix_factorization(routes, name):
+    matrix, sketched, direct = routes(name)
+    f = matrix @ np.ones(matrix.shape[1])
+    direction = philox(43).standard_normal(f.shape[0])
+    for level in 10.0 ** -np.arange(1, 9):
+        delta = level * np.linalg.norm(f)
+        f_delta = f + delta * direction / np.linalg.norm(direction)
+        u, want = (regularized_solve_auto(d, f_delta, delta)[0].u for d in (sketched, direct))
+        assert np.linalg.norm(u - want) <= 1e-8 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_block_is_reproducible(routes, name):
+    matrix, sketched, _ = routes(name)
+    again = svd_decompose(DenseOperator(matrix))
+    for field in ("singular_values", "left_vectors", "right_vectors"):
+        np.testing.assert_array_equal(getattr(again, field), getattr(sketched, field))
+
+
+def test_a_rank_past_the_block_is_factored_whole():
+    # 28 values of 1, then 10^-11.9 down to 10^-13: 49 lie above the cut.
+    # The block's smallest Ritz value is below it (9.8e-13), but its probe
+    # bound (6.9e-11) and two kept Ritz residuals (up to 2.1e-13) miss
+    # n eps = 5.7e-14.
+    n = 256
+    x = np.linalg.qr(philox(53).standard_normal((n, n)))[0]
+    b = (x * np.concatenate([np.ones(28), np.logspace(-11.9, -13.0, n - 28)])) @ x.T
+    matrix = (b + b.T) / 2.0
+    assert operators._sketch(matrix, True, DEFAULT_RANK_TOLERANCE) is None
+    assert svd_decompose(DenseOperator(matrix)).rank == 49

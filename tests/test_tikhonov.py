@@ -248,6 +248,18 @@ def test_solver_config_validation():
     assert IterativeSolverConfig(max_iterations=5).budget(32) == 5
 
 
+# nan leaked a ValueError from int(); 2.5 was accepted and budgeted 2 steps.
+@pytest.mark.parametrize("count", [float("nan"), float("inf"), 2.5, "100", 0])
+def test_solver_config_refuses_a_non_integral_budget(count):
+    with pytest.raises(InvalidParameterError, match="max_iterations"):
+        IterativeSolverConfig(max_iterations=count)
+
+
+def test_solver_config_takes_an_integral_budget():
+    budget = IterativeSolverConfig(max_iterations=5.0).budget(32)
+    assert budget == 5 and type(budget) is int
+
+
 # --- functional and its minimizer ---------------------------------------------------
 
 def test_functional_zero_vector():
