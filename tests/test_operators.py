@@ -84,6 +84,37 @@ def test_matrix_free_checks_callback_output():
         bad.apply([1.0, 2.0])
 
 
+def _complex_forward():
+    MatrixFreeOperator(2, 2, lambda x: x + 1j * x, lambda w: w).apply([1.0, 2.0])
+
+
+def _complex_adjoint():
+    MatrixFreeOperator(2, 2, lambda x: x, lambda w: w * (1 + 0j)).apply_adjoint([1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "call, label",
+    [
+        (lambda: DenseOperator(np.array([[1 + 1j, 0], [0, 1]])), "dense operator matrix"),
+        (lambda: DiagonalOperator([1 + 1j, 2]), "diagonal entries"),
+        (
+            lambda: solve_primal(
+                DenseOperator(np.diag([3.0, 2.0, 1.0])), np.array([1 + 1j, 1, 1]), 1e-2
+            ),
+            "f",
+        ),
+        (_complex_forward, "forward callback output"),
+        (_complex_adjoint, "adjoint callback output"),
+    ],
+    ids=["dense", "diagonal", "data", "forward", "adjoint"],
+)
+def test_complex_input_is_refused_not_truncated(call, label):
+    # A cast to float would keep the real part alone; a zero imaginary
+    # part is refused too, by dtype.
+    with pytest.raises(InvalidParameterError, match=f"^{label} must be real"):
+        call()
+
+
 def test_adjoint_pairing(zoo):
     # <Ax, w> == <x, A^T w> sampled over random pairs, scaled by sigma_1.
     rng = philox(202)

@@ -13,7 +13,9 @@ from regkit.operators import (
     DEFAULT_RANK_TOLERANCE,
     _SKETCH_WIDTH,
     _ReflectionDecomposition,
+    _block,
     _factor,
+    _fold,
     _kept,
 )
 
@@ -87,6 +89,16 @@ def test_split_is_a_singular_system_of_the_matrix(matrix):
     ):
         assert got.shape == want.shape
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * (1.0 + np.abs(want).max(initial=0.0))
+
+
+@pytest.mark.parametrize("matrix", [c[1] for c in CASES], ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_quadrant_blocks_are_the_folds_bits(matrix, rows, cols):
+    want = _fold(_fold(matrix)[rows].T)[cols].T
+    got = _block(matrix, rows, cols)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_split_truncates_the_merged_spectrum():
@@ -174,8 +186,11 @@ def test_full_rank_matrices_are_factored_whole_after_the_block(monkeypatch, symm
     decomp = svd_decompose(DenseOperator(matrix))
     s, pick = _factor(matrix, symmetric)
     keep = _kept(s, decomp.rank_tolerance)
+    left, right, signs = pick(keep)
+    if signs is not None:  # eigh: u_i = sign(lambda_i) v_i
+        left = left * signs
     for got, want in zip(
         (decomp.singular_values, decomp.left_vectors, decomp.right_vectors),
-        (s[keep], *pick(keep)),
+        (s[keep], left, right),
     ):
         np.testing.assert_array_equal(got, want)

@@ -1,0 +1,145 @@
+"""Dense set-up holds the matrix and one copy of each factor, with the same bits.
+
+The catalog builders fill one buffer that the operator takes uncopied,
+and a symmetric matrix's singular system keeps its eigenvectors once,
+with u_i = sign(lambda_i) v_i.  tracemalloc counts numpy's array buffers
+deterministically; LAPACK's own workspace is not among them.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from regkit import DenseOperator, make_problem, svd_decompose
+from regkit.operators import _factor, _fold, _kept, _unfold
+from regkit.problems import _grid
+
+from conftest import philox
+
+MiB = 2**20
+
+
+def _traced(build):
+    """(result, kept, peak): build()'s result, and the bytes it left held and held at most."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept - before, peak - before
+
+
+def test_phillips_set_up_holds_the_matrix_and_one_factor():
+    # The matrix (8 MiB) and the two blocks' eigenvectors (4 MiB), kept once.
+    # Separate left vectors kept 16 MiB, and the expression's temporaries,
+    # the operator's copy and the folded rows peaked 16 MiB above that.
+    n = 1024
+    prob, kept, peak = _traced(lambda: make_problem("phillips", n))
+    assert prob.op.matrix.nbytes == 8 * MiB
+    assert kept <= 12.1 * MiB
+    assert peak - kept <= 8.1 * MiB
+
+
+def test_hilbert_set_up_makes_no_full_size_temporary():
+    # The peak over what is kept is the n^2-byte masks of the finiteness and
+    # symmetry tests, plus the random block's (n, 32) arrays.
+    prob, kept, peak = _traced(lambda: make_problem("hilbert", 1024))
+    assert peak - kept <= 1.2 * MiB
+
+
+def test_symmetric_system_keeps_one_factor():
+    n = 512
+    op = make_problem("hilbert", n, decompose=False).op
+    system, kept, _ = _traced(lambda: op._system)
+    assert system.rank == n
+    assert system.right_vectors.nbytes <= kept <= 1.1 * n * n * 8
+    # The left vectors are built on first read.
+    assert "left_vectors" not in vars(system)
+
+
+@pytest.mark.parametrize("n", [128, 129, 1024, 1025])
+def test_builders_give_the_expressions_bits(n):
+    index = np.arange(n)
+    hilbert = 1.0 / (1.0 + np.add.outer(index, index))
+    t, h = _grid(n, -6.0, 6.0)
+    diff = t[:, None] - t[None, :]
+    phillips = h * np.where(np.abs(diff) < 3.0, 1.0 + np.cos(np.pi * diff / 3.0), 0.0)
+    for name, want in (("hilbert", hilbert), ("phillips", phillips)):
+        got = make_problem(name, n, decompose=False).op.matrix
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", ["hilbert", "phillips"])
+def test_catalog_matrix_is_read_only(name):
+    matrix = make_problem(name, 64, decompose=False).op.matrix
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+def test_dense_operator_aliases_no_caller_array(writeable):
+    array = philox(3).standard_normal((5, 4))
+    array.setflags(write=writeable)
+    op = DenseOperator(array)
+    assert not np.shares_memory(op.matrix, array)
+    assert not op.matrix.flags.writeable
+    np.testing.assert_array_equal(op.matrix, array)
+
+
+def _signed_copy(vectors, signs):
+    """The left vectors u_i = signs_i v_i as their own array, as stored before they were shared."""
+    return vectors * signs
+
+
+def _whole(n, rng):
+    s = rng.standard_normal((n, n))
+    return s + s.T
+
+
+@pytest.mark.parametrize("n", [7, 64, 300])
+def test_shared_whole_matrix_factor_gives_the_signed_copy_bits(n):
+    # Indefinite, so both signs occur; not reflection-symmetric.
+    rng = philox(n)
+    matrix = _whole(n, rng)
+    decomp = svd_decompose(DenseOperator(matrix), 0.0)
+    s, pick = _factor(matrix, True)
+    _, right, signs = pick(_kept(s, 0.0))
+    assert np.any(signs < 0) and np.any(signs > 0)
+    left = _signed_copy(right, signs)
+    np.testing.assert_array_equal(decomp.right_vectors, right)
+    f, c = rng.standard_normal(n), rng.standard_normal(decomp.rank)
+    np.testing.assert_array_equal(decomp._left_t(f), left.T @ f)
+    np.testing.assert_array_equal(decomp._left(c), left @ c)
+    np.testing.assert_array_equal(decomp.left_vectors, left)
+    assert decomp.left_vectors is decomp.left_vectors
+
+
+@pytest.mark.parametrize("n", [8, 9, 128, 129])
+def test_shared_reflection_factors_give_the_signed_copy_bits(n):
+    # J A J = A and symmetric: each half-size block takes eigh.
+    rng = philox(100 + n)
+    b = _whole(n, rng)
+    matrix = b + b[::-1, ::-1]
+    decomp = svd_decompose(DenseOperator(matrix), 0.0)
+    signed = []
+    for vectors, signs, where in decomp._left_parts:
+        assert signs is not None
+        assert any(vectors is v for v, _, _ in decomp._right_parts)
+        signed.append((_signed_copy(vectors, signs), where))
+    f, c = rng.standard_normal(n), rng.standard_normal(decomp.rank)
+    want = np.empty(decomp.rank)
+    for (vectors, where), half in zip(signed, _fold(f)):
+        want[where] = vectors.T @ half
+    np.testing.assert_array_equal(decomp._left_t(f), want)
+    np.testing.assert_array_equal(
+        decomp._left(c), _unfold(*(vectors @ c[where] for vectors, where in signed))
+    )
+    eye = np.eye(decomp.rank)
+    np.testing.assert_array_equal(
+        decomp.left_vectors, _unfold(*(vectors @ eye[where] for vectors, where in signed))
+    )
