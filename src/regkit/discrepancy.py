@@ -34,7 +34,7 @@ from .errors import (
     InvalidParameterError,
     NoRootBelowError,
 )
-from .operators import SpectralDecomposition, _as_data, _check_alpha, _check_count
+from .operators import SpectralDecomposition, _as_data, _as_real, _check_alpha, _check_count
 from .tikhonov import IterativeSolverConfig, _solution, solve_primal
 from .tikhonov import solve_spectral  # noqa: F401  (perfbench/spans.py wraps this binding)
 
@@ -145,7 +145,7 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
 def _select(system, f_delta, delta, cfg, solver_cfg):
     """``solve_alpha``'s selection together with the projection it used."""
     cfg = cfg or DiscrepancyConfig()
-    delta = float(delta)
+    delta = _as_real(delta, "delta")
     if not np.isfinite(delta) or delta <= 0:
         raise InvalidParameterError(
             f"delta must be positive, got {delta}; the residual-matching rule "

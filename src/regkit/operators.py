@@ -9,14 +9,14 @@ after construction and every operation here is a pure function, so
 concurrent use needs no locking; matrix-free callbacks must themselves be
 re-entrant.
 
-Each kind owns its singular system (``_decompose``): a factored matrix up
-to ``MAX_DENSE_DIM``, sorted diagonal entries, the closed-form cosine and
-sine transforms of the gradient and Green's operators, or none.  Every
-reader goes through it.  ``svd_decompose``, ``diagonal_decomposition``
-and ``make_problem`` truncate it at a rank tolerance, for minimal-norm
-solutions at alpha = 0.  Each operator also keeps it untruncated, built
-once, as ``_system``: Theorem 1 bounds every filter factor by
-1 / (2 sqrt(alpha)), so no sigma > 0 is dropped for a Tikhonov solve.
+Each kind owns one singular system, ``_system``, untruncated and built
+once on first read: a factored matrix up to ``MAX_DENSE_DIM``, sorted
+diagonal entries, the closed-form cosine and sine transforms of the
+gradient and Green's operators, or none.  Theorem 1 bounds every filter
+factor by 1 / (2 sqrt(alpha)), so no sigma > 0 is dropped for a Tikhonov
+solve; ``make_problem`` attaches the same object.  Only at alpha = 0 is
+a system truncated: ``svd_decompose`` and ``diagonal_decomposition``
+factor one at a rank tolerance (``_decompose``).
 The Tikhonov kernels that the routes in ``tikhonov`` call live in the
 base class, and so does residual matching (``_project``).  Each reads
 ``_system``, or, when there is none, one Golub-Kahan space grown until
@@ -43,8 +43,8 @@ half-size blocks, in the bases of vectors even and odd under J, cut
 straight from its quadrants, for a quarter of the flops
 (``_ReflectionDecomposition``); each block takes eigh when A is exactly
 symmetric with the + sign, else the SVD.
-A truncated system of any other matrix first tries one certified random
-block (``_sketch``), in O(n^2 r) when the numerical rank r is below its
+Any other matrix first tries one certified random block (``_sketch``),
+in O(n^2 r) when the numerical rank r above n eps sigma_1 is below its
 width, as for hilbert.
 """
 
@@ -155,8 +155,16 @@ def _as_data(x, dim, label):
     return v
 
 
+def _as_real(value, name):
+    """float(value), or InvalidParameterError naming ``name`` where float() raises."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _check_alpha(alpha):
-    a = float(alpha)
+    a = _as_real(alpha, "alpha")
     if not np.isfinite(a) or a <= 0.0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
     return a
@@ -169,7 +177,7 @@ def _readonly(a):
 
 
 def _check_rank_tolerance(rank_tolerance):
-    t = float(rank_tolerance)
+    t = _as_real(rank_tolerance, "rank_tolerance")
     if not np.isfinite(t) or t < 0.0:
         raise InvalidParameterError(f"rank_tolerance must be finite and >= 0, got {t}")
     return t
@@ -647,14 +655,9 @@ class LinearOperator:
         """u = A^T (A A^T + a I)^{-1} f: the primal map, so the same solution."""
         return self._solve_primal(a, f, cfg)
 
-    def _decompose(self, rank_tolerance):
-        """The singular system truncated at ``rank_tolerance``, or None without one."""
-        return None
-
-    @functools.cached_property
-    def _system(self):
-        """The untruncated singular system ``_decompose(0.0)``, or None; kept with the operator."""
-        return self._decompose(0.0)
+    #: The untruncated singular system, or None: selection then grows a
+    #: Krylov space.  The kinds that have one build it once, on first read.
+    _system = None
 
     def _project(self, f, cfg, alpha=None):
         """The ``_Projection`` of data f on ``_system``, else a Krylov space.
@@ -738,7 +741,7 @@ class DenseOperator(LinearOperator):
         q = np.linalg.qr(stacked)[0]
         return q[:n, :] @ (q.T @ rhs), 0
 
-    def _decompose(self, rank_tolerance):
+    def _decompose(self, rank_tolerance=0.0):
         """The eigh or SVD factorization of the matrix; None above ``MAX_DENSE_DIM``.
 
         A matrix with ``A[::-1, ::-1] == +-A`` entry for entry is factored
@@ -746,7 +749,7 @@ class DenseOperator(LinearOperator):
         the test compares row 0 with the reversed last row first, so other
         matrices fail it in O(n).  Any other matrix is factored whole, by
         eigh if exactly symmetric, else by the SVD (``_factor``), unless
-        a truncated system comes from one random block first (``_sketch``).
+        one random block certifies first (``_sketch``).
         """
         if max(self.range_dim, self.domain_dim) > MAX_DENSE_DIM:
             return None
@@ -755,7 +758,7 @@ class DenseOperator(LinearOperator):
         sign = _reflection_sign(matrix)
         if sign is not None:
             return _ReflectionDecomposition(matrix, sign, symmetric, rank_tolerance)
-        s, pick = _sketch(matrix, symmetric, rank_tolerance) or _factor(matrix, symmetric)
+        s, pick = _sketch(matrix, symmetric) or _factor(matrix, symmetric)
         keep = _kept(s, rank_tolerance)
         s, (left, right, signs) = s[keep], pick(keep)
         for factor in (s, left, right):
@@ -768,6 +771,8 @@ class DenseOperator(LinearOperator):
             right_vectors=right,
             rank_tolerance=rank_tolerance,
         )
+
+    _system = functools.cached_property(_decompose)
 
 
 def _factor(matrix, symmetric):
@@ -785,8 +790,7 @@ def _factor(matrix, symmetric):
     if symmetric:
         # On hilbert at n = 1024 and phillips at n = 1025 (one OpenBLAS
         # thread, 2-core x86 VM) eigh takes 200-300 ms and the SVD
-        # 670-800 ms.  hilbert's truncated system comes from ``_sketch``
-        # in ~12 ms instead.
+        # 670-800 ms.  hilbert's system comes from ``_sketch`` in ~12 ms.
         lam, q = np.linalg.eigh(matrix)
         order = np.argsort(-np.abs(lam), kind="stable")
 
@@ -800,22 +804,22 @@ def _factor(matrix, symmetric):
     return s, lambda index: (u[:, index], vt[index].T, None)
 
 
-def _sketch(matrix, symmetric, rank_tolerance):
-    """``_factor``'s (sigma, pick) for the values above ``rank_tolerance * sigma_1``, or None.
+def _sketch(matrix, symmetric):
+    """``_factor``'s (sigma, pick) for the values above n eps sigma_1 by one random block, or None.
 
-    Tried with ``rank_tolerance`` > 0 on matrices at least
-    ``8 * _SKETCH_WIDTH`` wide.  Q spans A A Omega (A A^T A Omega if A is
-    not symmetric) for a fixed-seed Gaussian Omega of ``_SKETCH_WIDTH``
-    columns; Rayleigh-Ritz factors Q^T A Q, or Q^T A, by ``_factor``
-    (Halko, Martinsson & Tropp, SIAM Review 53, 2011).  It is kept only if
-    its smallest Ritz value is at or below the cut, if every kept pair has
-    ||A v_i - sigma_i u_i|| <= n eps sigma_1, and if 10 sqrt(2/pi) times
-    the largest of ``_SKETCH_PROBES`` probe residuals, which bounds
-    ||(I - Q Q^T) A|| except with probability 10^-10 (their Lemma 4.1), is
-    as small and below the cut.  A failed attempt costs a few percent of
-    factoring the whole matrix.
+    Tried on matrices at least ``8 * _SKETCH_WIDTH`` wide.  Q spans A A
+    Omega (A A^T A Omega if A is not symmetric) for a fixed-seed Gaussian
+    Omega of ``_SKETCH_WIDTH`` columns; Rayleigh-Ritz factors Q^T A Q, or
+    Q^T A, by ``_factor`` (Halko, Martinsson & Tropp, SIAM Review 53,
+    2011).  It is kept only if its smallest Ritz value, 10 sqrt(2/pi)
+    times the largest of ``_SKETCH_PROBES`` probe residuals, which bounds
+    ||(I - Q Q^T) A|| except with probability 10^-10 (their Lemma 4.1),
+    and every kept ||A v_i - sigma_i u_i|| are at most limit = max(m, n)
+    eps sigma_1.  Values below the limit carry no correct digits from a
+    whole-matrix factorization either (Weyl).  A failed attempt costs a
+    few percent of factoring the whole matrix.
     """
-    if rank_tolerance == 0.0 or min(matrix.shape) < 8 * _SKETCH_WIDTH:
+    if min(matrix.shape) < 8 * _SKETCH_WIDTH:
         return None
     rng = np.random.default_rng(np.random.Philox(_POWER_START_SEED))
     q = np.linalg.qr(matrix @ rng.standard_normal((matrix.shape[1], _SKETCH_WIDTH)))[0]
@@ -826,15 +830,14 @@ def _sketch(matrix, symmetric, rank_tolerance):
     else:
         q = np.linalg.qr(matrix @ np.linalg.qr(matrix.T @ q)[0])[0]
         s, pick = _factor(q.T @ matrix, False)
-    cut = rank_tolerance * s[0]
-    if not s[-1] <= cut:
-        return None
     limit = max(matrix.shape) * _EPS * s[0]
+    if not s[-1] <= limit:
+        return None
     probes = matrix @ rng.standard_normal((matrix.shape[1], _SKETCH_PROBES))
     missed = np.linalg.norm(probes - q @ (q.T @ probes), axis=0).max()
-    if not 10.0 * math.sqrt(2.0 / math.pi) * missed <= min(limit, cut):
+    if not 10.0 * math.sqrt(2.0 / math.pi) * missed <= limit:
         return None
-    keep = _kept(s, rank_tolerance)
+    keep = s > limit
     s, (left, right, signs) = s[keep], pick(keep)
     if symmetric:
         applied, right = aq @ right, q @ right
@@ -954,7 +957,7 @@ class DiagonalOperator(LinearOperator):
     def apply_adjoint(self, w):
         return self.values * _as_vector(w, self.range_dim, "w")
 
-    def _decompose(self, rank_tolerance):
+    def _decompose(self, rank_tolerance=0.0):
         """The entries sorted nonincreasing, with their coordinate axes as indices."""
         order = np.argsort(-self.values, kind="stable")
         s = self.values[order]
@@ -967,6 +970,8 @@ class DiagonalOperator(LinearOperator):
             dim=self.domain_dim,
             rank_tolerance=rank_tolerance,
         )
+
+    _system = functools.cached_property(_decompose)
 
 
 def _check_dense_dim(rows, cols, what):
@@ -1011,9 +1016,9 @@ class GradientOperator(LinearOperator):
         matrix.setflags(write=False)
         return matrix
 
-    def _decompose(self, rank_tolerance):
-        """The closed form, truncated at ``rank_tolerance`` like the others."""
-        return _GradientDecomposition(self.domain_dim, rank_tolerance)
+    @functools.cached_property
+    def _system(self):
+        return _GradientDecomposition(self.domain_dim)
 
 
 class GreenOperator(LinearOperator):
@@ -1051,9 +1056,9 @@ class GreenOperator(LinearOperator):
         matrix.setflags(write=False)
         return matrix
 
-    def _decompose(self, rank_tolerance):
-        """The closed form, truncated at ``rank_tolerance`` like the others."""
-        return _GreenDecomposition(self.domain_dim, rank_tolerance)
+    @functools.cached_property
+    def _system(self):
+        return _GreenDecomposition(self.domain_dim)
 
 
 class MatrixFreeOperator(LinearOperator):
@@ -1102,7 +1107,7 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
         If the budget runs out; the last estimate and iteration count are
         attached as diagnostics.
     """
-    tol = float(tol)
+    tol = _as_real(tol, "tol")
     if not math.isfinite(tol) or tol <= 0.0:
         raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
     max_iters = _check_count(max_iters, "max_iters")
@@ -1133,14 +1138,15 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Truncated singular system of a dense, diagonal, gradient or Green's operator.
+    """Singular system of a dense, diagonal, gradient or Green's operator.
 
     ``singular_values`` is nonincreasing with every retained value above
-    ``rank_tolerance * sigma_1``; ``left_vectors`` (range space) and
-    ``right_vectors`` (domain space) hold the paired orthonormal columns.
-    Projections onto the range of A (equivalently, the range of A A^T)
-    and its orthogonal complement are spanned by the left vectors; the
-    domain-side analogue uses the right vectors.
+    ``rank_tolerance * sigma_1``, a tolerance 0 in an operator's
+    ``_system``; ``left_vectors`` (range space) and ``right_vectors``
+    (domain space) hold the paired orthonormal columns.  Projections onto
+    the range of A (equivalently, the range of A A^T) and its orthogonal
+    complement are spanned by the left vectors; the domain-side analogue
+    uses the right vectors.
 
     The decomposition of a diagonal operator (``DiagonalOperator._decompose``)
     stores only the indices of its kept entries: its singular vectors are
@@ -1354,15 +1360,36 @@ class _ReflectionDecomposition(SpectralDecomposition):
     def _synthesis(self, parts, c):
         return _unfold(*(vectors @ _signed(signs, c[where]) for vectors, signs, where in parts))
 
-    # Products with the identity's 0/1 columns are exact.
+    def _unfolded(self, parts):
+        """``_synthesis(parts, I)``, the dense vectors, unfolded column by column.
+
+        Each column lies in one half, so its unfold is one scaling by
+        sqrt(1/2), negated in the bottom rows of an odd column.  Products
+        with the identity's 0/1 columns and by +-1 are exact, so this gives
+        their bits without forming the identity or a folded copy.
+        """
+        h = parts[1][0].shape[0]
+        n = parts[0][0].shape[0] + h
+        out = np.zeros((n, self.rank))
+        for parity, (vectors, signs, where) in enumerate(parts):
+            half = vectors[:h] * (_HALF_SQRT2 if signs is None else _HALF_SQRT2 * signs)
+            out[:h, where] = half
+            if parity:
+                np.negative(half, out=half)
+            out[n - h :, where] = half[::-1]
+            del half  # before the next part's is made
+            if vectors.shape[0] > h:  # the middle of an odd length, even
+                out[h, where] = _signed(signs, vectors[h])
+        out.setflags(write=False)
+        return out
 
     @functools.cached_property
     def left_vectors(self):
-        return _readonly(self._left(np.eye(self.rank)))
+        return self._unfolded(self._left_parts)
 
     @functools.cached_property
     def right_vectors(self):
-        return _readonly(self._right(np.eye(self.rank)))
+        return self._unfolded(self._right_parts)
 
     def _left(self, c):
         return self._synthesis(self._left_parts, c)
@@ -1390,12 +1417,11 @@ class _HalfSampleDecomposition(SpectralDecomposition):
     only when read.
     """
 
-    def __init__(self, shape, s, rank_tolerance):
-        keep = _kept(s, rank_tolerance)
+    def __init__(self, shape, s):
         # Straight into the instance dict, past the frozen __setattr__.
         vars(self).update(
-            singular_values=_readonly(s[keep]),
-            rank_tolerance=rank_tolerance,
+            singular_values=_readonly(s),
+            rank_tolerance=0.0,
             _shape=shape,
             _n=shape[1],
         )
@@ -1442,12 +1468,12 @@ class _GradientDecomposition(_HalfSampleDecomposition):
     leading zero, padded to length 2n.
     """
 
-    def __init__(self, n, rank_tolerance):
+    def __init__(self, n):
         s = 2.0 * n * np.sin(np.pi * np.arange(n - 1, 0, -1) / (2.0 * n))
-        super().__init__((n - 1, n), s, rank_tolerance)
+        super().__init__((n - 1, n), s)
 
     def _vectors(self, wave, rows, period):
-        j = np.arange(self._n - 1, self._n - 1 - self.rank, -1)
+        j = np.arange(self._n - 1, 0, -1)
         return self._dense(wave, rows, j, period, math.sqrt(2.0 / self._n))
 
     @functools.cached_property
@@ -1459,16 +1485,16 @@ class _GradientDecomposition(_HalfSampleDecomposition):
         return self._vectors(np.cos, 2 * np.arange(self._n) + 1, 4 * self._n)
 
     # Coordinate c[r] belongs to j = n-1-r, so the length-n arrays below,
-    # indexed by j, hold the coordinates at [n-1 : n-1-rank : -1].
+    # indexed by j, hold the coordinates at [n-1 : 0 : -1].
 
     def _coordinates(self, by_j):
         n = self._n
-        return math.sqrt(2.0 / n) * by_j[n - 1 : n - 1 - self.rank : -1]
+        return math.sqrt(2.0 / n) * by_j[n - 1 : 0 : -1]
 
     def _by_j(self, c):
         n = self._n
         out = np.zeros(n)
-        out[n - 1 : n - 1 - self.rank : -1] = math.sqrt(2.0 / n) * c
+        out[n - 1 : 0 : -1] = math.sqrt(2.0 / n) * c
         return out
 
     def _left_t(self, f):
@@ -1500,20 +1526,20 @@ class _GreenDecomposition(_HalfSampleDecomposition):
     k = r + 1.
     """
 
-    def __init__(self, n, rank_tolerance):
+    def __init__(self, n):
         s = 1.0 / (4.0 * n * n * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * n)) ** 2)
-        super().__init__((n, n), s, rank_tolerance)
+        super().__init__((n, n), s)
 
     @functools.cached_property
     def _scale(self):
-        """c_k for the kept k = 1..rank."""
-        c = np.full(self.rank, math.sqrt(2.0 / self._n))
-        c[self._n - 1 :] = math.sqrt(1.0 / self._n)
+        """c_k for k = 1..n."""
+        c = np.full(self._n, math.sqrt(2.0 / self._n))
+        c[-1] = math.sqrt(1.0 / self._n)
         return c
 
     @functools.cached_property
     def right_vectors(self):
-        k = np.arange(1, self.rank + 1)
+        k = np.arange(1, self._n + 1)
         return self._dense(np.sin, 2 * np.arange(self._n) + 1, k, 4 * self._n, self._scale)
 
     @functools.cached_property
@@ -1522,15 +1548,15 @@ class _GreenDecomposition(_HalfSampleDecomposition):
 
     def _left_t(self, f):
         # <u_k, f> = -<v_k, f> = c_k Im exp(-i pi k / 2n) sum_j f_j e^{-i pi k j / n}.
-        return self._scale * self._half_sample(f)[1 : self.rank + 1].imag
+        return self._scale * self._half_sample(f)[1:].imag
 
     def _right_t(self, x):
         return -self._left_t(x)
 
     def _right(self, c):
-        spectrum = np.zeros(self.rank + 1, dtype=complex)
+        spectrum = np.zeros(self._n + 1, dtype=complex)
         spectrum[1:] = -1j * self._scale * c  # Re(-i b e^{i t}) = b sin t
-        spectrum[self._n :] *= 2.0  # k = n, if kept, has weight 1/2
+        spectrum[-1] *= 2.0  # k = n has weight 1/2
         return self._from_half_sample(spectrum)
 
     def _left(self, c):
@@ -1538,24 +1564,20 @@ class _GreenDecomposition(_HalfSampleDecomposition):
 
 
 def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
-    """Singular-value decomposition of a dense operator.
+    """Singular system of a dense operator truncated at ``rank_tolerance``, for alpha = 0.
 
     An exactly symmetric matrix (``A == A.T`` entry for entry) is factored
-    by ``np.linalg.eigh``: with A = Q diag(lambda) Q^T, sigma_i = |lambda_i|,
-    v_i = q_i and u_i = sign(lambda_i) q_i, ordered by nonincreasing
-    |lambda_i|; the q_i are held once, and ``left_vectors`` is built from
-    them and the signs when first read.  Every other matrix goes through
-    ``np.linalg.svd``.  A matrix with ``A[::-1, ::-1] == +-A`` entry for
-    entry is first split into two half-size blocks, in the bases of
-    vectors even and odd under reversal, each factored as above, and
-    their spectra are merged nonincreasing.  Values at or below
-    ``rank_tolerance * sigma_1`` are truncated into the null space.
-    Dimensions are capped at ``MAX_DENSE_DIM`` (dense factorization only).
-
-    With ``rank_tolerance`` > 0, any other matrix at least 256 wide first
-    tries one certified random block of 32 columns, which serves when the
-    numerical rank is below that: hilbert at n = 1024 (rank 23) takes
-    ~12 ms instead of ~250 ms.
+    by ``np.linalg.eigh``, as sigma_i = |lambda_i|, v_i = q_i and u_i =
+    sign(lambda_i) q_i, any other by ``np.linalg.svd``, and one with
+    ``A[::-1, ::-1] == +-A`` entry for entry as two half-size blocks, in
+    the bases of vectors even and odd under reversal.  A matrix at least
+    256 wide first tries one certified random block of 32 columns, which
+    serves when fewer values than that exceed max(m, n) eps sigma_1:
+    hilbert at n = 1024 takes ~12 ms instead of ~250 ms.  Values at or
+    below ``rank_tolerance * sigma_1`` are truncated into the null space,
+    as ``minimal_norm_solution`` wants; each call factors anew.  A
+    problem's ``decomp`` is the untruncated ``op._system`` instead.
+    Dimensions are capped at ``MAX_DENSE_DIM``.
 
     Raises
     ------
@@ -1595,8 +1617,8 @@ def filter_factors(singular_values, alpha):
     """
     a = _check_alpha(alpha)
     s = np.asarray(singular_values, dtype=float)
-    if np.any(s < 0):
-        raise InvalidParameterError("singular values must be >= 0")
+    if not np.isfinite(s).all() or np.any(s < 0):
+        raise InvalidParameterError("singular_values must be finite and >= 0")
     return s / (s**2 + a)
 
 

@@ -2,9 +2,10 @@
 
 Every catalog entry constructs the solution vector first and defines the
 exact data as its image, so the constructed system is solvable by
-construction.  When the computed singular system has a nontrivial null
-space, the solution is projected onto the row space, making it the
-minimal-norm representative of the data it generates.
+construction.  When the computed singular system has values at or below
+``DEFAULT_RANK_TOLERANCE * sigma_1``, the solution is projected onto the
+row space of the others, making it the minimal-norm representative of
+the data it generates.
 
 Noise directions come from the Philox counter-based generator (64-bit,
 keyed by the caller's seed), so noisy data is reproducible bit-for-bit
@@ -28,7 +29,10 @@ from .operators import (
     LinearOperator,
     DEFAULT_RANK_TOLERANCE,
     SpectralDecomposition,
+    _as_real,
+    _check_count,
     _check_dense_dim,
+    _kept,
     _readonly,
     svd_decompose,  # noqa: F401  (perfbench/spans.py wraps this binding)
     write_dense_text,
@@ -51,8 +55,10 @@ class ProblemInstance:
     """An operator with its exact minimal-norm solution and exact data.
 
     Invariants: f = A y up to factorization accuracy, y is orthogonal to
-    the computed null space of A, and f is nonzero.  Two instances are
-    equal only if they are the same object.
+    the computed null space of A at ``DEFAULT_RANK_TOLERANCE``, and f is
+    nonzero.  ``decomp`` is ``op._system``, untruncated: at alpha = 0 use
+    ``svd_decompose(op)``.  Two instances are equal only if they are the
+    same object.
     """
 
     name: str
@@ -159,21 +165,21 @@ def make_problem(name, n, decompose=True, **params):
     name : str
         One of ``PROBLEM_NAMES``.
     n : int
-        Discretization size, at least 2.  hilbert and phillips build an
-        n x n matrix and refuse n above ``MAX_DENSE_DIM``; diagonal,
-        deriv2 and gradient_family take O(n) memory at any n.  Each of
-        the two fills one n x n buffer in place, which its
-        ``DenseOperator`` takes uncopied: at n = 4096 hilbert's set-up
-        peaks 16 MiB above its 128 MiB matrix, and phillips' keeps the
-        matrix and 64 MiB of eigenvectors, held once for both sides of
-        its symmetric blocks, and peaks at 256 MiB (tracemalloc).
+        Discretization size, an integer at least 2 (5.0 counts, 3.7
+        does not).  hilbert and phillips build an n x n matrix and
+        refuse n above ``MAX_DENSE_DIM``; diagonal, deriv2 and
+        gradient_family take O(n) memory at any n.  Each of the two
+        fills one n x n buffer in place, which its ``DenseOperator``
+        takes uncopied: at n = 4096 hilbert's set-up peaks 16 MiB above
+        its 128 MiB matrix, and phillips' keeps the matrix and 64 MiB of
+        eigenvectors, held once for both sides of its symmetric blocks,
+        and peaks at 256 MiB (tracemalloc).
     decompose : bool
-        Compute and attach the singular system, truncated at
-        ``DEFAULT_RANK_TOLERANCE`` (needed for spectral solves and for
-        the null-space projection of the solution).  hilbert's, of
-        numerical rank 19 to 27 for n from 256 to 4096, comes from one
-        certified random block in O(n^2 r) (``svd_decompose``): ~12 ms at
-        n = 1024, where factoring the whole matrix takes ~250 ms.
+        Build ``op._system``, attach it and project the solution on its
+        vectors above ``DEFAULT_RANK_TOLERANCE * sigma_1``.  hilbert's,
+        of rank 20 to 27 for n from 256 to 4096, comes from one certified
+        random block in O(n^2 r): ~12 ms at n = 1024, where factoring the
+        whole matrix takes ~250 ms, and no later solve on ``op`` factors.
     **params
         Problem-specific parameters, e.g. ``p`` for ``diagonal``.
 
@@ -185,7 +191,7 @@ def make_problem(name, n, decompose=True, **params):
         raise UnknownProblemError(
             f"unknown problem {name!r}; available: {', '.join(PROBLEM_NAMES)}"
         )
-    n = int(n)
+    n = _check_count(n, "n")
     if n < 2:
         raise InvalidParameterError(f"problem size must be >= 2, got {n}")
     try:
@@ -196,10 +202,11 @@ def make_problem(name, n, decompose=True, **params):
         ) from None
     decomp = None
     if decompose:
-        decomp = op._decompose(DEFAULT_RANK_TOLERANCE)
-        if decomp.rank < op.domain_dim:
+        decomp = op._system
+        kept = _kept(decomp.singular_values, DEFAULT_RANK_TOLERANCE)
+        if kept.sum() < op.domain_dim:
             # Minimal-norm representative: drop the computed null component.
-            y = decomp._right(decomp._right_t(y))
+            y = decomp._right(decomp._right_t(y) * kept)
     f = op.apply(y)
     if not np.linalg.norm(f) > 0:
         raise InvalidParameterError(
@@ -227,7 +234,7 @@ def add_noise(problem, delta, seed):
     floating-point grid of f, so the realized level can differ from the
     requested one by about ``eps * ||f|| / delta`` in relative terms.
     """
-    delta = float(delta)
+    delta = _as_real(delta, "delta")
     if not np.isfinite(delta) or delta <= 0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
     rng = np.random.default_rng(np.random.Philox(int(seed)))

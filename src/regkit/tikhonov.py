@@ -31,6 +31,7 @@ from .operators import (
     MatrixFreeOperator,
     SpectralDecomposition,
     _as_data,
+    _as_real,
     _as_vector,
     _check_alpha,
     _check_count,
@@ -182,7 +183,7 @@ def apriori_alpha_schedule(delta):
     convergent method; this is the simplest compliant choice, giving a
     data-error term delta / (2 sqrt(alpha)) = sqrt(delta) / 2.
     """
-    d = float(delta)
+    d = _as_real(delta, "delta")
     if not np.isfinite(d) or d <= 0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
     return d

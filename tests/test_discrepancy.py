@@ -209,6 +209,13 @@ def test_non_finite_data_rejected(kind):
         solve_alpha(system, f_delta, 1e-3)
 
 
+@pytest.mark.parametrize("bad", [None, "x"], ids=["None", "str"])
+def test_stated_delta_must_be_a_number(bad):
+    # None leaked TypeError and "x" ValueError from float().
+    with pytest.raises(InvalidParameterError, match="delta"):
+        solve_alpha(DiagonalOperator([1.0, 0.5]), [1.0, 1.0], bad)
+
+
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         DiscrepancyConfig(C=1.0)

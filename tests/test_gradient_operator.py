@@ -44,7 +44,7 @@ def _rel(a, b):
 def test_closed_form_matches_dense_svd(n):
     op = GradientOperator(n)
     matrix = op.matrix
-    decomp = op._decompose(0.0)
+    decomp = op._system
     s = decomp.singular_values
     left, right = decomp.left_vectors, decomp.right_vectors
     oracle = np.linalg.svd(matrix, compute_uv=False)
@@ -63,18 +63,6 @@ def test_closed_form_matches_dense_svd(n):
     assert _rel(decomp._left(c), left @ c) <= 1e-13
     assert _rel(decomp._right_t(x), right.T @ x) <= 1e-13
     assert _rel(decomp._right(c), right @ c) <= 1e-13
-
-
-def test_truncated_closed_form_keeps_the_largest_values():
-    full = GradientOperator(64)._decompose(0.0)
-    cut = GradientOperator(64)._decompose(0.5)
-    assert 0 < cut.rank < full.rank
-    np.testing.assert_array_equal(cut.singular_values, full.singular_values[: cut.rank])
-    assert np.all(cut.singular_values > 0.5 * cut.singular_values[0])
-    rng = philox(3)
-    f, c = rng.standard_normal(63), rng.standard_normal(cut.rank)
-    assert _rel(cut._left_t(f), full.left_vectors[:, : cut.rank].T @ f) <= 1e-13
-    assert _rel(cut._right(c), full.right_vectors[:, : cut.rank] @ c) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 16, 257])
@@ -103,7 +91,7 @@ def test_matrix_is_the_old_dense_matrix_built_once():
 def test_dense_reads_above_the_cap_raise_without_allocating():
     n = MAX_DENSE_DIM + 1
     op = GradientOperator(n)
-    decomp = op._decompose(0.0)
+    decomp = op._system
     tracemalloc.start()
     try:
         for read in (

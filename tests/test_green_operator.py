@@ -46,7 +46,7 @@ def _rel(a, b):
 def test_closed_form_matches_dense_factorizations(n):
     op = GreenOperator(n)
     matrix = op.matrix
-    decomp = op._decompose(0.0)
+    decomp = op._system
     s = decomp.singular_values
     left, right = decomp.left_vectors, decomp.right_vectors
     assert decomp.rank == n
@@ -65,19 +65,6 @@ def test_closed_form_matches_dense_factorizations(n):
     assert _rel(decomp._left(c), left @ c) <= 1e-13
     assert _rel(decomp._right_t(x), right.T @ x) <= 1e-13
     assert _rel(decomp._right(c), right @ c) <= 1e-13
-
-
-def test_truncated_closed_form_keeps_the_largest_values():
-    full = GreenOperator(64)._decompose(0.0)
-    cut = GreenOperator(64)._decompose(0.01)
-    assert 0 < cut.rank < full.rank
-    np.testing.assert_array_equal(cut.singular_values, full.singular_values[: cut.rank])
-    assert np.all(cut.singular_values > 0.01 * cut.singular_values[0])
-    rng = philox(4)
-    f, c = rng.standard_normal(64), rng.standard_normal(cut.rank)
-    assert _rel(cut._left_t(f), full.left_vectors[:, : cut.rank].T @ f) <= 1e-13
-    assert _rel(cut._right(c), full.right_vectors[:, : cut.rank] @ c) <= 1e-13
-    np.testing.assert_array_equal(cut.right_vectors, full.right_vectors[:, : cut.rank])
 
 
 @pytest.mark.parametrize("n", [8, 128, 256, 1024])
@@ -111,7 +98,7 @@ def test_apply_matches_the_matrix(n):
 def test_dense_reads_above_the_cap_raise_without_allocating():
     n = MAX_DENSE_DIM + 1
     op = GreenOperator(n)
-    decomp = op._decompose(0.0)
+    decomp = op._system
     tracemalloc.start()
     try:
         for read in (

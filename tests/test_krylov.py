@@ -239,7 +239,7 @@ def test_gradient_callbacks_match_the_closed_form_at_n_2048():
     target = C * delta
     assert abs(selection.achieved_residual - target) <= 1e-8 * target
     assert abs(solution.residual_norm - target) <= 1e-8 * target
-    reference = solve_spectral(GradientOperator(n)._decompose(0.0), fd, selection.alpha).u
+    reference = solve_spectral(GradientOperator(n)._system, fd, selection.alpha).u
     assert np.linalg.norm(solution.u - reference) <= 1e-8 * np.linalg.norm(reference)
 
 

@@ -578,3 +578,27 @@ def test_matrix_free_rejects_non_callable(label):
     callbacks = {"forward": lambda x: x, "adjoint": lambda w: w, label: None}
     with pytest.raises(InvalidParameterError, match=label):
         MatrixFreeOperator(2, 2, callbacks["forward"], callbacks["adjoint"])
+
+
+@pytest.mark.parametrize("bad", [None, "x"], ids=["None", "str"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: svd_decompose(DenseOperator(np.eye(2)), v), "rank_tolerance"),
+        (lambda v: diagonal_decomposition([1.0, 2.0], v), "rank_tolerance"),
+        (lambda v: operator_norm_estimate(DiagonalOperator([1.0, 2.0]), tol=v), "tol"),
+        (lambda v: filter_factors([1.0], v), "alpha"),
+    ],
+    ids=["svd_decompose", "diagonal_decomposition", "operator_norm_estimate", "filter_factors"],
+)
+def test_non_numeric_scalars_raise_typed_errors(call, name, bad):
+    # None leaked TypeError and "x" ValueError from float().
+    with pytest.raises(InvalidParameterError, match=name):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_filter_factors_refuse_non_finite_values(bad):
+    # A NaN value passed the sign test and came back as a NaN factor.
+    with pytest.raises(InvalidParameterError, match="singular_values"):
+        filter_factors([1.0, bad], 1.0)

@@ -5,11 +5,14 @@ import pytest
 from scipy.optimize import brentq
 
 from regkit import (
+    DenseOperator,
+    DiagonalOperator,
     InvalidParameterError,
     PROBLEM_NAMES,
     SizeLimitError,
     UnknownProblemError,
     add_noise,
+    diagonal_decomposition,
     discrepancy_value,
     export_problem,
     make_problem,
@@ -19,6 +22,7 @@ from regkit import (
     solve_dual,
     solve_primal,
     solve_spectral,
+    svd_decompose,
 )
 
 
@@ -91,6 +95,15 @@ def test_gradient_family_solution_map_bound_uniform_in_n():
             assert solution_operator_norm(prob.decomp, alpha) <= bound * (1 + 1e-12)
 
 
+def _truncated(prob):
+    """The system truncated at the default rank tolerance, as for the minimal-norm y."""
+    if isinstance(prob.op, DenseOperator):
+        return svd_decompose(prob.op)
+    if isinstance(prob.op, DiagonalOperator):
+        return diagonal_decomposition(prob.op.values)
+    return prob.decomp  # the closed forms keep every value, all far above the tolerance
+
+
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 @pytest.mark.parametrize("n", ALL_SIZES)
 def test_instance_invariants(name, n):
@@ -98,7 +111,7 @@ def test_instance_invariants(name, n):
     norm_f = np.linalg.norm(prob.f)
     assert norm_f > 0
     assert np.linalg.norm(prob.op.apply(prob.y) - prob.f) <= 1e-12 * norm_f
-    null_part = prob.decomp.project_domain_complement(prob.y)
+    null_part = _truncated(prob).project_domain_complement(prob.y)
     assert np.linalg.norm(null_part) <= 1e-10 * np.linalg.norm(prob.y)
 
 
@@ -148,6 +161,24 @@ def test_noise_validation():
         add_noise(prob, 0.0, 1)
 
 
+@pytest.mark.parametrize("bad", [None, "x"], ids=["None", "str"])
+def test_noise_level_must_be_a_number(bad):
+    # None leaked TypeError and "x" ValueError from float().
+    with pytest.raises(InvalidParameterError, match="delta"):
+        add_noise(make_problem("deriv2", 8), bad, 0)
+
+
+@pytest.mark.parametrize("bad", [3.7, "x", None], ids=["fraction", "str", "None"])
+def test_problem_size_must_be_an_integer(bad):
+    # 3.7 silently built n = 3; "x" leaked ValueError and None TypeError.
+    with pytest.raises(InvalidParameterError, match="n must be"):
+        make_problem("hilbert", bad)
+
+
+def test_integral_float_sizes_are_taken():
+    np.testing.assert_array_equal(make_problem("hilbert", 5.0).f, make_problem("hilbert", 5).f)
+
+
 # --- the diagonal problem doubles as the oracle ---------------------------------------
 
 def test_diagonal_solves_match_analytic_sums():
@@ -188,10 +219,11 @@ def test_hilbert_large_sizes_project_solution_into_row_space():
     # Numerically rank-deficient: the stored solution must be the
     # minimal-norm representative of the data it generates.
     prob = make_problem("hilbert", 64)
-    assert prob.decomp.rank < 64
+    truncated = svd_decompose(prob.op)
+    assert truncated.rank < 64
     residual = np.linalg.norm(prob.op.apply(prob.y) - prob.f)
     assert residual <= 1e-12 * np.linalg.norm(prob.f)
-    null_part = prob.decomp.project_domain_complement(prob.y)
+    null_part = truncated.project_domain_complement(prob.y)
     assert np.linalg.norm(null_part) <= 1e-10 * np.linalg.norm(prob.y)
 
 

@@ -166,12 +166,13 @@ def test_truncated_hilbert_factors_only_the_block(monkeypatch):
     assert calls == [("eigh", (_SKETCH_WIDTH, _SKETCH_WIDTH))]
 
 
-def test_untruncated_hilbert_is_factored_whole(monkeypatch):
-    # The operator's own system, _decompose(0.0), keeps every sigma > 0:
-    # no block is wider than that rank.
+def test_untruncated_hilbert_takes_the_block(monkeypatch):
+    # The operator's own system, _decompose(0.0), keeps every sigma above
+    # n eps sigma_1, which the block certifies: the values below carry no
+    # correct digits from a whole-matrix eigh either.
     n = 256
     calls = _factorizations(monkeypatch, make_problem("hilbert", n, decompose=False).op.matrix, 0.0)
-    assert calls == [("eigh", (n, n))]
+    assert calls == [("eigh", (_SKETCH_WIDTH, _SKETCH_WIDTH))]
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])

@@ -51,13 +51,27 @@ def test_hilbert_set_up_makes_no_full_size_temporary():
 
 
 def test_symmetric_system_keeps_one_factor():
-    n = 512
-    op = make_problem("hilbert", n, decompose=False).op
+    # Odd-n phillips is symmetric but not reflection-symmetric bit for bit,
+    # and its rank is far past the random block's: its system is one
+    # whole-matrix eigh, every value kept.
+    n = 513
+    op = make_problem("phillips", n, decompose=False).op
     system, kept, _ = _traced(lambda: op._system)
     assert system.rank == n
     assert system.right_vectors.nbytes <= kept <= 1.1 * n * n * 8
     # The left vectors are built on first read.
     assert "left_vectors" not in vars(system)
+
+
+@pytest.mark.parametrize("side", ["left_vectors", "right_vectors"])
+def test_reflection_vectors_are_unfolded_without_the_identity(side):
+    # Synthesizing them from np.eye(rank) through the parts peaked at four
+    # times the result: the identity, its gathered rows, the unfolded
+    # halves and their concatenation, and a read-only copy.
+    decomp = make_problem("phillips", 1024).decomp
+    vectors, kept, peak = _traced(lambda: getattr(decomp, side))
+    assert kept >= vectors.nbytes == 8 * MiB
+    assert peak <= 1.5 * vectors.nbytes
 
 
 @pytest.mark.parametrize("n", [128, 129, 1024, 1025])

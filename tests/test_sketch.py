@@ -8,7 +8,7 @@ import pytest
 
 from regkit import DenseOperator, make_problem, regularized_solve_auto, svd_decompose
 from regkit import operators
-from regkit.operators import _SKETCH_WIDTH, DEFAULT_RANK_TOLERANCE
+from regkit.operators import _SKETCH_WIDTH
 
 from conftest import philox
 
@@ -56,7 +56,7 @@ def test_block_is_taken(name):
     matrix = CASES[name]()
     symmetric = np.array_equal(matrix, matrix.T)
     assert symmetric == (not name.startswith("low_rank"))
-    assert operators._sketch(matrix, symmetric, DEFAULT_RANK_TOLERANCE) is not None
+    assert operators._sketch(matrix, symmetric) is not None
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -100,5 +100,5 @@ def test_a_rank_past_the_block_is_factored_whole():
     x = np.linalg.qr(philox(53).standard_normal((n, n)))[0]
     b = (x * np.concatenate([np.ones(28), np.logspace(-11.9, -13.0, n - 28)])) @ x.T
     matrix = (b + b.T) / 2.0
-    assert operators._sketch(matrix, True, DEFAULT_RANK_TOLERANCE) is None
+    assert operators._sketch(matrix, True) is None
     assert svd_decompose(DenseOperator(matrix)).rank == 49

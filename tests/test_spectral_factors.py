@@ -103,7 +103,7 @@ def test_diagonal_problem_keeps_no_dense_axes(p):
 def test_truncated_diagonal_problem_solution_matches_dense_axes():
     prob = make_problem("diagonal", 64, p=8.0)
     ref = _dense_axes_reference(prob.op.values)
-    assert prob.decomp.rank == ref.rank < 64
+    assert diagonal_decomposition(prob.op.values).rank == ref.rank < 64
     y = 1.0 / np.arange(1, 65, dtype=float)
     np.testing.assert_array_equal(prob.y, ref.right_vectors @ (ref.right_vectors.T @ y))
 

@@ -348,6 +348,9 @@ def test_apriori_schedule_values():
 def test_apriori_schedule_validation():
     with pytest.raises(InvalidParameterError):
         apriori_alpha_schedule(0.0)
+    # None leaked TypeError from float().
+    with pytest.raises(InvalidParameterError, match="delta"):
+        apriori_alpha_schedule(None)
 
 
 # --- solution-map norm -------------------------------------------------------------
