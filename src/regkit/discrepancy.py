@@ -113,9 +113,10 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
     the given decomposition, the SVD of a dense operator (its
     eigendecomposition when the matrix is exactly symmetric, and built
     from two half-size blocks when ``A[::-1, ::-1] == +-A`` exactly),
-    the closed form of a diagonal, gradient or Green's one, or a
-    Golub-Kahan Krylov space for any other, extended until its solution
-    at the root is certified.  Every g(alpha) is then O(rank) arithmetic
+    the same of a Toeplitz operator's matrix up to ``MAX_DENSE_DIM``, the
+    closed form of a diagonal, gradient or Green's one, or a Golub-Kahan
+    Krylov space for any other, extended until its solution at the root
+    is certified.  Every g(alpha) is then O(rank) arithmetic
     on the projected spectrum, or on a Krylov space of dimension k one
     O(k) sweep of Givens rotations over its bidiagonal.  The root is
     found by Newton steps on phi(beta) = (g(1/beta) - g(0+))^(-1/2) in

@@ -24,10 +24,13 @@ from .errors import (
     DataTooNoisyError,
     InvalidParameterError,
     NoRootBelowError,
+    SizeLimitError,
 )
+from .operators import MAX_DENSE_DIM
 from .problems import add_noise, make_problem
 from .tikhonov import (
     apriori_alpha_schedule,
+    solve_primal,
     solve_spectral,
     solution_operator_norm,
 )
@@ -140,11 +143,27 @@ def _finish(problem, solution, delta, c_label, started):
     )
 
 
+def _system(problem):
+    """What selection runs on: the problem's singular system, else its operator.
+
+    Only hilbert and phillips above ``MAX_DENSE_DIM`` have no system; their
+    operators then grow a Golub-Kahan space on the FFT apply.
+    """
+    return problem.op if problem.decomp is None else problem.decomp
+
+
+def _solve_fixed(problem, f, alpha):
+    """The filter sum on the problem's system, or the certified solve on its operator."""
+    if problem.decomp is None:
+        return solve_primal(problem.op, f, alpha)
+    return solve_spectral(problem.decomp, f, alpha)
+
+
 def run_solve(name, n, alpha, params=None):
     """Solve one instance with exact data at a fixed alpha."""
     started = time.perf_counter()
     problem = make_problem(name, n, **(params or {}))
-    solution = solve_spectral(problem.decomp, problem.f, alpha)
+    solution = _solve_fixed(problem, problem.f, alpha)
     return _finish(problem, solution, 0.0, C_FIXED, started)
 
 
@@ -155,7 +174,7 @@ def run_choose_alpha(name, n, delta, seed, C=1.5, params=None):
     noisy = add_noise(problem, delta, seed)
     cfg = DiscrepancyConfig(C=float(C))
     solution, _selection = regularized_solve_auto(
-        problem.decomp, noisy.f_delta, noisy.delta, cfg
+        _system(problem), noisy.f_delta, noisy.delta, cfg
     )
     return _finish(problem, solution, noisy.delta, _f17(C), started)
 
@@ -186,11 +205,11 @@ def run_sweep(name, n, deltas, seed, rule="discrepancy", C=1.5, params=None):
             if rule == "discrepancy":
                 cfg = DiscrepancyConfig(C=float(C))
                 solution, _sel = regularized_solve_auto(
-                    problem.decomp, noisy.f_delta, noisy.delta, cfg
+                    _system(problem), noisy.f_delta, noisy.delta, cfg
                 )
             else:
                 alpha = apriori_alpha_schedule(noisy.delta)
-                solution = solve_spectral(problem.decomp, noisy.f_delta, alpha)
+                solution = _solve_fixed(problem, noisy.f_delta, alpha)
         except (DataTooNoisyError, NoRootBelowError, ConvergenceError):
             solution = None
         records.append(_finish(problem, solution, noisy.delta, label, started))
@@ -237,12 +256,19 @@ def run_verify_bounds(family, ns, alphas, params=None, slack=1e-12):
     """Measure the solution-map norm across a family of growing operators.
 
     For each size and alpha, checks measured <= (1 + slack) / (2 sqrt(alpha));
-    the margin column reports bound - measured.
+    the margin column reports bound - measured.  Both norms are read off the
+    family's singular system, so hilbert and phillips above
+    ``MAX_DENSE_DIM``, which have none, raise ``SizeLimitError``.
     """
     rows = []
     violations = 0
     for n in ns:
         decomp = make_problem(family, int(n), **(params or {})).decomp
+        if decomp is None:
+            raise SizeLimitError(
+                f"verify-bounds reads the singular values of {family}, which has "
+                f"none above MAX_DENSE_DIM = {MAX_DENSE_DIM}; got n = {n}"
+            )
         op_norm = float(decomp.singular_values[0]) if decomp.rank else 0.0
         for alpha in alphas:
             a = float(alpha)

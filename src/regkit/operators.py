@@ -1,18 +1,21 @@
 """Linear operators, adjoints, and singular-value machinery.
 
-Operators come in five kinds: ``dense`` (an explicit matrix), ``diagonal``
+Operators come in six kinds: ``dense`` (an explicit matrix), ``diagonal``
 (a square nonnegative diagonal), ``gradient`` (n times the forward
 difference on n points, in O(n)), ``green`` (the midpoint rule for the
-inverse of -d^2/dt^2 with zero boundary values, in O(n log n)), and
+inverse of -d^2/dt^2 with zero boundary values, in O(n log n)),
+``toeplitz`` (a Toeplitz matrix, or a Hankel one as its rows reversed,
+held by its 2n - 1 diagonal values and applied by FFT in O(n log n)), and
 ``matrix_free`` (forward/adjoint callbacks).  All values are immutable
 after construction and every operation here is a pure function, so
 concurrent use needs no locking; matrix-free callbacks must themselves be
 re-entrant.
 
 Each kind owns one singular system, ``_system``, untruncated and built
-once on first read: a factored matrix up to ``MAX_DENSE_DIM``, sorted
-diagonal entries, the closed-form cosine and sine transforms of the
-gradient and Green's operators, or none.  Theorem 1 bounds every filter
+once on first read: a factored matrix up to ``MAX_DENSE_DIM`` (for a
+Toeplitz operator, a matrix built for the factorization and dropped),
+sorted diagonal entries, the closed-form cosine and sine transforms of
+the gradient and Green's operators, or none.  Theorem 1 bounds every filter
 factor by 1 / (2 sqrt(alpha)), so no sigma > 0 is dropped for a Tikhonov
 solve; ``make_problem`` attaches the same object.  Only at alpha = 0 is
 a system truncated: ``svd_decompose`` and ``diagonal_decomposition``
@@ -20,8 +23,9 @@ factor one at a rank tolerance (``_decompose``).
 The Tikhonov kernels that the routes in ``tikhonov`` call live in the
 base class, and so does residual matching (``_project``).  Each reads
 ``_system``, or, when there is none, one Golub-Kahan space grown until
-it certifies alpha.  Only dense operators override the kernels, with QR
-forms, so that the routes stay independent checks of each other.  The
+it certifies alpha.  Only dense operators, and Toeplitz ones up to
+``MAX_DENSE_DIM``, override the kernels, with QR forms on the matrix, so
+that the routes stay independent checks of each other.  The
 Krylov bases stay orthonormal to working precision, with Gram-Schmidt
 only where an O(1) bound on the loss of orthogonality asks for it; one
 method, ``_KrylovProjection._append``, bounds, measures, orthogonalizes
@@ -71,6 +75,7 @@ __all__ = [
     "DiagonalOperator",
     "GradientOperator",
     "GreenOperator",
+    "ToeplitzOperator",
     "MatrixFreeOperator",
     "SpectralDecomposition",
     "operator_norm_estimate",
@@ -183,14 +188,14 @@ def _check_rank_tolerance(rank_tolerance):
     return t
 
 
-def _check_count(value, name):
-    """``value`` as an int if it is an integer >= 1 (5.0 counts), else InvalidParameterError."""
+def _check_count(value, name, least=1):
+    """``value`` as an int if it is an integer >= ``least`` (5.0 counts), else InvalidParameterError."""
     try:
         count = int(value)
     except (TypeError, ValueError, OverflowError):
-        count = 0
-    if count < 1 or count != value:
-        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
+        count = least - 1
+    if count < least or count != value:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return count
 
 
@@ -679,9 +684,9 @@ class DenseOperator(LinearOperator):
     """Operator backed by an explicit (range_dim x domain_dim) matrix.
 
     ``matrix`` is a read-only copy of the caller's real array; complex
-    entries are refused, not cast.  The catalog builders fill one buffer
-    that no caller keeps and hand it over uncopied (``_owning``), so a
-    catalog matrix is held once.
+    entries are refused, not cast.  A ``ToeplitzOperator`` fills one
+    buffer that no caller keeps and hands it over uncopied (``_owning``),
+    so the matrix it factors is held once.
     """
 
     kind = "dense"
@@ -1061,6 +1066,104 @@ class GreenOperator(LinearOperator):
         return _GreenDecomposition(self.domain_dim)
 
 
+class ToeplitzOperator(LinearOperator):
+    """An n x n Toeplitz matrix, or a Hankel one as its rows reversed, applied by FFT.
+
+    ``ToeplitzOperator(column, row)`` is T[i, j] = column[i - j] for
+    i >= j and row[j - i] for i < j, as ``scipy.linalg.toeplitz(column,
+    row)``.  With ``hankel=True`` it is H[i, j] = column[i + j] for
+    i + j < n and row[i + j - n + 1] beyond, as ``scipy.linalg.hankel``:
+    the Toeplitz matrix J H, J the reversal, with its rows reversed.
+    Either is held as the 2n - 1 values t on T's diagonals, T[i, j] =
+    t[n - 1 + i - j], and applied by one length-2n ``rfft`` pair through
+    the circulant that embeds T (Chan & Ng, SIAM Review 38, 1996): O(n
+    log n) time and O(n) memory.
+
+    ``matrix`` is built on first read, up to ``MAX_DENSE_DIM``, from t,
+    or by ``entries()`` if given: a builder for entries with a closed form
+    of their own, which t may match only to rounding.  Up to the cap,
+    ``_system`` factors a ``DenseOperator`` of a matrix built for it and
+    dropped, and the kernels are ``DenseOperator``'s QR forms on
+    ``matrix``, so the routes stay independent checks.  Above it there is
+    no system, and selection grows a Golub-Kahan space on the FFT apply.
+    """
+
+    kind = "toeplitz"
+
+    def __init__(self, column, row, hankel=False, entries=None):
+        n = np.size(column)
+        super().__init__(n, n)
+        column, row = _as_data(column, n, "Toeplitz column"), _as_data(row, n, "Toeplitz row")
+        # T's first column is the Hankel column reversed; row[0] is unused.
+        values = np.concatenate([row[:0:-1], column[::-1] if hankel else column])
+        self._values = _readonly(values)
+        self._hankel = bool(hankel)
+        self._closed_form = entries
+        # The spectra of T's and T^T's symbols, zero-padded to the circulant.
+        self._spectra = (np.fft.rfft(values, 2 * n), np.fft.rfft(values[::-1], 2 * n))
+
+    def _convolve(self, spectrum, x):
+        """T x, or T^T x with the transpose's spectrum: rows n-1..2n-2 of the circulant product.
+
+        Those rows sum t[p] x_j over p = n - 1 + i - j in [0, 2n - 2], so
+        no term wraps around the length-2n circle.
+        """
+        n = self.domain_dim
+        return np.fft.irfft(spectrum * np.fft.rfft(x, 2 * n), 2 * n)[n - 1 : 2 * n - 1]
+
+    def apply(self, x):
+        tx = self._convolve(self._spectra[0], _as_vector(x, self.domain_dim, "x"))
+        return tx[::-1] if self._hankel else tx
+
+    def apply_adjoint(self, w):
+        w = _as_vector(w, self.range_dim, "w")
+        return self._convolve(self._spectra[1], w[::-1] if self._hankel else w)
+
+    def _entries(self):
+        """A new n x n array of the entries: ``entries()``, else read off t."""
+        if self._closed_form is not None:
+            return self._closed_form()
+        # Window k holds t[2n-2-k-j], j = 0..n-1: row k of H, row n-1-k of T.
+        windows = np.lib.stride_tricks.sliding_window_view(self._values[::-1], self.domain_dim)
+        return np.array(windows if self._hankel else windows[::-1])
+
+    @functools.cached_property
+    def matrix(self):
+        n = self.domain_dim
+        _check_dense_dim(n, n, "dense matrix")
+        matrix = self._entries()
+        matrix.setflags(write=False)
+        return matrix
+
+    def _decompose(self, rank_tolerance=0.0):
+        """``DenseOperator``'s factorization of the matrix; None above ``MAX_DENSE_DIM``.
+
+        Unless ``matrix`` has been read, the matrix is built for it and
+        dropped: the factors hold no reference to it.
+        """
+        if self.domain_dim > MAX_DENSE_DIM:
+            return None
+        matrix = vars(self).get("matrix")
+        dense = DenseOperator._owning(self._entries() if matrix is None else matrix)
+        return dense._decompose(rank_tolerance)
+
+    _system = functools.cached_property(_decompose)
+
+    @property
+    def _kernels(self):
+        """The class whose Tikhonov kernels serve: ``DenseOperator``'s up to the cap."""
+        return DenseOperator if self.domain_dim <= MAX_DENSE_DIM else LinearOperator
+
+    def _solve_normal(self, a, b, cfg):
+        return self._kernels._solve_normal(self, a, b, cfg)
+
+    def _solve_primal(self, a, f, cfg):
+        return self._kernels._solve_primal(self, a, f, cfg)
+
+    def _solve_dual(self, a, f, cfg):
+        return self._kernels._solve_dual(self, a, f, cfg)
+
+
 class MatrixFreeOperator(LinearOperator):
     """Operator given by forward/adjoint callbacks; never materialized.
 
@@ -1138,7 +1241,7 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Singular system of a dense, diagonal, gradient or Green's operator.
+    """Singular system of a dense, diagonal, gradient, Green's or Toeplitz operator.
 
     ``singular_values`` is nonincreasing with every retained value above
     ``rank_tolerance * sigma_1``, a tolerance 0 in an operator's
@@ -1564,7 +1667,7 @@ class _GreenDecomposition(_HalfSampleDecomposition):
 
 
 def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
-    """Singular system of a dense operator truncated at ``rank_tolerance``, for alpha = 0.
+    """Singular system of a dense or Toeplitz operator truncated at ``rank_tolerance``, for alpha = 0.
 
     An exactly symmetric matrix (``A == A.T`` entry for entry) is factored
     by ``np.linalg.eigh``, as sigma_i = |lambda_i|, v_i = q_i and u_i =
@@ -1576,20 +1679,21 @@ def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     hilbert at n = 1024 takes ~12 ms instead of ~250 ms.  Values at or
     below ``rank_tolerance * sigma_1`` are truncated into the null space,
     as ``minimal_norm_solution`` wants; each call factors anew.  A
-    problem's ``decomp`` is the untruncated ``op._system`` instead.
-    Dimensions are capped at ``MAX_DENSE_DIM``.
+    problem's ``decomp`` is the untruncated ``op._system`` instead.  A
+    ``ToeplitzOperator`` is factored through a ``DenseOperator`` of its
+    matrix, built for the call.  Dimensions are capped at ``MAX_DENSE_DIM``.
 
     Raises
     ------
     UnsupportedKindError
-        For non-dense operators; matrix-free operators are never
+        For operators of other kinds; matrix-free operators are never
         materialized on the caller's behalf.
     SizeLimitError
         Above ``MAX_DENSE_DIM``.
     """
-    if not isinstance(op, DenseOperator):
+    if not isinstance(op, (DenseOperator, ToeplitzOperator)):
         raise UnsupportedKindError(
-            f"svd_decompose requires a dense operator, got {type(op).__name__}"
+            f"svd_decompose requires a dense or Toeplitz operator, got {type(op).__name__}"
         )
     decomp = op._decompose(_check_rank_tolerance(rank_tolerance))
     if decomp is None:
@@ -1632,30 +1736,39 @@ def minimal_norm_solution(decomp, f):
     """Pseudo-inverse solution y with A y = f and y orthogonal to null(A).
 
     Requires f to lie in the range of A up to the decomposition's rank
-    tolerance; intended for constructing and checking exact problems.
+    tolerance; intended for constructing and checking exact problems.  An
+    untruncated system, of tolerance 0 (an operator's ``_system``, and so a
+    problem's ``decomp``), is read at ``DEFAULT_RANK_TOLERANCE``, the cut
+    ``make_problem`` makes for y: its values at or below that times
+    sigma_1 count as null space, in the range test and in the solve.
 
     Raises
     ------
     NotInRangeError
-        If the component of f outside the range exceeds
-        ``rank_tolerance * ||f||``.
+        If the component of f outside the kept left vectors exceeds the
+        tolerance times ``||f||``.
     """
     f = _as_vector(f, decomp.range_dim, "f")
-    out_of_range = null_space_residual(decomp, f)
+    tolerance = decomp.rank_tolerance or DEFAULT_RANK_TOLERANCE
+    s = decomp.singular_values
+    kept = _kept(s, tolerance)
+    coeff = decomp.range_coefficients(f)
+    out_of_range = float(np.linalg.norm(f - decomp._left(coeff * kept)))
     norm_f = float(np.linalg.norm(f))
-    if out_of_range > decomp.rank_tolerance * norm_f:
+    if out_of_range > tolerance * norm_f:
         raise NotInRangeError(
             "data has a null-space component of norm "
-            f"{out_of_range:.3e} (limit {decomp.rank_tolerance * norm_f:.3e})",
+            f"{out_of_range:.3e} (limit {tolerance * norm_f:.3e})",
             residual=out_of_range,
         )
-    coeff = decomp.range_coefficients(f)
-    return decomp._right(coeff / decomp.singular_values)
+    inverted = np.zeros(s.shape)
+    inverted[kept] = coeff[kept] / s[kept]
+    return decomp._right(inverted)
 
 
 def as_dense_matrix(op):
-    """Materialize a dense, diagonal, gradient or Green's operator as a matrix."""
-    if isinstance(op, (DenseOperator, GradientOperator, GreenOperator)):
+    """Materialize a dense, diagonal, gradient, Green's or Toeplitz operator as a matrix."""
+    if isinstance(op, (DenseOperator, GradientOperator, GreenOperator, ToeplitzOperator)):
         return np.array(op.matrix)
     if isinstance(op, DiagonalOperator):
         _check_dense_dim(op.range_dim, op.domain_dim, "dense matrix")

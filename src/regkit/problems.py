@@ -5,7 +5,8 @@ exact data as its image, so the constructed system is solvable by
 construction.  When the computed singular system has values at or below
 ``DEFAULT_RANK_TOLERANCE * sigma_1``, the solution is projected onto the
 row space of the others, making it the minimal-norm representative of
-the data it generates.
+the data it generates.  hilbert and phillips above ``MAX_DENSE_DIM`` have
+no singular system, so their solution is left as constructed.
 
 Noise directions come from the Philox counter-based generator (64-bit,
 keyed by the caller's seed), so noisy data is reproducible bit-for-bit
@@ -22,16 +23,15 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnknownProblemError
 from .operators import (
-    DenseOperator,
     DiagonalOperator,
     GradientOperator,
     GreenOperator,
     LinearOperator,
+    ToeplitzOperator,
     DEFAULT_RANK_TOLERANCE,
     SpectralDecomposition,
     _as_real,
     _check_count,
-    _check_dense_dim,
     _kept,
     _readonly,
     svd_decompose,  # noqa: F401  (perfbench/spans.py wraps this binding)
@@ -54,11 +54,16 @@ __all__ = [
 class ProblemInstance:
     """An operator with its exact minimal-norm solution and exact data.
 
-    Invariants: f = A y up to factorization accuracy, y is orthogonal to
-    the computed null space of A at ``DEFAULT_RANK_TOLERANCE``, and f is
-    nonzero.  ``decomp`` is ``op._system``, untruncated: at alpha = 0 use
-    ``svd_decompose(op)``.  Two instances are equal only if they are the
-    same object.
+    Invariants: f = A y up to rounding, computed through ``op.apply``, and
+    f is nonzero.  ``decomp`` is ``op._system``, untruncated: at alpha = 0
+    use ``svd_decompose(op)``, or ``minimal_norm_solution(decomp, f)``,
+    which reads it at ``DEFAULT_RANK_TOLERANCE``.  Wherever ``decomp`` is
+    set, y is orthogonal to its null space at that tolerance, and so the
+    minimal-norm solution.  hilbert and phillips above ``MAX_DENSE_DIM``
+    have no system: ``decomp`` is None and y is the unprojected profile,
+    which for hilbert's numerically rank-deficient matrix is not
+    minimal-norm.  Two instances are equal only if they are the same
+    object.
     """
 
     name: str
@@ -92,14 +97,11 @@ def _build_diagonal(n, p=2.0):
 
 
 def _build_hilbert(n):
-    _check_dense_dim(n, n, "dense matrix")
-    # 1 / (1 + i + j) in one buffer: i + j and the + 1 are exact, so only
-    # the division rounds, as in the expression.
+    # 1 / (1 + k) on the antidiagonals k = i + j: i + j and the + 1 are
+    # exact, so only the division rounds, as in the expression.
     index = np.arange(n, dtype=float)
-    hilbert = np.add.outer(index, index)
-    hilbert += 1.0
-    np.divide(1.0, hilbert, out=hilbert)
-    return DenseOperator._owning(hilbert), np.ones(n), {}
+    op = ToeplitzOperator(1.0 / (1.0 + index), 1.0 / (n + index), hankel=True)
+    return op, np.ones(n), {}
 
 
 def _build_deriv2(n):
@@ -109,24 +111,32 @@ def _build_deriv2(n):
     return GreenOperator(n), t * (1.0 - t), {}
 
 
+def _phillips_kernel(d, h):
+    """h (1 + cos(pi d / 3)) where |d| < 3, else 0, computed in d's buffer."""
+    outside = d >= 3.0
+    outside |= d <= -3.0
+    d *= np.pi
+    d /= 3.0
+    np.cos(d, out=d)
+    d += 1.0
+    d[outside] = 0.0
+    d *= h
+    return d
+
+
 def _build_phillips(n):
-    _check_dense_dim(n, n, "dense matrix")
     # Classical first-kind convolution on [-6, 6]: the kernel, and the
     # solution profile, are 1 + cos(pi x / 3) supported on |x| < 3.
     t, h = _grid(n, -6.0, 6.0)
     y = np.where(np.abs(t) < 3.0, 1.0 + np.cos(np.pi * t / 3.0), 0.0)
-    # h (1 + cos(pi d / 3)) at d = t_i - t_j, zero where |d| >= 3, in one
-    # buffer by the operations of that expression in its order.
-    kernel = np.subtract.outer(t, t)
-    outside = kernel >= 3.0
-    outside |= kernel <= -3.0
-    kernel *= np.pi
-    kernel /= 3.0
-    np.cos(kernel, out=kernel)
-    kernel += 1.0
-    kernel[outside] = 0.0
-    kernel *= h
-    return DenseOperator._owning(kernel), y, {}
+    # The FFT takes the kernel at the first column's and row's differences;
+    # the matrix takes it at every t_i - t_j, which round differently.
+    op = ToeplitzOperator(
+        _phillips_kernel(t - t[0], h),
+        _phillips_kernel(t[0] - t, h),
+        entries=lambda: _phillips_kernel(np.subtract.outer(t, t), h),
+    )
+    return op, y, {}
 
 
 def _build_gradient_family(n):
@@ -166,20 +176,23 @@ def make_problem(name, n, decompose=True, **params):
         One of ``PROBLEM_NAMES``.
     n : int
         Discretization size, an integer at least 2 (5.0 counts, 3.7
-        does not).  hilbert and phillips build an n x n matrix and
-        refuse n above ``MAX_DENSE_DIM``; diagonal, deriv2 and
-        gradient_family take O(n) memory at any n.  Each of the two
-        fills one n x n buffer in place, which its ``DenseOperator``
-        takes uncopied: at n = 4096 hilbert's set-up peaks 16 MiB above
-        its 128 MiB matrix, and phillips' keeps the matrix and 64 MiB of
-        eigenvectors, held once for both sides of its symmetric blocks,
-        and peaks at 256 MiB (tracemalloc).
+        does not).  No size is capped: every operator takes O(n) memory.
+        hilbert (a Hankel matrix) and phillips (a Toeplitz one) are
+        of kind ``ToeplitzOperator``, applied by FFT; each builds its n x n
+        matrix only when ``op.matrix`` is read, or for its factorization.
     decompose : bool
         Build ``op._system``, attach it and project the solution on its
-        vectors above ``DEFAULT_RANK_TOLERANCE * sigma_1``.  hilbert's,
-        of rank 20 to 27 for n from 256 to 4096, comes from one certified
-        random block in O(n^2 r): ~12 ms at n = 1024, where factoring the
-        whole matrix takes ~250 ms, and no later solve on ``op`` factors.
+        vectors above ``DEFAULT_RANK_TOLERANCE * sigma_1``.  For hilbert
+        and phillips up to ``MAX_DENSE_DIM``, that factors a matrix built
+        in one buffer and dropped afterwards: at n = 4096 hilbert's set-up
+        keeps 1 MiB and peaks at 144 MiB, and phillips' keeps 64 MiB of
+        eigenvectors, held once for both sides of its symmetric blocks,
+        and peaks at 257 MiB (tracemalloc).  hilbert's system, of rank 20
+        to 27 for n from 256 to 4096, comes from one certified random
+        block in O(n^2 r): ~12 ms at n = 1024, where factoring the whole
+        matrix takes ~250 ms, and no later solve on ``op`` factors.  Above
+        ``MAX_DENSE_DIM`` they have no system, ``decomp`` stays None and
+        the solution is not projected.
     **params
         Problem-specific parameters, e.g. ``p`` for ``diagonal``.
 
@@ -200,9 +213,8 @@ def make_problem(name, n, decompose=True, **params):
         raise InvalidParameterError(
             f"bad parameters for problem {name!r}: {exc}"
         ) from None
-    decomp = None
-    if decompose:
-        decomp = op._system
+    decomp = op._system if decompose else None
+    if decomp is not None:
         kept = _kept(decomp.singular_values, DEFAULT_RANK_TOLERANCE)
         if kept.sum() < op.domain_dim:
             # Minimal-norm representative: drop the computed null component.
@@ -233,11 +245,13 @@ def add_noise(problem, delta, seed):
     exactly consistent.  Adding noise to data quantizes it at the
     floating-point grid of f, so the realized level can differ from the
     requested one by about ``eps * ||f|| / delta`` in relative terms.
+    ``seed`` is an integer >= 0 (5.0 counts, 3.7 does not), stored as an int.
     """
     delta = _as_real(delta, "delta")
     if not np.isfinite(delta) or delta <= 0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
-    rng = np.random.default_rng(np.random.Philox(int(seed)))
+    seed = _check_count(seed, "seed", least=0)
+    rng = np.random.default_rng(np.random.Philox(seed))
     direction = rng.standard_normal(problem.op.range_dim)
     direction /= np.linalg.norm(direction)
     f_delta = problem.f + delta * direction
@@ -250,7 +264,7 @@ def add_noise(problem, delta, seed):
     return NoisyData(
         f_delta=_readonly(f_delta),
         delta=float(np.linalg.norm(f_delta - problem.f)),
-        seed=int(seed),
+        seed=seed,
     )
 
 

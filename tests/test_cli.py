@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import regkit
-from regkit import ConvergenceError, make_problem
+from regkit import MAX_DENSE_DIM, ConvergenceError, SizeLimitError, make_problem
 from regkit.cli import main
 from regkit.experiments import (
     CSV_HEADER,
@@ -281,6 +281,16 @@ def test_verify_bounds_violation_exits_one(capsys, monkeypatch):
                  "--ns", "8", "--alphas", "1"])
     assert code == 1
     assert "VIOLATIONS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family", ["hilbert", "phillips"])
+def test_verify_bounds_without_a_singular_system_exits_two(capsys, family):
+    # Above the cap these have no system; reading its values raised AttributeError.
+    with pytest.raises(SizeLimitError, match=str(MAX_DENSE_DIM)):
+        run_verify_bounds(family, [MAX_DENSE_DIM + 1], [1.0])
+    argv = ["verify-bounds", "--family", family, "--ns", f"16,{MAX_DENSE_DIM + 1}", "--alphas", "1"]
+    assert main(argv) == 2
+    assert str(MAX_DENSE_DIM) in capsys.readouterr().err
 
 
 def test_verify_bounds_library_report():

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from regkit import (
+    DEFAULT_RANK_TOLERANCE,
     PROBLEM_NAMES,
     add_noise,
     make_problem,
+    minimal_norm_solution,
     regularized_solve_auto,
     solution_operator_norm,
 )
-from regkit.operators import _SKETCH_WIDTH
+from regkit.operators import _SKETCH_WIDTH, _kept
 
 from conftest import matrix_free_view
 
@@ -77,3 +79,17 @@ def test_selection_agrees_with_the_matrix_free_route(name, n):
             for system in (prob.decomp, free)
         )
         assert np.linalg.norm(u - want) <= 1e-8 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_minimal_norm_solution_reads_the_system_at_the_default_tolerance(name):
+    # The untruncated system has tolerance 0, and the range test at limit 0
+    # failed on rounding: "null-space component of norm 9.714e-15 (limit 0)".
+    prob = make_problem(name, 64)
+    y = minimal_norm_solution(prob.decomp, prob.f)
+    norm_f = np.linalg.norm(prob.f)
+    assert np.linalg.norm(prob.op.apply(y) - prob.f) <= 1e-10 * norm_f
+    removed = ~_kept(prob.decomp.singular_values, DEFAULT_RANK_TOLERANCE)
+    assert removed.any() == (name == "hilbert")
+    coordinates = prob.decomp._right_t(y)[removed]
+    assert np.abs(coordinates).max(initial=0.0) <= 1e-12 * np.linalg.norm(y)

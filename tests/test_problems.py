@@ -9,7 +9,7 @@ from regkit import (
     DiagonalOperator,
     InvalidParameterError,
     PROBLEM_NAMES,
-    SizeLimitError,
+    ToeplitzOperator,
     UnknownProblemError,
     add_noise,
     diagonal_decomposition,
@@ -97,7 +97,7 @@ def test_gradient_family_solution_map_bound_uniform_in_n():
 
 def _truncated(prob):
     """The system truncated at the default rank tolerance, as for the minimal-norm y."""
-    if isinstance(prob.op, DenseOperator):
+    if isinstance(prob.op, (DenseOperator, ToeplitzOperator)):
         return svd_decompose(prob.op)
     if isinstance(prob.op, DiagonalOperator):
         return diagonal_decomposition(prob.op.values)
@@ -127,9 +127,8 @@ def test_unknown_problem_and_bad_sizes():
         make_problem("mystery", 8)
     with pytest.raises(InvalidParameterError):
         make_problem("diagonal", 1)
-    # Only the builders that allocate an n x n matrix are capped.
-    with pytest.raises(SizeLimitError):
-        make_problem("hilbert", 5000)
+    # No catalog size is capped: past MAX_DENSE_DIM hilbert has no system.
+    assert make_problem("hilbert", 5000).decomp is None
     with pytest.raises(InvalidParameterError):
         make_problem("diagonal", 8, q=3)
 
@@ -166,6 +165,23 @@ def test_noise_level_must_be_a_number(bad):
     # None leaked TypeError and "x" ValueError from float().
     with pytest.raises(InvalidParameterError, match="delta"):
         add_noise(make_problem("deriv2", 8), bad, 0)
+
+
+@pytest.mark.parametrize(
+    "bad", [None, 3.7, -1, "x", "5", float("nan")], ids=["None", "fraction", "negative", "str", "digits", "nan"]
+)
+def test_noise_seed_must_be_a_nonnegative_integer(bad):
+    # 3.7 silently became seed 3, None leaked TypeError, -1 and "x" ValueError.
+    with pytest.raises(InvalidParameterError, match="seed"):
+        add_noise(make_problem("deriv2", 8), 1e-2, bad)
+
+
+def test_integral_seeds_are_taken_as_ints():
+    prob = make_problem("deriv2", 8)
+    for seed, want in ((0, 0), (5.0, 5), (np.int64(7), 7)):
+        noisy = add_noise(prob, 1e-2, seed)
+        assert type(noisy.seed) is int and noisy.seed == want
+        np.testing.assert_array_equal(noisy.f_delta, add_noise(prob, 1e-2, want).f_delta)
 
 
 @pytest.mark.parametrize("bad", [3.7, "x", None], ids=["fraction", "str", "None"])

@@ -1,8 +1,8 @@
-"""Dense set-up holds the matrix and one copy of each factor, with the same bits.
+"""Dense set-up holds one copy of each factor, with the same bits.
 
-The catalog builders fill one buffer that the operator takes uncopied,
-and a symmetric matrix's singular system keeps its eigenvectors once,
-with u_i = sign(lambda_i) v_i.  tracemalloc counts numpy's array buffers
+hilbert's and phillips' matrices are built in one buffer for their
+factorization and dropped, and a symmetric matrix's singular system
+keeps its eigenvectors once, with u_i = sign(lambda_i) v_i.  tracemalloc counts numpy's array buffers
 deterministically; LAPACK's own workspace is not among them.
 """
 
@@ -32,22 +32,25 @@ def _traced(build):
     return result, kept - before, peak - before
 
 
-def test_phillips_set_up_holds_the_matrix_and_one_factor():
-    # The matrix (8 MiB) and the two blocks' eigenvectors (4 MiB), kept once.
-    # Separate left vectors kept 16 MiB, and the expression's temporaries,
-    # the operator's copy and the folded rows peaked 16 MiB above that.
+def test_phillips_set_up_holds_one_factor_and_no_matrix():
+    # The two blocks' eigenvectors (4 MiB), kept once.  The matrix (8 MiB) is
+    # built for the factorization and dropped; the peak above what is kept
+    # is that matrix and the factorization's own temporaries.
     n = 1024
     prob, kept, peak = _traced(lambda: make_problem("phillips", n))
-    assert prob.op.matrix.nbytes == 8 * MiB
-    assert kept <= 12.1 * MiB
-    assert peak - kept <= 8.1 * MiB
+    assert "matrix" not in vars(prob.op)
+    assert kept <= 4.1 * MiB
+    assert peak - kept <= 8 * MiB + 4.2 * MiB
+    assert prob.op.matrix.nbytes == 8 * MiB  # built on first read
 
 
 def test_hilbert_set_up_makes_no_full_size_temporary():
-    # The peak over what is kept is the n^2-byte masks of the finiteness and
-    # symmetry tests, plus the random block's (n, 32) arrays.
+    # Nothing full-size but the matrix built for the factorization and
+    # dropped: the rest of the peak is the n^2-byte masks of the finiteness
+    # and symmetry tests, plus the random block's (n, 32) arrays.
     prob, kept, peak = _traced(lambda: make_problem("hilbert", 1024))
-    assert peak - kept <= 1.2 * MiB
+    assert kept <= 0.3 * MiB
+    assert peak - kept - 8 * MiB <= 1.2 * MiB
 
 
 def test_symmetric_system_keeps_one_factor():
