@@ -11,8 +11,9 @@ the closure of the range of A, with limits
 Given ||f_delta|| > C * delta with C > 1, the equation g(alpha) =
 (C delta)^2 therefore has exactly one positive root.  The solver projects
 the data once onto a singular system of the operator (for matrix-free
-operators, a Golub-Kahan Krylov space grown until it certifies the
-root), and runs Newton's method on phi(beta) = (g(1/beta) - g(0+))^(-1/2)
+operators, and for the first selection on a fresh symmetric dense
+matrix, a Golub-Kahan Krylov space grown until it certifies the root),
+and runs Newton's method on phi(beta) = (g(1/beta) - g(0+))^(-1/2)
 in beta = 1/alpha from beta = 0, alpha = infinity.  phi is concave and
 increasing, so the iterates climb to the root without crossing it, as in
 Reinsch's smoothing-spline iteration (Numer. Math. 10, 1967): no bracket
@@ -116,7 +117,13 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
     the same of a Toeplitz operator's matrix up to ``MAX_DENSE_DIM``, the
     closed form of a diagonal, gradient or Green's one, or a Golub-Kahan
     Krylov space for any other, extended until its solution at the root
-    is certified.  Every g(alpha) is then O(rank) arithmetic
+    is certified.  The first selection on a dense operator with an
+    exactly symmetric matrix and no system yet takes the Krylov space,
+    to at most max(32, n // 8) steps, and moves to the factorization
+    only if the space has not certified the root by then; later
+    selections on that operator reuse the factorization.  The space
+    honours ``solver_cfg.rel_tolerance``; its cap replaces
+    ``max_iterations``.  Every g(alpha) is then O(rank) arithmetic
     on the projected spectrum, or on a Krylov space of dimension k one
     O(k) sweep of Givens rotations over its bidiagonal.  The root is
     found by Newton steps on phi(beta) = (g(1/beta) - g(0+))^(-1/2) in
@@ -170,7 +177,10 @@ def _select(system, f_delta, delta, cfg, solver_cfg):
         if selection is not None and projection.certifies(selection.alpha):
             return selection, projection
         alpha = None if selection is None else selection.alpha
-        projection.extend(alpha)
+        if not projection.extend(alpha):
+            # A capped space did not certify: select on the operator's
+            # singular system, from scratch.
+            projection, alpha = system._system._project(f_delta), None
 
 
 def _root(projection, threshold, cfg, start=None):
@@ -246,9 +256,13 @@ def regularized_solve_auto(system, f_delta, delta, cfg=None, solver_cfg=None):
     minimal-norm solution y, the returned vector additionally satisfies
     ||u|| <= ||y|| up to rounding, a consequence of matching the residual
     strictly above the noise level.  The solution comes from the projection
-    the selection used.  On a decomposition its residual is the selection's
-    ``achieved_residual``, the exact spectral sum ``solve_spectral`` would
-    compute; on an operator it is recomputed through the operator.
+    the selection used, and its ``path`` names that projection:
+    ``"spectral"`` for a singular system, ``"krylov"`` for a Golub-Kahan
+    space (a matrix-free operator, a Toeplitz one above ``MAX_DENSE_DIM``,
+    or the first selection on a fresh symmetric dense matrix).  On a
+    decomposition its residual is the selection's ``achieved_residual``,
+    the exact spectral sum ``solve_spectral`` would compute; on an
+    operator it is recomputed through the operator.
     """
     selection, projection = _select(system, f_delta, delta, cfg, solver_cfg)
     u = projection.solution(selection.alpha)
@@ -256,4 +270,4 @@ def regularized_solve_auto(system, f_delta, delta, cfg=None, solver_cfg=None):
         residual = selection.achieved_residual
     else:
         residual = np.linalg.norm(system.apply(u) - f_delta)
-    return _solution(u, selection.alpha, residual, "spectral", projection.steps), selection
+    return _solution(u, selection.alpha, residual, projection.path, projection.steps), selection

@@ -23,9 +23,11 @@ factor one at a rank tolerance (``_decompose``).
 The Tikhonov kernels that the routes in ``tikhonov`` call live in the
 base class, and so does residual matching (``_project``).  Each reads
 ``_system``, or, when there is none, one Golub-Kahan space grown until
-it certifies alpha.  Only dense operators, and Toeplitz ones up to
-``MAX_DENSE_DIM``, override the kernels, with QR forms on the matrix, so
-that the routes stay independent checks of each other.  The
+it certifies alpha.  A dense operator's first selection on an exactly
+symmetric matrix takes that space too, capped, before its system is
+built (``DenseOperator._project``).  Only dense operators, and Toeplitz
+ones up to ``MAX_DENSE_DIM``, override the kernels, with QR forms on the
+matrix, so that the routes stay independent checks of each other.  The
 Krylov bases stay orthonormal to working precision, with Gram-Schmidt
 only where an O(1) bound on the loss of orthogonality asks for it; one
 method, ``_KrylovProjection._append``, bounds, measures, orthogonalizes
@@ -106,6 +108,10 @@ _SKETCH_WIDTH = 32
 
 #: Gaussian probes whose residuals bound what the block misses (``_sketch``).
 _SKETCH_PROBES = 10
+
+#: Rows per band, and tile width, when ``_factor`` sorts and transposes
+#: eigenvectors in place.
+_BAND = 64
 
 #: Golub-Kahan steps taken before the first root search.
 _KRYLOV_START = 8
@@ -246,6 +252,7 @@ class _Projection:
 
     exhausted = True
     steps = 0
+    path = "spectral"
 
     def __init__(self, sigma, coeff, outside_sq, lift):
         self.sigma, self.coeff, self.outside_sq = sigma, coeff, float(outside_sq)
@@ -338,12 +345,18 @@ class _KrylovProjection:
     """
 
     exhausted = False
+    path = "krylov"
 
-    def __init__(self, op, f, cfg, alpha=None):
-        """The space of f, grown until it certifies ``alpha`` if one is given."""
+    def __init__(self, op, f, cfg, alpha=None, cap=None):
+        """The space of f, grown until it certifies ``alpha`` if one is given.
+
+        A ``cap`` replaces the budget, and ``extend`` past it returns
+        False instead of raising.
+        """
         self._op = op
         self._rel_tolerance = cfg.rel_tolerance
-        self._budget = cfg.budget(op.domain_dim)
+        self._capped = cap is not None
+        self._budget = cfg.budget(op.domain_dim) if cap is None else cap
         self._norm = 0.0  # largest bidiagonal entry: a lower bound on ||A||
         self._sized = False  # whether the LSQR monitor chose the current size
         self._u_loss = self._v_loss = 0.0  # bounds on the newest u's and v's loss
@@ -570,9 +583,12 @@ class _KrylovProjection:
         the monitor had sized, the space doubles instead, which keeps the
         number of root searches logarithmic in the final size.
         ``ConvergenceError`` past the budget carries ``achieved_residual``, the
-        certified relative error at ``alpha``, and x_k as ``last_iterate``.
+        certified relative error at ``alpha``, and x_k as ``last_iterate``;
+        past a cap, nothing grows and False is returned.  Otherwise True.
         """
         if self.steps >= self._budget:
+            if self._capped:
+                return False
             raise ConvergenceError(
                 f"Golub-Kahan bidiagonalization did not certify the solution "
                 f"within {self._budget} steps",
@@ -583,7 +599,7 @@ class _KrylovProjection:
         if alpha is None or self._sized:
             self._sized = False
             self._grow(min(2 * self.steps, self._budget))
-            return
+            return True
         self._sized = True
         monitor = _DampedLSQR(alpha, self._alpha[0], self._beta[0])
         for j in range(1, self.steps + 1):
@@ -595,6 +611,7 @@ class _KrylovProjection:
             if residual <= limit * xnorm:
                 break
         self._factor()
+        return True
 
 
 class LinearOperator:
@@ -686,7 +703,10 @@ class DenseOperator(LinearOperator):
     ``matrix`` is a read-only copy of the caller's real array; complex
     entries are refused, not cast.  A ``ToeplitzOperator`` fills one
     buffer that no caller keeps and hands it over uncopied (``_owning``),
-    so the matrix it factors is held once.
+    so the matrix it factors is held once.  Its singular system is built
+    on first read, which a selection makes unless it is the first on an
+    exactly symmetric matrix: that one runs on a capped Golub-Kahan
+    space and factors only if the space does not certify (``_project``).
     """
 
     kind = "dense"
@@ -758,8 +778,7 @@ class DenseOperator(LinearOperator):
         """
         if max(self.range_dim, self.domain_dim) > MAX_DENSE_DIM:
             return None
-        matrix = self.matrix
-        symmetric = matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T)
+        matrix, symmetric = self.matrix, self._symmetric
         sign = _reflection_sign(matrix)
         if sign is not None:
             return _ReflectionDecomposition(matrix, sign, symmetric, rank_tolerance)
@@ -779,18 +798,52 @@ class DenseOperator(LinearOperator):
 
     _system = functools.cached_property(_decompose)
 
+    @functools.cached_property
+    def _symmetric(self):
+        """Whether the matrix is square and equal to its transpose entry for entry."""
+        matrix = self.matrix
+        return matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T)
+
+    #: Whether a selection has projected data on this operator.
+    _selected = False
+
+    def _project(self, f, cfg, alpha=None):
+        """A Golub-Kahan space for the first selection on a symmetric matrix, else ``_system``.
+
+        Selecting on the space costs a few dozen products with the matrix,
+        where the system costs a whole factorization.  It is tried only
+        on a fresh operator: one whose ``_system`` is unbuilt, that no
+        selection has used, that is exactly symmetric and that has a
+        system to fall back to.  Its budget is capped at
+        ``max(32, n // 8)`` steps; a space that has not certified the root
+        by then makes ``extend`` return False, and ``discrepancy._select``
+        selects on ``_system`` instead.  Later selections take ``_system``
+        at once, so k selections on one operator cost at most one space and
+        one factorization.  On a random symmetric matrix or D^T D, whose
+        spaces do not certify early, the first selection takes 1.3 to 2.7
+        times as long as factoring and selecting alone, at n = 128 to 1024
+        (one BLAS thread, 2-core VM).  Two first selections that run at
+        once may each take a space; each result is certified either way.
+        """
+        fresh = not self._selected and "_system" not in vars(self)
+        self._selected = True
+        if fresh and self._symmetric and self.domain_dim <= MAX_DENSE_DIM:
+            return _KrylovProjection(self, f, cfg, cap=max(32, self.domain_dim // 8))
+        return super()._project(f, cfg, alpha)
+
 
 def _factor(matrix, symmetric):
     """(sigma, pick): the singular values of a matrix, nonincreasing, and their vectors.
 
-    ``pick(index)`` returns (left, right, signs) for ``sigma[index]``:
+    ``pick(index)`` returns (left, right, signs) for ``sigma[index]``,
+    a leading run, as every caller keeps the largest values:
     u_i = signs_i left_i and v_i = right_i, with ``signs`` None for all
     +1.  A ``symmetric`` matrix is factored by eigh, A = Q diag(lambda)
     Q^T, as sigma_i = |lambda_i|, v_i = q_i and u_i = sign(lambda_i) q_i,
     ordered by nonincreasing |lambda_i|: ``left`` is ``right``, the picked
     q_i held once, and ``signs`` the sign(lambda_i).  Any other matrix
     goes through the SVD, with ``signs`` None.  Only the picked columns
-    are copied.
+    are copied, and none when all are picked.
     """
     if symmetric:
         # On hilbert at n = 1024 and phillips at n = 1025 (one OpenBLAS
@@ -798,15 +851,38 @@ def _factor(matrix, symmetric):
         # 670-800 ms.  hilbert's system comes from ``_sketch`` in ~12 ms.
         lam, q = np.linalg.eigh(matrix)
         order = np.argsort(-np.abs(lam), kind="stable")
+        lam = lam[order]
+        # Q is sorted and then transposed in its own buffer, a band or a
+        # pair of tiles at a time, so the only copy beside it is one band.
+        # Its columns end up contiguous, in the Fortran order that copying
+        # them out, ``q[:, order]``, gives, and every product keeps its bits.
+        for start in range(0, q.shape[0], _BAND):
+            band = q[start : start + _BAND]
+            band[...] = band[:, order]
+        _transpose_in_place(q)
+        q = q.T
 
         def pick(index):
-            columns = order[index]
-            right = q[:, columns]
-            return right, right, np.where(lam[columns] < 0, -1.0, 1.0)
+            picked = lam[index]
+            right = q if picked.size == lam.size else q[:, index]
+            return right, right, np.where(picked < 0, -1.0, 1.0)
 
-        return np.abs(lam[order]), pick
+        return np.abs(lam), pick
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     return s, lambda index: (u[:, index], vt[index].T, None)
+
+
+def _transpose_in_place(a):
+    """Overwrite the square array a with its transpose, a pair of ``_BAND``-wide tiles at a time."""
+    n = a.shape[0]
+    for i in range(0, n, _BAND):
+        rows = slice(i, i + _BAND)
+        a[rows, rows] = a[rows, rows].T.copy()
+        for j in range(i + _BAND, n, _BAND):
+            cols = slice(j, j + _BAND)
+            upper = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = upper.T
 
 
 def _sketch(matrix, symmetric):

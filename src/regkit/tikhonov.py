@@ -84,7 +84,11 @@ class RegularizedSolution:
 
     ``residual_norm`` and ``solution_norm`` are always recomputed from the
     returned vector, never taken from solver internals.  ``iterations`` is
-    zero for the direct routes.
+    zero for the direct routes.  ``path`` is the route that ran:
+    ``"primal"``, ``"dual"`` or ``"spectral"`` for the fixed-alpha solves,
+    and for a residual-matched one (``regularized_solve_auto``)
+    ``"spectral"`` on a singular system or ``"krylov"`` on a Golub-Kahan
+    space, whose steps ``iterations`` counts.
     """
 
     u: np.ndarray

@@ -17,6 +17,12 @@ from regkit.problems import _grid
 
 from conftest import philox
 
+# numpy.fft and numpy.random load on first use, by the Toeplitz products and
+# ``_sketch``'s random block; loading them here keeps their modules out of
+# the traced figures whatever test runs first.
+import numpy.fft  # noqa: E402,F401
+import numpy.random  # noqa: E402,F401
+
 MiB = 2**20
 
 
@@ -59,11 +65,36 @@ def test_symmetric_system_keeps_one_factor():
     # whole-matrix eigh, every value kept.
     n = 513
     op = make_problem("phillips", n, decompose=False).op
-    system, kept, _ = _traced(lambda: op._system)
+    system, kept, peak = _traced(lambda: op._system)
     assert system.rank == n
     assert system.right_vectors.nbytes <= kept <= 1.1 * n * n * 8
+    # Above what is kept: the matrix, built for the factorization and
+    # dropped, and small temporaries.  eigh's Q is sorted in place, not
+    # copied column by column while it is alive.
+    assert peak - kept <= 1.25 * n * n * 8
     # The left vectors are built on first read.
     assert "left_vectors" not in vars(system)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 130])
+def test_eigenvectors_sorted_in_place_keep_the_copied_columns_bits(n):
+    # Copying the sorted columns out of eigh's Q gives a Fortran-ordered
+    # array; sorted in Q's own buffer they must have that layout too, or
+    # every product with them rounds differently.
+    matrix = _whole(n, philox(200 + n))
+    lam, q = np.linalg.eigh(matrix)
+    order = np.argsort(-np.abs(lam), kind="stable")
+    s, pick = _factor(matrix, True)
+    np.testing.assert_array_equal(s, np.abs(lam[order]))
+    f = philox(300 + n).standard_normal(n)
+    for count in {n, max(1, n - 3)}:
+        want = q[:, order[:count]]
+        _, right, signs = pick(np.arange(count))
+        np.testing.assert_array_equal(right, want)
+        np.testing.assert_array_equal(signs, np.where(lam[order[:count]] < 0, -1.0, 1.0))
+        assert right.strides == want.strides
+        np.testing.assert_array_equal(right.T @ f, want.T @ f)
+        np.testing.assert_array_equal(right @ f[:count], want @ f[:count])
 
 
 @pytest.mark.parametrize("side", ["left_vectors", "right_vectors"])
