@@ -13,7 +13,8 @@ re-entrant.
 
 Each kind owns one singular system, ``_system``, untruncated and built
 once on first read: a factored matrix up to ``MAX_DENSE_DIM`` (for a
-Toeplitz operator, a matrix built for the factorization and dropped),
+Toeplitz operator, mostly without building the matrix: its reflection
+blocks cut from its entries, or a random block on FFT products),
 sorted diagonal entries, the closed-form cosine and sine transforms of
 the gradient and Green's operators, or none.  Theorem 1 bounds every filter
 factor by 1 / (2 sqrt(alpha)), so no sigma > 0 is dropped for a Tikhonov
@@ -110,7 +111,8 @@ _SKETCH_WIDTH = 32
 _SKETCH_PROBES = 10
 
 #: Rows per band, and tile width, when ``_factor`` sorts and transposes
-#: eigenvectors in place.
+#: eigenvectors in place, when reflection blocks are cut, and when a
+#: Toeplitz operator builds its rows for them.
 _BAND = 64
 
 #: Golub-Kahan steps taken before the first root search.
@@ -701,27 +703,17 @@ class DenseOperator(LinearOperator):
     """Operator backed by an explicit (range_dim x domain_dim) matrix.
 
     ``matrix`` is a read-only copy of the caller's real array; complex
-    entries are refused, not cast.  A ``ToeplitzOperator`` fills one
-    buffer that no caller keeps and hands it over uncopied (``_owning``),
-    so the matrix it factors is held once.  Its singular system is built
-    on first read, which a selection makes unless it is the first on an
-    exactly symmetric matrix: that one runs on a capped Golub-Kahan
-    space and factors only if the space does not certify (``_project``).
+    entries are refused, not cast.  Its singular system is built on first
+    read (``_matrix_system``), which a selection makes unless it is the
+    first on an exactly symmetric matrix: that one runs on a capped
+    Golub-Kahan space and factors only if the space does not certify
+    (``_project``).
     """
 
     kind = "dense"
 
     def __init__(self, matrix):
-        self._own(np.array(_real(matrix, "dense operator matrix"), dtype=float))
-
-    @classmethod
-    def _owning(cls, matrix):
-        """The operator of a float array that no caller keeps, taken without a copy."""
-        op = cls.__new__(cls)
-        op._own(matrix)
-        return op
-
-    def _own(self, matrix):
+        matrix = np.array(_real(matrix, "dense operator matrix"), dtype=float)
         if matrix.ndim != 2:
             raise DimensionMismatchError(
                 f"dense operator needs a 2-d matrix, got shape {matrix.shape}"
@@ -767,42 +759,17 @@ class DenseOperator(LinearOperator):
         return q[:n, :] @ (q.T @ rhs), 0
 
     def _decompose(self, rank_tolerance=0.0):
-        """The eigh or SVD factorization of the matrix; None above ``MAX_DENSE_DIM``.
-
-        A matrix with ``A[::-1, ::-1] == +-A`` entry for entry is factored
-        as its two half-size reflection blocks (``_ReflectionDecomposition``);
-        the test compares row 0 with the reversed last row first, so other
-        matrices fail it in O(n).  Any other matrix is factored whole, by
-        eigh if exactly symmetric, else by the SVD (``_factor``), unless
-        one random block certifies first (``_sketch``).
-        """
+        """``_matrix_system`` of the matrix; None above ``MAX_DENSE_DIM``."""
         if max(self.range_dim, self.domain_dim) > MAX_DENSE_DIM:
             return None
-        matrix, symmetric = self.matrix, self._symmetric
-        sign = _reflection_sign(matrix)
-        if sign is not None:
-            return _ReflectionDecomposition(matrix, sign, symmetric, rank_tolerance)
-        s, pick = _sketch(matrix, symmetric) or _factor(matrix, symmetric)
-        keep = _kept(s, rank_tolerance)
-        s, (left, right, signs) = s[keep], pick(keep)
-        for factor in (s, left, right):
-            factor.setflags(write=False)
-        if signs is not None:
-            return _SignedDecomposition(s, right, signs, rank_tolerance)
-        return SpectralDecomposition(
-            singular_values=s,
-            left_vectors=left,
-            right_vectors=right,
-            rank_tolerance=rank_tolerance,
-        )
+        return _matrix_system(self.matrix, self._symmetric, rank_tolerance)
 
     _system = functools.cached_property(_decompose)
 
     @functools.cached_property
     def _symmetric(self):
         """Whether the matrix is square and equal to its transpose entry for entry."""
-        matrix = self.matrix
-        return matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T)
+        return _is_symmetric(self.matrix)
 
     #: Whether a selection has projected data on this operator.
     _selected = False
@@ -830,6 +797,44 @@ class DenseOperator(LinearOperator):
         if fresh and self._symmetric and self.domain_dim <= MAX_DENSE_DIM:
             return _KrylovProjection(self, f, cfg, cap=max(32, self.domain_dim // 8))
         return super()._project(f, cfg, alpha)
+
+
+def _is_symmetric(matrix):
+    """Whether the matrix is square and equal to its transpose entry for entry."""
+    return matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T)
+
+
+def _matrix_system(matrix, symmetric, rank_tolerance):
+    """The eigh or SVD factorization of a matrix, truncated at ``rank_tolerance``.
+
+    A matrix with ``A[::-1, ::-1] == +-A`` entry for entry is factored
+    as its two half-size reflection blocks (``_ReflectionDecomposition``);
+    the test compares row 0 with the reversed last row first, so other
+    matrices fail it in O(n).  Any other matrix is factored whole, by
+    eigh if exactly ``symmetric``, else by the SVD (``_factor``), unless
+    one random block certifies first (``_sketch``).
+    """
+    sign = _reflection_sign(matrix)
+    if sign is not None:
+        blocks = [_block(matrix, *parities) for parities in _parities(sign)]
+        return _ReflectionDecomposition(blocks, sign, symmetric, matrix.shape, rank_tolerance)
+    return _picked_system(*(_sketch(matrix, symmetric) or _factor(matrix, symmetric)), rank_tolerance)
+
+
+def _picked_system(s, pick, rank_tolerance):
+    """The system of ``_factor``'s (sigma, pick), or ``_sketch``'s, truncated at ``rank_tolerance``."""
+    keep = _kept(s, rank_tolerance)
+    s, (left, right, signs) = s[keep], pick(keep)
+    for factor in (s, left, right):
+        factor.setflags(write=False)
+    if signs is not None:
+        return _SignedDecomposition(s, right, signs, rank_tolerance)
+    return SpectralDecomposition(
+        singular_values=s,
+        left_vectors=left,
+        right_vectors=right,
+        rank_tolerance=rank_tolerance,
+    )
 
 
 def _factor(matrix, symmetric):
@@ -898,7 +903,9 @@ def _sketch(matrix, symmetric):
     and every kept ||A v_i - sigma_i u_i|| are at most limit = max(m, n)
     eps sigma_1.  Values below the limit carry no correct digits from a
     whole-matrix factorization either (Weyl).  A failed attempt costs a
-    few percent of factoring the whole matrix.
+    few percent of factoring the whole matrix.  A symmetric ``matrix``
+    need only have ``shape`` and ``@`` with blocks of columns, as a
+    Toeplitz operator's ``_FFTProducts``.
     """
     if min(matrix.shape) < 8 * _SKETCH_WIDTH:
         return None
@@ -935,6 +942,17 @@ def _sketch(matrix, symmetric):
         return kept, kept, signs[index]
 
     return s, pick
+
+
+class _FFTProducts:
+    """A Toeplitz operator as ``_sketch`` reads a symmetric matrix: its shape, and ``@`` by FFT."""
+
+    def __init__(self, op):
+        self._op = op
+        self.shape = (op.range_dim, op.domain_dim)
+
+    def __matmul__(self, x):
+        return self._op._product(x)
 
 
 def _reflection_sign(matrix):
@@ -978,15 +996,49 @@ def _unfold(even, odd):
     return np.concatenate([top, even[h:], bottom[::-1]])
 
 
-def _block(matrix, row_parity, col_parity):
-    """``_fold(_fold(matrix)[row_parity].T)[col_parity].T``, cut from the four quadrants.
+def _times(sign, x):
+    """sign * x for sign +-1, as 0.0 - x for -1: a zero comes out +0.0, as a matrix's zeros mostly are, not -0.0."""
+    return x if sign > 0 else np.subtract(0.0, x)
 
-    Entry (i, j) is ((A[i, j] +- A[m-1-i, j]) sqrt(1/2) +- (A[i, n-1-j]
-    +- A[m-1-i, n-1-j]) sqrt(1/2)) sqrt(1/2), the first sign by the row
-    parity and the second by the column parity (+ even, - odd): the
-    additions and scalings of the two folds in their order, so the block
-    is the same bits, but no folded rows are allocated.  An even side of
-    odd length also takes the middle row or column, scaled once.
+
+def _parities(sign):
+    """The (row, column) parities of the two reflection blocks, even rows first.
+
+    J A J = A maps even vectors to even and odd to odd, J A J = -A even
+    to odd and odd to even.
+    """
+    return ((0, 0), (1, 1)) if sign > 0 else ((0, 1), (1, 0))
+
+
+def _block_rows(top_left, top_right, bottom_left, bottom_right, row_parity, col_parity):
+    """Rows of a reflection block's leading k columns from the same rows i of four quadrants.
+
+    The quadrants hold A[i, j], A[i, n-1-j], A[m-1-i, j] and A[m-1-i,
+    n-1-j] for j < k = n // 2.  Entry (i, j) is ((A[i, j] +- A[m-1-i, j])
+    sqrt(1/2) +- (A[i, n-1-j] +- A[m-1-i, n-1-j]) sqrt(1/2)) sqrt(1/2),
+    the first sign by the row parity and the second by the column parity
+    (+ even, - odd): the additions and scalings of the two folds in their
+    order, so the block is the same bits, but no folded rows are
+    allocated.  Dense matrices (``_block``) and Toeplitz operators
+    (``ToeplitzOperator._reflection_blocks``) both cut their blocks here.
+    """
+    by_rows = np.subtract if row_parity else np.add
+    by_cols = np.subtract if col_parity else np.add
+    inner = by_rows(top_left, bottom_left)
+    inner *= _HALF_SQRT2
+    mirrored = by_rows(top_right, bottom_right)
+    mirrored *= _HALF_SQRT2
+    by_cols(inner, mirrored, out=inner)
+    inner *= _HALF_SQRT2
+    return inner
+
+
+def _block(matrix, row_parity, col_parity):
+    """``_fold(_fold(matrix)[row_parity].T)[col_parity].T``, cut from views of the four quadrants.
+
+    ``_block_rows`` cuts ``_BAND`` rows at a time, so no temporary is
+    larger than a band.  An even side of odd length also takes the middle
+    row or column, scaled once.
     """
     m, n = matrix.shape
     h, k = m // 2, n // 2
@@ -997,12 +1049,13 @@ def _block(matrix, row_parity, col_parity):
     middle_col = n % 2 == 1 and col_parity == 0
     block = np.empty((h + middle_row, k + middle_col))
     inner = block[:h, :k]
-    by_rows(top[:, :k], bottom[:, :k], out=inner)
-    inner *= _HALF_SQRT2
-    mirrored = by_rows(top[:, ::-1][:, :k], bottom[:, ::-1][:, :k])
-    mirrored *= _HALF_SQRT2
-    by_cols(inner, mirrored, out=inner)
-    inner *= _HALF_SQRT2
+    for start in range(0, h, _BAND):
+        rows = slice(start, start + _BAND)
+        upper, lower = top[rows], bottom[rows]
+        inner[rows] = _block_rows(
+            upper[:, :k], upper[:, ::-1][:, :k], lower[:, :k], lower[:, ::-1][:, :k],
+            row_parity, col_parity,
+        )
     if middle_row:
         row = matrix[h]
         block[h, :k] = by_cols(row[:k], row[::-1][:k]) * _HALF_SQRT2
@@ -1155,13 +1208,14 @@ class ToeplitzOperator(LinearOperator):
     the circulant that embeds T (Chan & Ng, SIAM Review 38, 1996): O(n
     log n) time and O(n) memory.
 
-    ``matrix`` is built on first read, up to ``MAX_DENSE_DIM``, from t,
-    or by ``entries()`` if given: a builder for entries with a closed form
-    of their own, which t may match only to rounding.  Up to the cap,
-    ``_system`` factors a ``DenseOperator`` of a matrix built for it and
-    dropped, and the kernels are ``DenseOperator``'s QR forms on
-    ``matrix``, so the routes stay independent checks.  Above it there is
-    no system, and selection grows a Golub-Kahan space on the FFT apply.
+    Entries are read off t, or built by ``entries(rows)`` if given: the
+    finite rows of a slice, from a closed form of their own, which t may
+    match only to rounding.  ``matrix`` is built from them on first read,
+    up to ``MAX_DENSE_DIM``.  Up to the cap, ``_system`` is the matrix's
+    factorization, mostly without the matrix (``_decompose``), and the
+    kernels are ``DenseOperator``'s QR forms on ``matrix``, so the routes
+    stay independent checks.  Above it there is no system, and selection
+    grows a Golub-Kahan space on the FFT apply.
     """
 
     kind = "toeplitz"
@@ -1178,30 +1232,41 @@ class ToeplitzOperator(LinearOperator):
         # The spectra of T's and T^T's symbols, zero-padded to the circulant.
         self._spectra = (np.fft.rfft(values, 2 * n), np.fft.rfft(values[::-1], 2 * n))
 
-    def _convolve(self, spectrum, x):
-        """T x, or T^T x with the transpose's spectrum: rows n-1..2n-2 of the circulant product.
+    def _product(self, x, adjoint=False):
+        """A x, or A^T x, for a vector or a block of columns x.
 
-        Those rows sum t[p] x_j over p = n - 1 + i - j in [0, 2n - 2], so
-        no term wraps around the length-2n circle.
+        T x is rows n-1..2n-2 of the circulant product: they sum t[p] x_j
+        over p = n - 1 + i - j in [0, 2n - 2], so no term wraps around the
+        length-2n circle.  T^T takes the transpose's spectrum; H = J T and
+        H^T = T^T J.
         """
         n = self.domain_dim
-        return np.fft.irfft(spectrum * np.fft.rfft(x, 2 * n), 2 * n)[n - 1 : 2 * n - 1]
+        spectrum = self._spectra[adjoint]
+        if x.ndim == 2:
+            spectrum = spectrum[:, None]
+        if self._hankel and adjoint:
+            x = x[::-1]
+        tx = np.fft.irfft(spectrum * np.fft.rfft(x, 2 * n, axis=0), 2 * n, axis=0)[n - 1 : 2 * n - 1]
+        return tx[::-1] if self._hankel and not adjoint else tx
 
     def apply(self, x):
-        tx = self._convolve(self._spectra[0], _as_vector(x, self.domain_dim, "x"))
-        return tx[::-1] if self._hankel else tx
+        return self._product(_as_vector(x, self.domain_dim, "x"))
 
     def apply_adjoint(self, w):
-        w = _as_vector(w, self.range_dim, "w")
-        return self._convolve(self._spectra[1], w[::-1] if self._hankel else w)
+        return self._product(_as_vector(w, self.range_dim, "w"), adjoint=True)
+
+    def _rows(self, start, stop):
+        """A new array of rows start..stop-1: ``entries`` of them, else read off t."""
+        if self._closed_form is not None:
+            return np.asarray(self._closed_form(slice(start, stop)), dtype=float)
+        n = self.domain_dim
+        # Window k holds t[2n-2-k-j], j = 0..n-1: row k of H, row n-1-k of T.
+        windows = np.lib.stride_tricks.sliding_window_view(self._values[::-1], n)
+        return np.array(windows[start:stop] if self._hankel else windows[n - stop : n - start][::-1])
 
     def _entries(self):
-        """A new n x n array of the entries: ``entries()``, else read off t."""
-        if self._closed_form is not None:
-            return self._closed_form()
-        # Window k holds t[2n-2-k-j], j = 0..n-1: row k of H, row n-1-k of T.
-        windows = np.lib.stride_tricks.sliding_window_view(self._values[::-1], self.domain_dim)
-        return np.array(windows if self._hankel else windows[::-1])
+        """A new n x n array of the entries."""
+        return self._rows(0, self.domain_dim)
 
     @functools.cached_property
     def matrix(self):
@@ -1212,18 +1277,94 @@ class ToeplitzOperator(LinearOperator):
         return matrix
 
     def _decompose(self, rank_tolerance=0.0):
-        """``DenseOperator``'s factorization of the matrix; None above ``MAX_DENSE_DIM``.
+        """``_matrix_system`` of the matrix, mostly without it; None above ``MAX_DENSE_DIM``.
 
-        Unless ``matrix`` has been read, the matrix is built for it and
-        dropped: the factors hold no reference to it.
+        A ``matrix`` already read is factored as a dense one.  Otherwise
+        none is built for an even n with J A J = +-A bit for bit, whose two
+        reflection blocks are cut from its entries (``_reflection_blocks``)
+        with the dense blocks' bits, nor for one read off t that is
+        symmetric and whose random block certifies (``_sketch``) on FFT
+        products, which round otherwise than the dense ones.  Any other is
+        factored as its matrix, built for it and dropped: odd n with a
+        closed form, as phillips', or a block that does not certify.
         """
-        if self.domain_dim > MAX_DENSE_DIM:
+        n = self.domain_dim
+        if n > MAX_DENSE_DIM:
             return None
         matrix = vars(self).get("matrix")
-        dense = DenseOperator._owning(self._entries() if matrix is None else matrix)
-        return dense._decompose(rank_tolerance)
+        if matrix is None:
+            reflected = self._reflection_blocks()
+            if reflected is not None:
+                return _ReflectionDecomposition(*reflected, (n, n), rank_tolerance)
+            if self._closed_form is None and self._symmetric:
+                sketched = _sketch(_FFTProducts(self), True)
+                if sketched is not None:
+                    return _picked_system(*sketched, rank_tolerance)
+            matrix = self._entries()
+        return _matrix_system(matrix, _is_symmetric(matrix), rank_tolerance)
 
     _system = functools.cached_property(_decompose)
+
+    @property
+    def _symmetric(self):
+        """Whether A = A^T entry for entry, read off t: a Hankel matrix is, a Toeplitz one iff t is a palindrome.
+
+        Entries from a closed form are not read off t, so this says nothing of them.
+        """
+        return self._hankel or np.array_equal(self._values, self._values[::-1])
+
+    def _reflection_blocks(self):
+        """([block, block], sign, symmetric) if n is even and A[::-1, ::-1] == sign A bit for bit, else None.
+
+        Rows i < h = n / 2 are built ``_BAND`` at a time, each band with
+        its mirror, rows n-1-i read backwards; a sign holds while every
+        mirror is sign times its band.  Only the top rows are kept, as two
+        h x h halves, L[i, j] = A[i, j] and R[i, j] = A[i, n-1-j]: n^2 / 2
+        doubles, where the matrix takes n^2.  Every entry is built once.
+        Given the sign, A = A^T iff L = L^T and R = sign
+        R^T, the dense test's answer.  The quadrants of A are then L, R,
+        sign R and sign L (``_times``), so ``_block_rows`` cuts both blocks,
+        band by band, in place of L and R.  A mirror must match its band
+        times sign bit for bit, or the blocks would not be the dense
+        blocks' bits; one equal to it only as values (+0.0 against -0.0)
+        leaves the matrix to decide.
+        """
+        n = self.domain_dim
+        if n % 2:
+            return None
+        h = n // 2
+        signs = [1.0, -1.0]
+        for start in range(0, h, _BAND):
+            stop = min(start + _BAND, h)
+            top = self._rows(start, stop)
+            mirror = self._rows(n - stop, n - start)[::-1, ::-1]
+            for sign in tuple(signs):
+                signed = _times(sign, top)
+                if not np.array_equal(mirror.view(np.int64), signed.view(np.int64)):
+                    if np.array_equal(mirror, signed):
+                        return None
+                    signs.remove(sign)
+            if not signs:
+                return None
+            if not start:  # allocated once the first band has the structure
+                left, right = np.empty((h, h)), np.empty((h, h))
+            left[start:stop] = top[:, :h]
+            right[start:stop] = top[:, ::-1][:, :h]
+        sign = signs[0]
+        bands = [slice(start, start + _BAND) for start in range(0, h, _BAND)]
+        symmetric = all(
+            np.array_equal(left[rows], left[:, rows].T)
+            and np.array_equal(right[rows], sign * right[:, rows].T)
+            for rows in bands
+        )
+        for rows in bands:
+            upper_left, upper_right = left[rows], right[rows]
+            lower_left, lower_right = _times(sign, upper_right), _times(sign, upper_left)
+            left[rows], right[rows] = [
+                _block_rows(upper_left, upper_right, lower_left, lower_right, *parities)
+                for parities in _parities(sign)
+            ]
+        return [left, right], sign, symmetric
 
     @property
     def _kernels(self):
@@ -1492,10 +1633,13 @@ class _ReflectionDecomposition(SpectralDecomposition):
     odd, and J A J = -A even to odd and odd to even, so in those bases A
     is two blocks about half its size on each side (Cantoni & Butler,
     Linear Algebra Appl. 13, 1976): a quarter of the flops to factor.
-    Each block is cut from views of A's quadrants (``_block``) and goes
-    through ``_factor`` before the next is cut, by eigh when A is exactly
-    symmetric with sign +1, as each block then is too, and by the SVD
-    otherwise.  The two spectra are merged nonincreasing and truncated as
+    The two blocks, in ``_parities(sign)`` order, are cut from A's
+    quadrants (``_block_rows``): from a matrix's views, or by a Toeplitz
+    operator in place of its top rows, with no matrix.  Each is taken out
+    of the list handed over and goes through ``_factor``, so it is freed
+    before the next is factored: by eigh when A is exactly symmetric with
+    sign +1, as each block then is too, and by the SVD otherwise.  The
+    two spectra are merged nonincreasing and truncated as
     one.  Each side keeps a (vectors, signs, where) triple per parity,
     even first: the half-size singular vectors, their signs (None for all
     +1), and their positions in the merged order.  An eigh block's left
@@ -1504,13 +1648,11 @@ class _ReflectionDecomposition(SpectralDecomposition):
     are built only when read.
     """
 
-    def __init__(self, matrix, sign, symmetric, rank_tolerance):
+    def __init__(self, blocks, sign, symmetric, shape, rank_tolerance):
         # Block b has rows of parity b (0 even, 1 odd) and columns of
         # parity cols[b].
-        cols = (0, 1) if sign > 0 else (1, 0)
-        factors = [
-            _factor(_block(matrix, b, c), symmetric and sign > 0) for b, c in enumerate(cols)
-        ]
+        cols = [c for _, c in _parities(sign)]
+        factors = [_factor(blocks.pop(0), symmetric and sign > 0) for _ in cols]
         s = np.concatenate([factors[0][0], factors[1][0]])
         order = np.argsort(-s, kind="stable")
         kept = order[_kept(s[order], rank_tolerance)]
@@ -1525,7 +1667,7 @@ class _ReflectionDecomposition(SpectralDecomposition):
         vars(self).update(
             singular_values=_readonly(s[kept]),
             rank_tolerance=rank_tolerance,
-            _shape=matrix.shape,
+            _shape=shape,
             _left_parts=tuple(left),
             _right_parts=tuple(right[c] for c in cols),
         )
@@ -1756,8 +1898,9 @@ def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     below ``rank_tolerance * sigma_1`` are truncated into the null space,
     as ``minimal_norm_solution`` wants; each call factors anew.  A
     problem's ``decomp`` is the untruncated ``op._system`` instead.  A
-    ``ToeplitzOperator`` is factored through a ``DenseOperator`` of its
-    matrix, built for the call.  Dimensions are capped at ``MAX_DENSE_DIM``.
+    ``ToeplitzOperator`` is factored as its matrix, mostly without
+    building it (``ToeplitzOperator._decompose``).  Dimensions are capped
+    at ``MAX_DENSE_DIM``.
 
     Raises
     ------
@@ -1843,7 +1986,14 @@ def minimal_norm_solution(decomp, f):
 
 
 def as_dense_matrix(op):
-    """Materialize a dense, diagonal, gradient, Green's or Toeplitz operator as a matrix."""
+    """Materialize a dense, diagonal, gradient, Green's or Toeplitz operator as a new matrix.
+
+    A Toeplitz operator's ``matrix`` is copied only if it has been read;
+    otherwise its entries are built for the call, and not cached.
+    """
+    if isinstance(op, ToeplitzOperator) and "matrix" not in vars(op):
+        _check_dense_dim(op.range_dim, op.domain_dim, "dense matrix")
+        return op._entries()
     if isinstance(op, (DenseOperator, GradientOperator, GreenOperator, ToeplitzOperator)):
         return np.array(op.matrix)
     if isinstance(op, DiagonalOperator):

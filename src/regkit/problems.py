@@ -134,7 +134,7 @@ def _build_phillips(n):
     op = ToeplitzOperator(
         _phillips_kernel(t - t[0], h),
         _phillips_kernel(t[0] - t, h),
-        entries=lambda: _phillips_kernel(np.subtract.outer(t, t), h),
+        entries=lambda rows: _phillips_kernel(np.subtract.outer(t[rows], t), h),
     )
     return op, y, {}
 
@@ -179,18 +179,19 @@ def make_problem(name, n, decompose=True, **params):
         does not).  No size is capped: every operator takes O(n) memory.
         hilbert (a Hankel matrix) and phillips (a Toeplitz one) are
         of kind ``ToeplitzOperator``, applied by FFT; each builds its n x n
-        matrix only when ``op.matrix`` is read, or for its factorization.
+        matrix only when ``op.matrix`` is read, or for a factorization
+        that needs it (odd-n phillips).
     decompose : bool
         Build ``op._system``, attach it and project the solution on its
         vectors above ``DEFAULT_RANK_TOLERANCE * sigma_1``.  For hilbert
-        and phillips up to ``MAX_DENSE_DIM``, that factors a matrix built
-        in one buffer and dropped afterwards: at n = 4096 hilbert's set-up
-        keeps 1 MiB and peaks at 144 MiB, and phillips' keeps 64 MiB of
-        eigenvectors, held once for both sides of its symmetric blocks,
-        and peaks at 257 MiB (tracemalloc).  hilbert's system, of rank 20
-        to 27 for n from 256 to 4096, comes from one certified random
-        block in O(n^2 r): ~12 ms at n = 1024, where factoring the whole
-        matrix takes ~250 ms, and no later solve on ``op`` factors.  Above
+        and phillips up to ``MAX_DENSE_DIM``, that factors the matrix
+        without building it: at n = 4096 hilbert's set-up keeps 1 MiB and
+        peaks at 7 MiB, and phillips' keeps 64 MiB of eigenvectors, held
+        once for both sides of its symmetric blocks, and peaks at 97 MiB
+        (tracemalloc).  hilbert's system, of rank 20 to 27 for n from 256
+        to 4096, comes from one certified random block on FFT products in
+        O(n r log n): ~7 ms at n = 1024, where factoring the whole matrix
+        takes ~250 ms, and no later solve on ``op`` factors.  Above
         ``MAX_DENSE_DIM`` they have no system, ``decomp`` stays None and
         the solution is not projected.
     **params

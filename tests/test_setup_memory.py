@@ -1,9 +1,14 @@
 """Dense set-up holds one copy of each factor, with the same bits.
 
-hilbert's and phillips' matrices are built in one buffer for their
-factorization and dropped, and a symmetric matrix's singular system
-keeps its eigenvectors once, with u_i = sign(lambda_i) v_i.  tracemalloc counts numpy's array buffers
-deterministically; LAPACK's own workspace is not among them.
+hilbert and phillips factor without their n x n matrix: hilbert's random
+block takes FFT products, and even-n phillips cuts its two reflection
+blocks in place of its top rows.  A matrix that must be factored whole
+(odd-n phillips) is built in one buffer for the factorization and
+dropped, and a symmetric matrix's singular system keeps its eigenvectors
+once, with u_i = sign(lambda_i) v_i.  tracemalloc counts numpy's array
+buffers deterministically; LAPACK's own workspace is not among them.
+Each test here passes alone and in any order: ``pytest
+tests/test_setup_memory.py`` runs them in a process of their own.
 """
 
 import tracemalloc
@@ -11,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from regkit import DenseOperator, make_problem, svd_decompose
+from regkit import DenseOperator, as_dense_matrix, make_problem, svd_decompose
 from regkit.operators import _factor, _fold, _kept, _unfold
 from regkit.problems import _grid
 
@@ -24,6 +29,33 @@ import numpy.fft  # noqa: E402,F401
 import numpy.random  # noqa: E402,F401
 
 MiB = 2**20
+
+#: Python objects and numpy array headers that a problem holds besides its
+#: array buffers: the instance, the operator, the system, their dicts,
+#: tuples and the closure.
+HEADERS = 12 * 2**10
+
+
+def _held_bytes(*roots):
+    """Bytes of the distinct array buffers that roots hold, through regkit objects, tuples and closures."""
+    seen, total, stack = set(), 0, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.base is not None:
+                stack.append(obj.base)
+            else:
+                total += obj.nbytes
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+        elif type(obj).__module__.startswith("regkit"):
+            stack.extend(vars(obj).values())
+    return total
 
 
 def _traced(build):
@@ -39,24 +71,53 @@ def _traced(build):
 
 
 def test_phillips_set_up_holds_one_factor_and_no_matrix():
-    # The two blocks' eigenvectors (4 MiB), kept once.  The matrix (8 MiB) is
-    # built for the factorization and dropped; the peak above what is kept
-    # is that matrix and the factorization's own temporaries.
+    # The two blocks' eigenvectors (4 MiB), kept once, and nothing but the
+    # problem's own arrays and their headers besides.  No matrix (8 MiB) is
+    # built: the peak above what is kept is the second block (2 MiB) while
+    # it is factored, the first's eigenvectors being kept, and a band of
+    # rows' temporaries.
     n = 1024
     prob, kept, peak = _traced(lambda: make_problem("phillips", n))
     assert "matrix" not in vars(prob.op)
-    assert kept <= 4.1 * MiB
-    assert peak - kept <= 8 * MiB + 4.2 * MiB
+    held = _held_bytes(prob)
+    assert 4 * MiB <= held <= kept <= held + HEADERS
+    assert peak - kept <= 2.5 * MiB
     assert prob.op.matrix.nbytes == 8 * MiB  # built on first read
 
 
 def test_hilbert_set_up_makes_no_full_size_temporary():
-    # Nothing full-size but the matrix built for the factorization and
-    # dropped: the rest of the peak is the n^2-byte masks of the finiteness
-    # and symmetry tests, plus the random block's (n, 32) arrays.
+    # Nothing full-size: the peak is two 64-row bands, which show that
+    # hilbert is not reflection-symmetric, and the random block's FFT
+    # products, (2n, 32) arrays.
     prob, kept, peak = _traced(lambda: make_problem("hilbert", 1024))
+    held = _held_bytes(prob)
+    assert held <= kept <= held + HEADERS
     assert kept <= 0.3 * MiB
-    assert peak - kept - 8 * MiB <= 1.2 * MiB
+    assert peak - kept <= 1.6 * MiB
+
+
+@pytest.mark.parametrize("name", ["hilbert", "phillips"])
+def test_set_up_peaks_below_one_matrix(name):
+    # At the parent, each built its 8 MiB matrix for the factorization.
+    n = 1024
+    _, _, peak = _traced(lambda: make_problem(name, n))
+    assert peak < 8 * n * n
+
+
+def test_as_dense_matrix_builds_one_matrix_and_caches_none():
+    n = 1024
+    op = make_problem("phillips", n).op
+    matrix, kept, peak = _traced(lambda: as_dense_matrix(op))
+    assert "matrix" not in vars(op)
+    assert matrix.flags.writeable
+    # The matrix, and while it is built the kernel's two n^2-byte masks.
+    assert kept <= matrix.nbytes + HEADERS
+    assert peak <= matrix.nbytes + 2.1 * n * n
+    np.testing.assert_array_equal(matrix, op.matrix)
+    # A matrix already read is copied: the copy is all that is added.
+    copy, kept, _ = _traced(lambda: as_dense_matrix(op))
+    assert kept <= copy.nbytes + HEADERS
+    assert not np.shares_memory(copy, op.matrix)
 
 
 def test_symmetric_system_keeps_one_factor():
@@ -69,7 +130,7 @@ def test_symmetric_system_keeps_one_factor():
     assert system.rank == n
     assert system.right_vectors.nbytes <= kept <= 1.1 * n * n * 8
     # Above what is kept: the matrix, built for the factorization and
-    # dropped, and small temporaries.  eigh's Q is sorted in place, not
+    # dropped, as odd n is not reflection-symmetric, and small temporaries.  eigh's Q is sorted in place, not
     # copied column by column while it is alive.
     assert peak - kept <= 1.25 * n * n * 8
     # The left vectors are built on first read.

@@ -2,9 +2,10 @@
 
 Each holds the 2n - 1 values on its diagonals and applies A and A^T by one
 length-2n ``rfft`` pair.  ``matrix`` is built on first read with the bits
-of the dense builders it replaced, and up to ``MAX_DENSE_DIM`` the singular
-system and the QR kernels run on that matrix; above it the operator has no
-system and selection grows a Golub-Kahan space on the FFT apply.
+of the dense builders it replaced.  Up to ``MAX_DENSE_DIM`` the singular
+system is the matrix's, mostly factored without it, and the QR kernels run
+on that matrix; above it the operator has no system and selection grows a
+Golub-Kahan space on the FFT apply.
 """
 
 import json
@@ -31,6 +32,7 @@ from regkit import (
     svd_decompose,
 )
 from regkit.cli import main
+from regkit.operators import _is_symmetric, _reflection_sign
 from regkit.problems import _grid
 
 from conftest import philox
@@ -108,15 +110,117 @@ def test_matrix_has_the_dense_builders_bits(name, n):
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("name, n", [("hilbert", 256), ("phillips", 256), ("phillips", 129)])
+def _assert_same_system(system, want):
+    for side in ("singular_values", "right_vectors", "left_vectors"):
+        np.testing.assert_array_equal(getattr(system, side), getattr(want, side))
+
+
+@pytest.mark.parametrize("name, n", [("phillips", 256), ("phillips", 129)])
 def test_system_is_the_dense_factorization_bit_for_bit(name, n):
     op = make_problem(name, n, decompose=False).op
     system = op._system
-    assert "matrix" not in vars(op)  # built for the factorization and dropped
-    want = DenseOperator(op.matrix)._system
-    np.testing.assert_array_equal(system.singular_values, want.singular_values)
-    np.testing.assert_array_equal(system.right_vectors, want.right_vectors)
-    np.testing.assert_array_equal(system.left_vectors, want.left_vectors)
+    assert "matrix" not in vars(op)  # not kept, if built
+    _assert_same_system(system, DenseOperator(op.matrix)._system)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_even_phillips_factors_its_blocks_without_the_matrix(monkeypatch, n):
+    want = DenseOperator(make_problem("phillips", n, decompose=False).op.matrix)._decompose()
+    op = make_problem("phillips", n, decompose=False).op
+    monkeypatch.setattr(op, "_entries", lambda: pytest.fail("matrix built"))
+    _assert_same_system(op._system, want)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_hilbert_system_matches_the_dense_factorization_to_rounding(monkeypatch, n):
+    # The random block takes FFT products, which round otherwise than the
+    # dense ones: the same values and subspaces, not the same bits.
+    matrix = make_problem("hilbert", n, decompose=False).op.matrix
+    want = DenseOperator(matrix)._system
+    op = make_problem("hilbert", n, decompose=False).op
+    monkeypatch.setattr(op, "_entries", lambda: pytest.fail("matrix built"))
+    system = op._system
+    scale = want.singular_values[0]
+    assert system.rank == want.rank
+    assert np.abs(system.singular_values - want.singular_values).max() <= 8 * np.finfo(float).eps * scale
+    errors = [np.abs(d.reconstruct() - matrix).max() for d in (system, want)]
+    assert errors[0] <= errors[1] + 1e-14 * scale
+
+
+# --- the structure tests without the matrix ---------------------------------------------
+
+def _structure_case(n, hankel, sign, source):
+    """(build, matrix): a fresh operator's builder, and its matrix with every change made.
+
+    t = b + sign b[::-1] makes J A J = sign A: J T J = T^T and J H J reads
+    t backwards.  ``source`` reads the entries off t, or from a closed
+    form: the matrix itself, with one entry an ulp off, or that entry and
+    its mirror, which keeps the reflection and breaks the symmetry.
+    """
+    b = philox(500 + n).standard_normal(2 * n - 1)
+    t = b if sign is None else b + sign * b[::-1]
+    # t holds row[n-1], ..., row[1], then the Toeplitz column or the Hankel one reversed.
+    column, row = t[n - 1 :][:: -1 if hankel else 1], t[n - 1 :: -1]
+    matrix = np.array(ToeplitzOperator(column, row, hankel=hankel).matrix)
+    if source != "diagonals":
+        if source != "closed form":
+            matrix[1, 2] = np.nextafter(matrix[1, 2], np.inf)
+        if source == "closed form, one entry and its mirror off":
+            matrix[n - 2, n - 3] = (sign or 1.0) * matrix[1, 2]
+    entries = None if source == "diagonals" else lambda rows: matrix[rows].copy()
+    return (lambda: ToeplitzOperator(column, row, hankel=hankel, entries=entries)), matrix
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["diagonals", "closed form", "closed form, one entry off", "closed form, one entry and its mirror off"],
+)
+@pytest.mark.parametrize("sign", [1.0, -1.0, None], ids=["plus", "minus", "none"])
+@pytest.mark.parametrize("hankel", [False, True], ids=["toeplitz", "hankel"])
+@pytest.mark.parametrize("n", [8, 9, 130, 131])
+def test_structure_tests_agree_with_the_dense_ones(monkeypatch, n, hankel, sign, source):
+    build, matrix = _structure_case(n, hankel, sign, source)
+    dense_sign, dense_symmetric = _reflection_sign(matrix), _is_symmetric(matrix)
+    if source == "diagonals":
+        assert dense_sign == sign
+        assert build()._symmetric == dense_symmetric == (hankel or sign == 1.0)
+    reflected = build()._reflection_blocks()
+    blocks_without_matrix = n % 2 == 0 and dense_sign is not None
+    if blocks_without_matrix:
+        assert reflected[1:] == (dense_sign, dense_symmetric)
+    else:
+        assert reflected is None
+    # Whichever way it is built, the system has the dense factorization's
+    # bits (no random block below n = 256), and the matrix only where needed.
+    op = build()
+    if blocks_without_matrix:
+        monkeypatch.setattr(op, "_entries", lambda: pytest.fail("matrix built"))
+    _assert_same_system(op._system, DenseOperator(matrix)._system)
+
+
+def test_a_closed_form_is_factored_from_its_entries_not_from_t():
+    # t is hilbert's, whose random block would certify on t's FFT products;
+    # the entries differ from t in one row, so they are what is factored.
+    n = 256
+    index = np.arange(n, dtype=float)
+    column, row = 1.0 / (1.0 + index), 1.0 / (n + index)
+    matrix = np.array(ToeplitzOperator(column, row, hankel=True).matrix)
+    matrix[0] += 1e-3 * philox(81).standard_normal(n)
+    op = ToeplitzOperator(column, row, hankel=True, entries=lambda rows: matrix[rows].copy())
+    _assert_same_system(op._system, DenseOperator(matrix)._system)
+
+
+def test_a_zero_facing_its_negative_leaves_the_matrix_to_decide():
+    # +0.0 == -0.0, so the dense test finds J A J = A; the blocks cut from
+    # the top rows would hold +0.0 where the matrix's hold -0.0, so the
+    # matrix is built, and the system keeps the dense bits.
+    n = 8
+    build, matrix = _structure_case(n, False, 1.0, "closed form")
+    for i, j in ((1, 2), (2, 1)):
+        matrix[i, j], matrix[n - 1 - i, n - 1 - j] = 0.0, -0.0
+    assert _reflection_sign(matrix) == 1.0 and _is_symmetric(matrix)
+    assert build()._reflection_blocks() is None
+    _assert_same_system(build()._system, DenseOperator(matrix)._system)
 
 
 def test_system_reuses_a_matrix_already_read(monkeypatch):
@@ -216,6 +320,13 @@ def test_svd_decompose_as_dense_and_export_accept_the_kind(tmp_path):
     assert dense.flags.writeable  # a copy
     export_problem(prob, tmp_path / "hilbert.txt", tmp_path / "hilbert.json")
     np.testing.assert_array_equal(read_dense_text(tmp_path / "hilbert.txt").matrix, dense)
+
+
+def test_export_caches_no_matrix(tmp_path):
+    prob = make_problem("phillips", 64)
+    export_problem(prob, tmp_path / "phillips.txt", tmp_path / "phillips.json")
+    assert "matrix" not in vars(prob.op)
+    np.testing.assert_array_equal(read_dense_text(tmp_path / "phillips.txt").matrix, prob.op.matrix)
 
 
 @pytest.mark.parametrize(
