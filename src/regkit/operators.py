@@ -1208,9 +1208,14 @@ class ToeplitzOperator(LinearOperator):
     the circulant that embeds T (Chan & Ng, SIAM Review 38, 1996): O(n
     log n) time and O(n) memory.
 
-    Entries are read off t, or built by ``entries(rows)`` if given: the
-    finite rows of a slice, from a closed form of their own, which t may
-    match only to rounding.  ``matrix`` is built from them on first read,
+    Entries are read off t, or built by ``entries(rows)`` if given: a
+    new array of the rows of a slice, from a closed form of their own,
+    which t may match only to rounding.  Each band it returns must have
+    shape (rows, n) and finite entries, or InvalidParameterError is
+    raised.  Taking the row slice breaks the earlier interface, a
+    zero-argument ``entries()`` that returned the whole matrix: the
+    factorization builds A a band at a time, and such a builder fails its
+    first call.  ``matrix`` is built from them on first read,
     up to ``MAX_DENSE_DIM``.  Up to the cap, ``_system`` is the matrix's
     factorization, mostly without the matrix (``_decompose``), and the
     kernels are ``DenseOperator``'s QR forms on ``matrix``, so the routes
@@ -1228,6 +1233,8 @@ class ToeplitzOperator(LinearOperator):
         values = np.concatenate([row[:0:-1], column[::-1] if hankel else column])
         self._values = _readonly(values)
         self._hankel = bool(hankel)
+        if entries is not None and not callable(entries):
+            raise InvalidParameterError(f"entries must be callable, got {type(entries).__name__}")
         self._closed_form = entries
         # The spectra of T's and T^T's symbols, zero-padded to the circulant.
         self._spectra = (np.fft.rfft(values, 2 * n), np.fft.rfft(values[::-1], 2 * n))
@@ -1256,10 +1263,18 @@ class ToeplitzOperator(LinearOperator):
         return self._product(_as_vector(w, self.range_dim, "w"), adjoint=True)
 
     def _rows(self, start, stop):
-        """A new array of rows start..stop-1: ``entries`` of them, else read off t."""
-        if self._closed_form is not None:
-            return np.asarray(self._closed_form(slice(start, stop)), dtype=float)
+        """A new array of rows start..stop-1: ``entries`` of them, checked, else read off t."""
         n = self.domain_dim
+        if self._closed_form is not None:
+            rows = np.asarray(_real(self._closed_form(slice(start, stop)), "Toeplitz entries"), dtype=float)
+            if rows.shape != (stop - start, n):
+                raise InvalidParameterError(
+                    f"entries(slice({start}, {stop})) must have shape {(stop - start, n)}, got {rows.shape}"
+                )
+            # By bands, so the mask of a whole matrix is never made.
+            if not all(np.isfinite(rows[k : k + _BAND]).all() for k in range(0, stop - start, _BAND)):
+                raise InvalidParameterError("Toeplitz entries must be finite; they hold inf or nan")
+            return rows
         # Window k holds t[2n-2-k-j], j = 0..n-1: row k of H, row n-1-k of T.
         windows = np.lib.stride_tricks.sliding_window_view(self._values[::-1], n)
         return np.array(windows[start:stop] if self._hankel else windows[n - stop : n - start][::-1])
@@ -1296,7 +1311,9 @@ class ToeplitzOperator(LinearOperator):
             reflected = self._reflection_blocks()
             if reflected is not None:
                 return _ReflectionDecomposition(*reflected, (n, n), rank_tolerance)
-            if self._closed_form is None and self._symmetric:
+            # Read off t, A = A^T iff A is Hankel or t is a palindrome.
+            values = self._values
+            if self._closed_form is None and (self._hankel or np.array_equal(values, values[::-1])):
                 sketched = _sketch(_FFTProducts(self), True)
                 if sketched is not None:
                     return _picked_system(*sketched, rank_tolerance)
@@ -1304,14 +1321,6 @@ class ToeplitzOperator(LinearOperator):
         return _matrix_system(matrix, _is_symmetric(matrix), rank_tolerance)
 
     _system = functools.cached_property(_decompose)
-
-    @property
-    def _symmetric(self):
-        """Whether A = A^T entry for entry, read off t: a Hankel matrix is, a Toeplitz one iff t is a palindrome.
-
-        Entries from a closed form are not read off t, so this says nothing of them.
-        """
-        return self._hankel or np.array_equal(self._values, self._values[::-1])
 
     def _reflection_blocks(self):
         """([block, block], sign, symmetric) if n is even and A[::-1, ::-1] == sign A bit for bit, else None.

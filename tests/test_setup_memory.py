@@ -35,6 +35,11 @@ MiB = 2**20
 #: tuples and the closure.
 HEADERS = 12 * 2**10
 
+#: Length-n float vectors that a problem may hold besides its factors: y,
+#: f, the grid, the singular values and signs, t (2n) and its two spectra
+#: (2 x 2n); about 12 are held.
+VECTORS = 16
+
 
 def _held_bytes(*roots):
     """Bytes of the distinct array buffers that roots hold, through regkit objects, tuples and closures."""
@@ -79,8 +84,14 @@ def test_phillips_set_up_holds_one_factor_and_no_matrix():
     n = 1024
     prob, kept, peak = _traced(lambda: make_problem("phillips", n))
     assert "matrix" not in vars(prob.op)
+    factors = {id(v): v.nbytes for v, _, _ in prob.decomp._right_parts}
+    assert sum(factors.values()) == 4 * MiB
+    # Left factors share the right ones' buffers (u_i = sign_i v_i).
+    assert all(id(v) in factors for v, _, _ in prob.decomp._left_parts)
     held = _held_bytes(prob)
-    assert 4 * MiB <= held <= kept <= held + HEADERS
+    # A second factor, a kept half or the matrix fails one of these.
+    assert 4 * MiB <= held <= 4 * MiB + VECTORS * 8 * n
+    assert held <= kept <= held + HEADERS
     assert peak - kept <= 2.5 * MiB
     assert prob.op.matrix.nbytes == 8 * MiB  # built on first read
 
@@ -89,8 +100,11 @@ def test_hilbert_set_up_makes_no_full_size_temporary():
     # Nothing full-size: the peak is two 64-row bands, which show that
     # hilbert is not reflection-symmetric, and the random block's FFT
     # products, (2n, 32) arrays.
-    prob, kept, peak = _traced(lambda: make_problem("hilbert", 1024))
+    n = 1024
+    prob, kept, peak = _traced(lambda: make_problem("hilbert", n))
+    factor = prob.decomp.right_vectors.nbytes
     held = _held_bytes(prob)
+    assert factor <= held <= factor + VECTORS * 8 * n
     assert held <= kept <= held + HEADERS
     assert kept <= 0.3 * MiB
     assert peak - kept <= 1.6 * MiB

@@ -32,6 +32,7 @@ from regkit import (
     svd_decompose,
 )
 from regkit.cli import main
+from regkit import operators
 from regkit.operators import _is_symmetric, _reflection_sign
 from regkit.problems import _grid
 
@@ -183,7 +184,10 @@ def test_structure_tests_agree_with_the_dense_ones(monkeypatch, n, hankel, sign,
     dense_sign, dense_symmetric = _reflection_sign(matrix), _is_symmetric(matrix)
     if source == "diagonals":
         assert dense_sign == sign
-        assert build()._symmetric == dense_symmetric == (hankel or sign == 1.0)
+        # The test ``_decompose`` reads off t before it tries the random block.
+        values = build()._values
+        assert (hankel or np.array_equal(values, values[::-1])) == dense_symmetric
+        assert dense_symmetric == (hankel or sign == 1.0)
     reflected = build()._reflection_blocks()
     blocks_without_matrix = n % 2 == 0 and dense_sign is not None
     if blocks_without_matrix:
@@ -210,6 +214,25 @@ def test_a_closed_form_is_factored_from_its_entries_not_from_t():
     _assert_same_system(op._system, DenseOperator(matrix)._system)
 
 
+def test_a_nonsymmetric_toeplitz_takes_no_fft_block(monkeypatch):
+    # T = J H, H hilbert's Hankel matrix: T has hilbert's t and values, but
+    # T != T^T, so the random block on T's FFT products is not tried.
+    n = 256
+    index = np.arange(n, dtype=float)
+    values = ToeplitzOperator(1.0 / (1.0 + index), 1.0 / (n + index), hankel=True)._values
+    op = ToeplitzOperator(values[n - 1 :], values[n - 1 :: -1])
+    sketch = operators._sketch
+
+    def dense_only(matrix, symmetric):
+        assert not isinstance(matrix, operators._FFTProducts)
+        return sketch(matrix, symmetric)
+
+    monkeypatch.setattr(operators, "_sketch", dense_only)
+    system = op._system
+    assert not _is_symmetric(op.matrix)
+    _assert_same_system(system, DenseOperator(op.matrix)._system)
+
+
 def test_a_zero_facing_its_negative_leaves_the_matrix_to_decide():
     # +0.0 == -0.0, so the dense test finds J A J = A; the blocks cut from
     # the top rows would hold +0.0 where the matrix's hold -0.0, so the
@@ -221,6 +244,34 @@ def test_a_zero_facing_its_negative_leaves_the_matrix_to_decide():
     assert _reflection_sign(matrix) == 1.0 and _is_symmetric(matrix)
     assert build()._reflection_blocks() is None
     _assert_same_system(build()._system, DenseOperator(matrix)._system)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [8, 9])
+def test_closed_form_entries_must_be_finite(n, bad):
+    # The entry and its mirror are equal bit for bit, so the mirror test
+    # alone would pass them to the blocks.
+    build, matrix = _structure_case(n, False, 1.0, "closed form")
+    matrix[1, 2] = matrix[n - 2, n - 3] = bad
+    for read in (lambda op: op._system, lambda op: op.matrix, as_dense_matrix):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            read(build())
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [lambda rows: np.zeros((8, 8)), lambda rows: np.zeros((rows.stop - rows.start, 7))],
+    ids=["whole matrix", "short rows"],
+)
+def test_closed_form_bands_must_have_their_shape(entries):
+    op = ToeplitzOperator(np.ones(8), np.ones(8), entries=entries)
+    with pytest.raises(InvalidParameterError, match="shape"):
+        op._system
+
+
+def test_closed_form_must_be_callable():
+    with pytest.raises(InvalidParameterError, match="callable"):
+        ToeplitzOperator(np.ones(4), np.ones(4), entries=np.ones((4, 4)))
 
 
 def test_system_reuses_a_matrix_already_read(monkeypatch):
