@@ -15,18 +15,21 @@ ill-conditioned instance is a strong mutual certificate.
 
 import numpy as np
 
-from regkit import make_problem, add_noise, solve_dual, solve_primal, solve_spectral
+from regkit import DenseOperator, make_problem, add_noise, solve_dual, solve_primal, solve_spectral
 
 prob = make_problem("hilbert", 12)
 noisy = add_noise(prob, 1e-4, seed=2)
+# On the operator itself primal and dual would both filter through
+# prob.decomp; on the explicit matrix they take their own QR forms.
+dense = DenseOperator(prob.op.matrix)
 print(f"problem: hilbert n=12, condition ~ {prob.decomp.singular_values[0] / prob.decomp.singular_values[-1]:.2e}")
 print(f"noise level delta = {noisy.delta:.3e}")
 print()
 
 print(f"{'alpha':>8s} {'|u_primal - u_dual|':>20s} {'|u_primal - u_spec|':>20s} {'residual':>12s}")
 for alpha in (1e-6, 1e-4, 1e-2, 1.0):
-    primal = solve_primal(prob.op, noisy.f_delta, alpha)
-    dual = solve_dual(prob.op, noisy.f_delta, alpha)
+    primal = solve_primal(dense, noisy.f_delta, alpha)
+    dual = solve_dual(dense, noisy.f_delta, alpha)
     spectral = solve_spectral(prob.decomp, noisy.f_delta, alpha)
     print(f"{alpha:8.0e} {np.linalg.norm(primal.u - dual.u):20.3e} "
           f"{np.linalg.norm(primal.u - spectral.u):20.3e} {primal.residual_norm:12.4e}")

@@ -26,9 +26,9 @@ base class, and so does residual matching (``_project``).  Each reads
 ``_system``, or, when there is none, one Golub-Kahan space grown until
 it certifies alpha.  A dense operator's first selection on an exactly
 symmetric matrix takes that space too, capped, before its system is
-built (``DenseOperator._project``).  Only dense operators, and Toeplitz
-ones up to ``MAX_DENSE_DIM``, override the kernels, with QR forms on the
-matrix, so that the routes stay independent checks of each other.  The
+built (``DenseOperator._project``).  Only dense operators override the
+kernels, with QR forms on the matrix, so that the routes stay
+independent checks of each other and of the other kinds.  The
 Krylov bases stay orthonormal to working precision, with Gram-Schmidt
 only where an O(1) bound on the loss of orthogonality asks for it; one
 method, ``_KrylovProjection._append``, bounds, measures, orthogonalizes
@@ -622,11 +622,8 @@ class LinearOperator:
     kind = "abstract"
 
     def __init__(self, range_dim, domain_dim):
-        range_dim, domain_dim = int(range_dim), int(domain_dim)
-        if range_dim < 1 or domain_dim < 1:
-            raise InvalidParameterError("operator dimensions must be positive")
-        self.range_dim = range_dim
-        self.domain_dim = domain_dim
+        self.range_dim = _check_count(range_dim, "range_dim")
+        self.domain_dim = _check_count(domain_dim, "domain_dim")
 
     def apply(self, x):
         """Return A @ x for a domain vector x."""
@@ -1126,7 +1123,7 @@ class GradientOperator(LinearOperator):
     kind = "gradient"
 
     def __init__(self, n):
-        n = int(n)
+        n = _check_count(n, "n", least=2)
         super().__init__(n - 1, n)
 
     def apply(self, x):
@@ -1169,7 +1166,7 @@ class GreenOperator(LinearOperator):
     kind = "green"
 
     def __init__(self, n):
-        n = int(n)
+        n = _check_count(n, "n")
         super().__init__(n, n)
 
     def apply(self, x):
@@ -1218,9 +1215,9 @@ class ToeplitzOperator(LinearOperator):
     first call.  ``matrix`` is built from them on first read,
     up to ``MAX_DENSE_DIM``.  Up to the cap, ``_system`` is the matrix's
     factorization, mostly without the matrix (``_decompose``), and the
-    kernels are ``DenseOperator``'s QR forms on ``matrix``, so the routes
-    stay independent checks.  Above it there is no system, and selection
-    grows a Golub-Kahan space on the FFT apply.
+    kernels filter through it, as for the other kinds with a system.
+    Above it there is no system, and selection and solves grow a
+    Golub-Kahan space on the FFT apply.
     """
 
     kind = "toeplitz"
@@ -1374,20 +1371,6 @@ class ToeplitzOperator(LinearOperator):
                 for parities in _parities(sign)
             ]
         return [left, right], sign, symmetric
-
-    @property
-    def _kernels(self):
-        """The class whose Tikhonov kernels serve: ``DenseOperator``'s up to the cap."""
-        return DenseOperator if self.domain_dim <= MAX_DENSE_DIM else LinearOperator
-
-    def _solve_normal(self, a, b, cfg):
-        return self._kernels._solve_normal(self, a, b, cfg)
-
-    def _solve_primal(self, a, f, cfg):
-        return self._kernels._solve_primal(self, a, f, cfg)
-
-    def _solve_dual(self, a, f, cfg):
-        return self._kernels._solve_dual(self, a, f, cfg)
 
 
 class MatrixFreeOperator(LinearOperator):

@@ -128,6 +128,11 @@ def _build_phillips(n):
     # Classical first-kind convolution on [-6, 6]: the kernel, and the
     # solution profile, are 1 + cos(pi x / 3) supported on |x| < 3.
     t, h = _grid(n, -6.0, 6.0)
+    if n % 2 == 0:
+        # t[n-1-i] = -t[i] bit for bit, which ``_grid`` misses in the last
+        # bit at most even n but powers of two, so that the matrix is
+        # reflection-symmetric and factors as two blocks at every even n.
+        t[n // 2 :] = -t[n // 2 - 1 :: -1]
     y = np.where(np.abs(t) < 3.0, 1.0 + np.cos(np.pi * t / 3.0), 0.0)
     # The FFT takes the kernel at the first column's and row's differences;
     # the matrix takes it at every t_i - t_j, which round differently.

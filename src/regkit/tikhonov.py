@@ -13,11 +13,11 @@ agreement is part of the test contract:
   system; exact finite sum, used as the oracle for the other two.
 
 The routes validate their input, call the operator's kernel
-(``regkit.operators``: QR on stacked systems for dense operators and
-Toeplitz ones up to ``MAX_DENSE_DIM``, the filter formula on the
-operator's untruncated singular system for the other kinds that have
-one, otherwise one Golub-Kahan space grown until it certifies alpha),
-and recompute the certificates from the returned vector.
+(``regkit.operators``: QR on stacked systems for dense operators, the
+filter formula on the operator's untruncated singular system for the
+other kinds that have one, otherwise one Golub-Kahan space grown until
+it certifies alpha), and recompute the certificates from the returned
+vector.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ from regkit import (
     DenseOperator,
     DiagonalOperator,
     DimensionMismatchError,
+    GradientOperator,
+    GreenOperator,
     InvalidParameterError,
     MAX_DENSE_DIM,
     MatrixFreeOperator,
@@ -578,6 +580,39 @@ def test_matrix_free_rejects_non_callable(label):
     callbacks = {"forward": lambda x: x, "adjoint": lambda w: w, label: None}
     with pytest.raises(InvalidParameterError, match=label):
         MatrixFreeOperator(2, 2, callbacks["forward"], callbacks["adjoint"])
+
+
+def _identity(x):
+    return x
+
+
+_SIZED = {
+    "gradient": (GradientOperator, "n", 2),
+    "green": (GreenOperator, "n", 1),
+    "matrix_free_range": (lambda v: MatrixFreeOperator(v, 2, _identity, _identity), "range_dim", 1),
+    "matrix_free_domain": (lambda v: MatrixFreeOperator(2, v, _identity, _identity), "domain_dim", 1),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [3.7, "5", None, float("nan"), float("inf"), 0], ids=["3.7", "str", "None", "nan", "inf", "0"]
+)
+@pytest.mark.parametrize("kind", sorted(_SIZED))
+def test_operator_sizes_must_be_integers(kind, bad):
+    # 3.7 was truncated to 3 and "5" accepted; None and NaN leaked a bare
+    # TypeError or ValueError from int().
+    build, name, least = _SIZED[kind]
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer >= {least}"):
+        build(bad)
+
+
+@pytest.mark.parametrize("kind", sorted(_SIZED))
+def test_operator_sizes_accept_integral_values(kind):
+    build, _, least = _SIZED[kind]
+    for size in (least + 3, float(least + 3), np.int64(least + 3)):
+        op = build(size)
+        assert max(op.range_dim, op.domain_dim) == least + 3
+        assert type(op.range_dim) is int and type(op.domain_dim) is int
 
 
 @pytest.mark.parametrize("bad", [None, "x"], ids=["None", "str"])

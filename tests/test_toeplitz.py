@@ -2,10 +2,11 @@
 
 Each holds the 2n - 1 values on its diagonals and applies A and A^T by one
 length-2n ``rfft`` pair.  ``matrix`` is built on first read with the bits
-of the dense builders it replaced.  Up to ``MAX_DENSE_DIM`` the singular
-system is the matrix's, mostly factored without it, and the QR kernels run
-on that matrix; above it the operator has no system and selection grows a
-Golub-Kahan space on the FFT apply.
+of the dense builders it replaced, but on a phillips grid mirrored at
+even n.  Up to ``MAX_DENSE_DIM`` the singular system is the matrix's,
+mostly factored without it, and the kernels filter through it, checked
+against the dense QR forms; above it the operator has no system and
+selection and solves grow a Golub-Kahan space on the FFT apply.
 """
 
 import json
@@ -83,7 +84,11 @@ def _reference_hilbert(n):
 
 
 def _reference_phillips(n):
-    """The dense builder this kind replaced: the kernel at every t_i - t_j, in one buffer."""
+    """The dense builder this kind replaced: the kernel at every t_i - t_j, in one buffer.
+
+    Its grid is ``_grid``'s, which phillips mirrors at even n; the two
+    agree bit for bit at the even n tested here.
+    """
     t, h = _grid(n, -6.0, 6.0)
     kernel = np.subtract.outer(t, t)
     outside = kernel >= 3.0
@@ -111,6 +116,19 @@ def test_matrix_has_the_dense_builders_bits(name, n):
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("n", [10, 300, 1000, 1026])
+def test_even_phillips_is_reflection_symmetric_bit_for_bit(n):
+    # The midpoint grid alone misses t[n-1-i] = -t[i] in the last bit at
+    # these n, so the dense builder's matrix is not mirror-exact; phillips
+    # negates its grid's left half for the right one.  Each t_i - t_j then
+    # moves by a few ulps of 6, and the kernel's slope is at most pi h / 3.
+    matrix = as_dense_matrix(make_problem("phillips", n, decompose=False).op)
+    reference = _reference_phillips(n)
+    assert _reflection_sign(matrix) == 1.0
+    assert _reflection_sign(reference) is None
+    assert np.abs(matrix - reference).max() <= 16 * np.finfo(float).eps * 12.0 / n
+
+
 def _assert_same_system(system, want):
     for side in ("singular_values", "right_vectors", "left_vectors"):
         np.testing.assert_array_equal(getattr(system, side), getattr(want, side))
@@ -124,7 +142,7 @@ def test_system_is_the_dense_factorization_bit_for_bit(name, n):
     _assert_same_system(system, DenseOperator(op.matrix)._system)
 
 
-@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("n", [64, 256, 300, 1000, 1024])
 def test_even_phillips_factors_its_blocks_without_the_matrix(monkeypatch, n):
     want = DenseOperator(make_problem("phillips", n, decompose=False).op.matrix)._decompose()
     op = make_problem("phillips", n, decompose=False).op
@@ -301,18 +319,48 @@ def test_set_up_holds_no_n_by_n_array(name):
 
 # --- kernels ---------------------------------------------------------------------------
 
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [64, 65, 256, 1024])
 @pytest.mark.parametrize("name", ["hilbert", "phillips"])
-def test_kernels_are_the_dense_qr_forms_up_to_the_cap(name):
-    op = make_problem(name, 64).op
-    dense = DenseOperator(op.matrix)
-    rng = philox(71)
-    f, b = rng.standard_normal(64), rng.standard_normal(64)
-    for alpha in (1e-8, 1e-3, 1.0):
+def test_kernels_match_dense_routes(name, n):
+    # The filter through ``_system`` against the dense QR forms, an
+    # independent route; neither reads nor keeps the operator's matrix.
+    op = make_problem(name, n).op
+    dense = DenseOperator(as_dense_matrix(op))
+    rng = philox(70 + n)
+    f, b = rng.standard_normal(n), rng.standard_normal(n)
+    for alpha in (1e-8, 1e-4, 1.0, 1e3):
         for route in (solve_primal, solve_dual):
-            np.testing.assert_array_equal(route(op, f, alpha).u, route(dense, f, alpha).u)
-        np.testing.assert_array_equal(
-            solve_shifted_normal(op, b, alpha)[0], solve_shifted_normal(dense, b, alpha)[0]
-        )
+            sol, want = route(op, f, alpha), route(dense, f, alpha)
+            assert sol.iterations == 0
+            assert _rel(sol.u, want.u) <= 1e-8
+        x, iterations = solve_shifted_normal(op, b, alpha)
+        assert iterations == 0
+        assert _rel(x, solve_shifted_normal(dense, b, alpha)[0]) <= 1e-8
+    assert "matrix" not in vars(op)
+
+
+@pytest.mark.parametrize("name", ["hilbert", "phillips"])
+def test_solves_build_no_matrix(name):
+    # The dense QR forms built and kept the 8 MiB matrix, and peaked at 49 MiB.
+    n = 1024
+    op = make_problem(name, n).op
+    rng = philox(73)
+    f, b = rng.standard_normal(n), rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        for alpha in (1e-8, 1e-3, 1e3):
+            solve_primal(op, f, alpha)
+            solve_dual(op, f, alpha)
+            solve_shifted_normal(op, b, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "matrix" not in vars(op)
+    assert peak < 8 * 2**20
 
 
 def test_above_the_cap_solves_grow_a_krylov_space():
