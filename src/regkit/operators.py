@@ -44,12 +44,13 @@ solutions.  An exactly symmetric matrix gets it from its
 eigendecomposition A = Q diag(lambda) Q^T, as sigma_i = |lambda_i|,
 v_i = q_i and u_i = sign(lambda_i) q_i, with the q_i held once and their
 signs beside them (``_SignedDecomposition``); any other matrix from a
-general SVD.  A matrix that its reversal J maps to itself or its
-negative, ``A[::-1, ::-1] == +-A`` entry for entry, is factored as two
-half-size blocks, in the bases of vectors even and odd under J, cut
-straight from its quadrants, for a quarter of the flops
-(``_ReflectionDecomposition``); each block takes eigh when A is exactly
-symmetric with the + sign, else the SVD.
+general SVD.  A matrix of any shape that its reversal J maps to itself
+or its negative, ``A[::-1, ::-1] == +-A`` bit for bit, is factored as
+two half-size blocks, in the bases of vectors even and odd under J, for
+a quarter of the flops (``_ReflectionDecomposition``); each block takes
+eigh when A is exactly symmetric with the + sign, else the SVD.  One
+cutter, ``_reflection_blocks``, cuts them band by band from the top
+rows, of a dense matrix or of a Toeplitz operator built for it.
 Any other matrix first tries one certified random block (``_sketch``),
 in O(n^2 r) when the numerical rank r above n eps sigma_1 is below its
 width, as for hilbert.
@@ -804,17 +805,16 @@ def _is_symmetric(matrix):
 def _matrix_system(matrix, symmetric, rank_tolerance):
     """The eigh or SVD factorization of a matrix, truncated at ``rank_tolerance``.
 
-    A matrix with ``A[::-1, ::-1] == +-A`` entry for entry is factored
-    as its two half-size reflection blocks (``_ReflectionDecomposition``);
-    the test compares row 0 with the reversed last row first, so other
-    matrices fail it in O(n).  Any other matrix is factored whole, by
-    eigh if exactly ``symmetric``, else by the SVD (``_factor``), unless
-    one random block certifies first (``_sketch``).
+    A matrix with ``A[::-1, ::-1] == +-A`` bit for bit is factored as its
+    two half-size reflection blocks (``_reflection_blocks``), cut from
+    views of its rows; most other matrices fail the test on its first
+    band, ``_BAND`` rows against their mirror.  Any other matrix is
+    factored whole, by eigh if exactly ``symmetric``, else by the SVD
+    (``_factor``), unless one random block certifies first (``_sketch``).
     """
-    sign = _reflection_sign(matrix)
-    if sign is not None:
-        blocks = [_block(matrix, *parities) for parities in _parities(sign)]
-        return _ReflectionDecomposition(blocks, sign, symmetric, matrix.shape, rank_tolerance)
+    reflected = _reflection_blocks(lambda start, stop: matrix[start:stop], matrix.shape)
+    if reflected is not None:
+        return _ReflectionDecomposition(*reflected, matrix.shape, rank_tolerance)
     return _picked_system(*(_sketch(matrix, symmetric) or _factor(matrix, symmetric)), rank_tolerance)
 
 
@@ -952,20 +952,6 @@ class _FFTProducts:
         return self._op._product(x)
 
 
-def _reflection_sign(matrix):
-    """+1 or -1 if ``matrix[::-1, ::-1] == sign * matrix`` entry for entry, else None.
-
-    Row 0 is compared with the reversed last row first, so a matrix
-    without the structure fails in O(n).  The zero matrix gets +1.
-    """
-    flipped = matrix[::-1, ::-1]
-    for sign in (1.0, -1.0):
-        if np.array_equal(flipped[0], sign * matrix[0]):
-            if np.array_equal(flipped, matrix if sign > 0 else -matrix):
-                return sign
-    return None
-
-
 _HALF_SQRT2 = math.sqrt(0.5)
 
 
@@ -1016,8 +1002,8 @@ def _block_rows(top_left, top_right, bottom_left, bottom_right, row_parity, col_
     the first sign by the row parity and the second by the column parity
     (+ even, - odd): the additions and scalings of the two folds in their
     order, so the block is the same bits, but no folded rows are
-    allocated.  Dense matrices (``_block``) and Toeplitz operators
-    (``ToeplitzOperator._reflection_blocks``) both cut their blocks here.
+    allocated.  ``_reflection_blocks`` cuts every block here, for dense
+    matrices and Toeplitz operators alike.
     """
     by_rows = np.subtract if row_parity else np.add
     by_cols = np.subtract if col_parity else np.add
@@ -1030,37 +1016,68 @@ def _block_rows(top_left, top_right, bottom_left, bottom_right, row_parity, col_
     return inner
 
 
-def _block(matrix, row_parity, col_parity):
-    """``_fold(_fold(matrix)[row_parity].T)[col_parity].T``, cut from views of the four quadrants.
+def _reflection_blocks(rows, shape):
+    """([block, block], sign, symmetric) if the m x n matrix A has A[::-1, ::-1] == sign A bit for bit, else None.
 
-    ``_block_rows`` cuts ``_BAND`` rows at a time, so no temporary is
-    larger than a band.  An even side of odd length also takes the middle
-    row or column, scaled once.
+    ``rows(start, stop)`` returns rows start..stop-1 of A: views of a
+    dense matrix, or a Toeplitz operator's bands, built on the call.  The
+    top m - m // 2 rows are read ``_BAND`` at a time, each band with its
+    mirror read backwards; a sign holds while every mirror is sign times
+    its band (``_times``) bit for bit, not merely in value (+0.0 against
+    -0.0), or blocks cut from the top rows would not have the bottom
+    rows' bits.  Only L[i, j] = A[i, j] and R[i, j] = A[i, n-1-j],
+    j < k = n // 2, are kept, with the middle column in L: about m n / 2
+    doubles, every entry read once.  Given the sign, A = A^T iff m = n,
+    L = L^T, R = sign R^T and the middle column is the middle row.  The
+    bottom quadrants are sign R and sign L, so ``_block_rows``
+    writes both blocks in place of L and R, an even side of odd length
+    taking the middle row or column, scaled once: the blocks are
+    ``_fold(_fold(A)[r].T)[c].T`` bit for bit.
     """
-    m, n = matrix.shape
+    m, n = shape
     h, k = m // 2, n // 2
-    by_rows = np.subtract if row_parity else np.add
-    by_cols = np.subtract if col_parity else np.add
-    top, bottom = matrix[:h], matrix[::-1][:h]
-    middle_row = m % 2 == 1 and row_parity == 0
-    middle_col = n % 2 == 1 and col_parity == 0
-    block = np.empty((h + middle_row, k + middle_col))
-    inner = block[:h, :k]
-    for start in range(0, h, _BAND):
-        rows = slice(start, start + _BAND)
-        upper, lower = top[rows], bottom[rows]
-        inner[rows] = _block_rows(
-            upper[:, :k], upper[:, ::-1][:, :k], lower[:, :k], lower[:, ::-1][:, :k],
-            row_parity, col_parity,
+    signs = [1.0, -1.0]
+    for start in range(0, m - h, _BAND):
+        stop = min(start + _BAND, m - h)
+        top = rows(start, stop)
+        mirror = rows(m - stop, m - start)[::-1, ::-1].view(np.int64)
+        signs = [sign for sign in signs if np.array_equal(mirror, _times(sign, top).view(np.int64))]
+        if not signs:
+            return None
+        if not start:  # allocated once the first band has the structure
+            left, right = np.empty((m - h, n - k)), np.empty((m - h, n - k))
+        left[start:stop] = top[:, : n - k]
+        right[start:stop, :k] = top[:, ::-1][:, :k]
+    sign = signs[0]
+    upper_left, upper_right = left[:h, :k], right[:h, :k]
+    bands = [slice(start, start + _BAND) for start in range(0, h, _BAND)]
+    symmetric = (
+        m == n
+        and np.array_equal(left[:h, k:], left[h:, :k].T)
+        and all(
+            np.array_equal(upper_left[band], upper_left[:, band].T)
+            and np.array_equal(upper_right[band], sign * upper_right[:, band].T)
+            for band in bands
         )
-    if middle_row:
-        row = matrix[h]
-        block[h, :k] = by_cols(row[:k], row[::-1][:k]) * _HALF_SQRT2
-    if middle_col:
-        block[:h, k] = by_rows(top[:, k], bottom[:, k]) * _HALF_SQRT2
-    if middle_row and middle_col:
-        block[h, k] = matrix[h, k]
-    return block
+    )
+    parities = _parities(sign)
+    for band in bands:
+        top_left, top_right = upper_left[band], upper_right[band]
+        quadrants = top_left, top_right, _times(sign, top_right), _times(sign, top_left)
+        upper_left[band], upper_right[band] = [_block_rows(*quadrants, *p) for p in parities]
+    # ``left`` is the even-row block, whose columns are odd for sign -1;
+    # the even-column block is ``left`` for +1 and ``right``, of odd rows,
+    # for -1.  So both middle lines combine with their mirrors by the sign.
+    combine = np.subtract if sign < 0 else np.add
+    if m % 2:
+        left[h, :k] = combine(left[h, :k], right[h, :k]) * _HALF_SQRT2
+    if n % 2:
+        middle = left[:h, k]
+        (left if sign > 0 else right)[:h, k] = combine(middle, _times(sign, middle)) * _HALF_SQRT2
+    return [
+        store[: h if r else m - h, : k if c else n - k]
+        for store, (r, c) in zip((left, right), parities)
+    ], sign, symmetric
 
 
 def _signed(signs, c):
@@ -1292,20 +1309,21 @@ class ToeplitzOperator(LinearOperator):
         """``_matrix_system`` of the matrix, mostly without it; None above ``MAX_DENSE_DIM``.
 
         A ``matrix`` already read is factored as a dense one.  Otherwise
-        none is built for an even n with J A J = +-A bit for bit, whose two
-        reflection blocks are cut from its entries (``_reflection_blocks``)
-        with the dense blocks' bits, nor for one read off t that is
-        symmetric and whose random block certifies (``_sketch``) on FFT
-        products, which round otherwise than the dense ones.  Any other is
-        factored as its matrix, built for it and dropped: odd n with a
-        closed form, as phillips', or a block that does not certify.
+        none is built for an operator with J A J = +-A bit for bit, at any
+        n, whose two reflection blocks are cut from its rows
+        (``_reflection_blocks``) with the dense blocks' bits, nor for one
+        read off t that is symmetric and whose random block certifies
+        (``_sketch``) on FFT products, which round otherwise than the
+        dense ones.  Any other is factored as its matrix, built for it and
+        dropped: hilbert below the block's least width, a block that does
+        not certify, or a nonsymmetric operator without the reflection.
         """
         n = self.domain_dim
         if n > MAX_DENSE_DIM:
             return None
         matrix = vars(self).get("matrix")
         if matrix is None:
-            reflected = self._reflection_blocks()
+            reflected = _reflection_blocks(self._rows, (n, n))
             if reflected is not None:
                 return _ReflectionDecomposition(*reflected, (n, n), rank_tolerance)
             # Read off t, A = A^T iff A is Hankel or t is a palindrome.
@@ -1318,59 +1336,6 @@ class ToeplitzOperator(LinearOperator):
         return _matrix_system(matrix, _is_symmetric(matrix), rank_tolerance)
 
     _system = functools.cached_property(_decompose)
-
-    def _reflection_blocks(self):
-        """([block, block], sign, symmetric) if n is even and A[::-1, ::-1] == sign A bit for bit, else None.
-
-        Rows i < h = n / 2 are built ``_BAND`` at a time, each band with
-        its mirror, rows n-1-i read backwards; a sign holds while every
-        mirror is sign times its band.  Only the top rows are kept, as two
-        h x h halves, L[i, j] = A[i, j] and R[i, j] = A[i, n-1-j]: n^2 / 2
-        doubles, where the matrix takes n^2.  Every entry is built once.
-        Given the sign, A = A^T iff L = L^T and R = sign
-        R^T, the dense test's answer.  The quadrants of A are then L, R,
-        sign R and sign L (``_times``), so ``_block_rows`` cuts both blocks,
-        band by band, in place of L and R.  A mirror must match its band
-        times sign bit for bit, or the blocks would not be the dense
-        blocks' bits; one equal to it only as values (+0.0 against -0.0)
-        leaves the matrix to decide.
-        """
-        n = self.domain_dim
-        if n % 2:
-            return None
-        h = n // 2
-        signs = [1.0, -1.0]
-        for start in range(0, h, _BAND):
-            stop = min(start + _BAND, h)
-            top = self._rows(start, stop)
-            mirror = self._rows(n - stop, n - start)[::-1, ::-1]
-            for sign in tuple(signs):
-                signed = _times(sign, top)
-                if not np.array_equal(mirror.view(np.int64), signed.view(np.int64)):
-                    if np.array_equal(mirror, signed):
-                        return None
-                    signs.remove(sign)
-            if not signs:
-                return None
-            if not start:  # allocated once the first band has the structure
-                left, right = np.empty((h, h)), np.empty((h, h))
-            left[start:stop] = top[:, :h]
-            right[start:stop] = top[:, ::-1][:, :h]
-        sign = signs[0]
-        bands = [slice(start, start + _BAND) for start in range(0, h, _BAND)]
-        symmetric = all(
-            np.array_equal(left[rows], left[:, rows].T)
-            and np.array_equal(right[rows], sign * right[:, rows].T)
-            for rows in bands
-        )
-        for rows in bands:
-            upper_left, upper_right = left[rows], right[rows]
-            lower_left, lower_right = _times(sign, upper_right), _times(sign, upper_left)
-            left[rows], right[rows] = [
-                _block_rows(upper_left, upper_right, lower_left, lower_right, *parities)
-                for parities in _parities(sign)
-            ]
-        return [left, right], sign, symmetric
 
 
 class MatrixFreeOperator(LinearOperator):
@@ -1625,9 +1590,9 @@ class _ReflectionDecomposition(SpectralDecomposition):
     odd, and J A J = -A even to odd and odd to even, so in those bases A
     is two blocks about half its size on each side (Cantoni & Butler,
     Linear Algebra Appl. 13, 1976): a quarter of the flops to factor.
-    The two blocks, in ``_parities(sign)`` order, are cut from A's
-    quadrants (``_block_rows``): from a matrix's views, or by a Toeplitz
-    operator in place of its top rows, with no matrix.  Each is taken out
+    The two blocks, in ``_parities(sign)`` order, are cut in place of
+    A's top rows (``_reflection_blocks``): a dense matrix's, or a
+    Toeplitz operator's, built with no matrix.  Each is taken out
     of the list handed over and goes through ``_factor``, so it is freed
     before the next is factored: by eigh when A is exactly symmetric with
     sign +1, as each block then is too, and by the SVD otherwise.  The
@@ -1882,7 +1847,7 @@ def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     An exactly symmetric matrix (``A == A.T`` entry for entry) is factored
     by ``np.linalg.eigh``, as sigma_i = |lambda_i|, v_i = q_i and u_i =
     sign(lambda_i) q_i, any other by ``np.linalg.svd``, and one with
-    ``A[::-1, ::-1] == +-A`` entry for entry as two half-size blocks, in
+    ``A[::-1, ::-1] == +-A`` bit for bit as two half-size blocks, in
     the bases of vectors even and odd under reversal.  A matrix at least
     256 wide first tries one certified random block of 32 columns, which
     serves when fewer values than that exceed max(m, n) eps sigma_1:
@@ -2011,13 +1976,22 @@ def write_dense_text(op, path):
 
 
 def read_dense_text(path):
-    """Read a dense operator from the plain-text matrix format."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise InvalidParameterError(f"malformed matrix header in {path}")
-        rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
+    """Read a dense operator from the plain-text matrix format.
+
+    A file that is not ASCII, a header that is not two integers >= 1, or a
+    body that is not rows of reals of one length raises
+    InvalidParameterError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            data = np.loadtxt(fh, ndmin=2)
+    except ValueError as error:  # UnicodeDecodeError is one
+        raise InvalidParameterError(f"malformed matrix file {path}: {error}") from None
+    if len(header) != 2:
+        raise InvalidParameterError(f"malformed matrix header in {path}")
+    names = [f"matrix {side} in the header of {path}" for side in ("rows", "cols")]
+    rows, cols = (_check_count(_as_real(v, name), name) for v, name in zip(header, names))
     if data.shape != (rows, cols):
         raise DimensionMismatchError(
             f"matrix body {data.shape} does not match header ({rows}, {cols})"

@@ -128,11 +128,13 @@ def _build_phillips(n):
     # Classical first-kind convolution on [-6, 6]: the kernel, and the
     # solution profile, are 1 + cos(pi x / 3) supported on |x| < 3.
     t, h = _grid(n, -6.0, 6.0)
-    if n % 2 == 0:
-        # t[n-1-i] = -t[i] bit for bit, which ``_grid`` misses in the last
-        # bit at most even n but powers of two, so that the matrix is
-        # reflection-symmetric and factors as two blocks at every even n.
-        t[n // 2 :] = -t[n // 2 - 1 :: -1]
+    # t[n-1-i] = -t[i] bit for bit, and t = 0 exactly in the middle of an
+    # odd n, which ``_grid`` misses in the last bit at most n but powers
+    # of two, so that the matrix is reflection-symmetric and factors as
+    # two blocks at every n.
+    half = n // 2
+    t[n - half :] = -t[half - 1 :: -1]
+    t[half : n - half] = 0.0
     y = np.where(np.abs(t) < 3.0, 1.0 + np.cos(np.pi * t / 3.0), 0.0)
     # The FFT takes the kernel at the first column's and row's differences;
     # the matrix takes it at every t_i - t_j, which round differently.
@@ -185,7 +187,7 @@ def make_problem(name, n, decompose=True, **params):
         hilbert (a Hankel matrix) and phillips (a Toeplitz one) are
         of kind ``ToeplitzOperator``, applied by FFT; each builds its n x n
         matrix only when ``op.matrix`` is read, or for a factorization
-        that needs it (odd-n phillips).
+        that needs it (hilbert below n = 256).
     decompose : bool
         Build ``op._system``, attach it and project the solution on its
         vectors above ``DEFAULT_RANK_TOLERANCE * sigma_1``.  For hilbert

@@ -11,6 +11,7 @@ from regkit import (
     GreenOperator,
     MatrixFreeOperator,
 )
+from regkit.problems import _grid
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests' child
 # interpreters need it too when regkit is not installed.
@@ -22,6 +23,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 def philox(seed):
     return np.random.default_rng(np.random.Philox(seed))
+
+
+def phillips_grid(n):
+    """(t, h): the midpoints of n cells on [-6, 6], with t[n-1-i] = -t[i] bit for bit and an exact middle 0."""
+    t, h = _grid(n, -6.0, 6.0)
+    half = n // 2
+    t[n - half :] = -t[half - 1 :: -1]
+    t[half : n - half] = 0.0
+    return t, h
 
 
 def matrix_free_view(op):

@@ -485,6 +485,24 @@ def test_dense_text_diagonal_materializes(tmp_path):
     np.testing.assert_array_equal(read_dense_text(path).matrix, np.diag([2.0, 0.125]))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2.5 2\n1 2\n3 4\n",
+        "x y\n1 2\n3 4\n",
+        "2 2\n1 abc\n3 4\n",
+        "2 2\n1 2\n3\n",
+        "2 2\n1 2\n3 4\u00e9\n",
+    ],
+    ids=["fractional-header", "word-header", "word-cell", "ragged-body", "not-ascii"],
+)
+def test_dense_text_refuses_malformed_files_naming_them(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="latin-1")
+    with pytest.raises(InvalidParameterError, match="bad.txt"):
+        read_dense_text(path)
+
+
 def test_dense_text_rejects_matrix_free(tmp_path):
     op = matrix_free_view(DenseOperator(np.eye(2)))
     with pytest.raises(UnsupportedKindError):

@@ -13,10 +13,11 @@ from regkit.operators import (
     DEFAULT_RANK_TOLERANCE,
     _SKETCH_WIDTH,
     _ReflectionDecomposition,
-    _block,
     _factor,
     _fold,
     _kept,
+    _parities,
+    _reflection_blocks,
 )
 
 from conftest import philox
@@ -95,7 +96,13 @@ def test_split_is_a_singular_system_of_the_matrix(matrix):
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_quadrant_blocks_are_the_folds_bits(matrix, rows, cols):
     want = _fold(_fold(matrix)[rows].T)[cols].T
-    got = _block(matrix, rows, cols)
+    blocks, sign, _ = _reflection_blocks(lambda start, stop: matrix[start:stop], matrix.shape)
+    parities = _parities(sign)
+    if (rows, cols) not in parities:
+        # J A J = sign A leaves the other two blocks exactly zero: they are not cut.
+        assert not want.any()
+        return
+    got = blocks[parities.index((rows, cols))]
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
@@ -120,6 +127,43 @@ def test_one_entry_off_takes_the_whole_matrix():
     matrix[2, 3] = np.nextafter(matrix[2, 3], np.inf)
     decomp = svd_decompose(DenseOperator(matrix), 0.0)
     assert not isinstance(decomp, _ReflectionDecomposition)
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (7, 7), (5, 8)], ids=["6x6", "7x7", "5x8"])
+def test_a_zero_facing_its_negative_takes_the_whole_matrix(shape):
+    # +0.0 == -0.0, so J A J = A holds in value; blocks cut from the top
+    # rows would hold +0.0 where the bottom rows hold -0.0, so the matrix
+    # is factored whole, and its system has the value-equal matrix's values.
+    rng = philox(33)
+    b = rng.standard_normal(shape)
+    matrix = b + _flip(b)
+    matrix[0, 1], matrix[-1, -2] = 0.0, -0.0
+    assert np.array_equal(_flip(matrix), matrix)
+    assert _reflection_blocks(lambda start, stop: matrix[start:stop], shape) is None
+    decomp = svd_decompose(DenseOperator(matrix), 0.0)
+    assert not isinstance(decomp, _ReflectionDecomposition)
+    signless = matrix + 0.0  # -0.0 + 0.0 is +0.0
+    want = svd_decompose(DenseOperator(signless), 0.0)
+    assert isinstance(want, _ReflectionDecomposition)
+    scale = want.singular_values[0]
+    assert np.abs(decomp.singular_values - want.singular_values).max() <= 1e-14 * scale
+    assert np.abs(decomp.reconstruct() - want.reconstruct()).max() <= 1e-14 * scale
+
+
+def test_a_zero_band_with_a_mirrored_negative_zero_keeps_its_sign():
+    # -0.0 facing -0.0 holds J A J = A bit for bit; the zero band matches
+    # -A only in value, which rules out the sign -1, not the blocks.
+    n = 130
+    b = philox(35).standard_normal((n, n))
+    matrix = b + _flip(b)
+    matrix[: n // 2 - 1] = matrix[n // 2 + 1 :] = 0.0
+    matrix[0, 1] = matrix[-1, -2] = -0.0
+    blocks, sign, symmetric = _reflection_blocks(lambda start, stop: matrix[start:stop], matrix.shape)
+    assert sign == 1.0 and not symmetric
+    for got, (rows, cols) in zip(blocks, _parities(sign)):
+        want = _fold(_fold(matrix)[rows].T)[cols].T
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def _factorizations(monkeypatch, matrix, rank_tolerance=DEFAULT_RANK_TOLERANCE):

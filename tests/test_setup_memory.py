@@ -1,11 +1,12 @@
 """Dense set-up holds one copy of each factor, with the same bits.
 
 hilbert and phillips factor without their n x n matrix: hilbert's random
-block takes FFT products, and even-n phillips cuts its two reflection
-blocks in place of its top rows.  A matrix that must be factored whole
-(odd-n phillips) is built in one buffer for the factorization and
-dropped, and a symmetric matrix's singular system keeps its eigenvectors
-once, with u_i = sign(lambda_i) v_i.  tracemalloc counts numpy's array
+block takes FFT products, and phillips, at every n, cuts its two
+reflection blocks in place of its top rows.  A matrix that must be
+factored whole (hilbert below the random block's least width) is built
+in one buffer for the factorization and dropped, and a symmetric
+matrix's singular system keeps its eigenvectors once, with
+u_i = sign(lambda_i) v_i.  tracemalloc counts numpy's array
 buffers deterministically; LAPACK's own workspace is not among them.
 Each test here passes alone and in any order: ``pytest
 tests/test_setup_memory.py`` runs them in a process of their own.
@@ -18,9 +19,8 @@ import pytest
 
 from regkit import DenseOperator, as_dense_matrix, make_problem, svd_decompose
 from regkit.operators import _factor, _fold, _kept, _unfold
-from regkit.problems import _grid
 
-from conftest import philox
+from conftest import philox, phillips_grid
 
 # numpy.fft and numpy.random load on first use, by the Toeplitz products and
 # ``_sketch``'s random block; loading them here keeps their modules out of
@@ -112,10 +112,11 @@ def test_hilbert_set_up_makes_no_full_size_temporary():
 
 @pytest.mark.parametrize("name", ["hilbert", "phillips"])
 def test_set_up_peaks_below_one_matrix(name):
-    # At the parent, each built its 8 MiB matrix for the factorization.
-    n = 1024
-    _, _, peak = _traced(lambda: make_problem(name, n))
-    assert peak < 8 * n * n
+    # Each once built its 8 MiB matrix for the factorization; odd-n
+    # phillips also factored it whole, and peaked at 16.6 MiB.
+    for n in (1024, 1025):
+        _, _, peak = _traced(lambda: make_problem(name, n))
+        assert peak < 8 * MiB, n
 
 
 def test_as_dense_matrix_builds_one_matrix_and_caches_none():
@@ -135,18 +136,19 @@ def test_as_dense_matrix_builds_one_matrix_and_caches_none():
 
 
 def test_symmetric_system_keeps_one_factor():
-    # Odd-n phillips is symmetric but not reflection-symmetric bit for bit,
-    # and its rank is far past the random block's: its system is one
-    # whole-matrix eigh, every value kept.
-    n = 513
-    op = make_problem("phillips", n, decompose=False).op
+    # hilbert is symmetric but not reflection-symmetric, and at n = 255 too
+    # narrow for the random block: its system is one whole-matrix eigh,
+    # every value kept.
+    n = 255
+    op = make_problem("hilbert", n, decompose=False).op
     system, kept, peak = _traced(lambda: op._system)
     assert system.rank == n
     assert system.right_vectors.nbytes <= kept <= 1.1 * n * n * 8
     # Above what is kept: the matrix, built for the factorization and
-    # dropped, as odd n is not reflection-symmetric, and small temporaries.  eigh's Q is sorted in place, not
-    # copied column by column while it is alive.
-    assert peak - kept <= 1.25 * n * n * 8
+    # dropped, one 64-row band of eigh's Q, a quarter of it at this n,
+    # while it is sorted in place, and small temporaries.  Q copied
+    # column by column would add a second Q.
+    assert peak - kept <= (n + 64) * n * 8 + 2**14
     # The left vectors are built on first read.
     assert "left_vectors" not in vars(system)
 
@@ -187,7 +189,7 @@ def test_reflection_vectors_are_unfolded_without_the_identity(side):
 def test_builders_give_the_expressions_bits(n):
     index = np.arange(n)
     hilbert = 1.0 / (1.0 + np.add.outer(index, index))
-    t, h = _grid(n, -6.0, 6.0)
+    t, h = phillips_grid(n)
     diff = t[:, None] - t[None, :]
     phillips = h * np.where(np.abs(diff) < 3.0, 1.0 + np.cos(np.pi * diff / 3.0), 0.0)
     for name, want in (("hilbert", hilbert), ("phillips", phillips)):

@@ -2,8 +2,8 @@
 
 Each holds the 2n - 1 values on its diagonals and applies A and A^T by one
 length-2n ``rfft`` pair.  ``matrix`` is built on first read with the bits
-of the dense builders it replaced, but on a phillips grid mirrored at
-even n.  Up to ``MAX_DENSE_DIM`` the singular system is the matrix's,
+of the dense builders it replaced, but on a phillips grid mirrored
+about 0.  Up to ``MAX_DENSE_DIM`` the singular system is the matrix's,
 mostly factored without it, and the kernels filter through it, checked
 against the dense QR forms; above it the operator has no system and
 selection and solves grow a Golub-Kahan space on the FFT apply.
@@ -34,10 +34,10 @@ from regkit import (
 )
 from regkit.cli import main
 from regkit import operators
-from regkit.operators import _is_symmetric, _reflection_sign
+from regkit.operators import _is_symmetric, _reflection_blocks
 from regkit.problems import _grid
 
-from conftest import philox
+from conftest import philox, phillips_grid
 
 _LARGE = 100_000
 
@@ -83,13 +83,12 @@ def _reference_hilbert(n):
     return hilbert
 
 
-def _reference_phillips(n):
+def _reference_phillips(n, mirrored=True):
     """The dense builder this kind replaced: the kernel at every t_i - t_j, in one buffer.
 
-    Its grid is ``_grid``'s, which phillips mirrors at even n; the two
-    agree bit for bit at the even n tested here.
+    Its grid is phillips' mirrored one, or ``_grid``'s alone.
     """
-    t, h = _grid(n, -6.0, 6.0)
+    t, h = phillips_grid(n) if mirrored else _grid(n, -6.0, 6.0)
     kernel = np.subtract.outer(t, t)
     outside = kernel >= 3.0
     outside |= kernel <= -3.0
@@ -123,9 +122,9 @@ def test_even_phillips_is_reflection_symmetric_bit_for_bit(n):
     # negates its grid's left half for the right one.  Each t_i - t_j then
     # moves by a few ulps of 6, and the kernel's slope is at most pi h / 3.
     matrix = as_dense_matrix(make_problem("phillips", n, decompose=False).op)
-    reference = _reference_phillips(n)
-    assert _reflection_sign(matrix) == 1.0
-    assert _reflection_sign(reference) is None
+    reference = _reference_phillips(n, mirrored=False)
+    assert np.array_equal(matrix[::-1, ::-1], matrix)
+    assert not np.array_equal(reference[::-1, ::-1], reference)
     assert np.abs(matrix - reference).max() <= 16 * np.finfo(float).eps * 12.0 / n
 
 
@@ -148,6 +147,19 @@ def test_even_phillips_factors_its_blocks_without_the_matrix(monkeypatch, n):
     op = make_problem("phillips", n, decompose=False).op
     monkeypatch.setattr(op, "_entries", lambda: pytest.fail("matrix built"))
     _assert_same_system(op._system, want)
+
+
+@pytest.mark.parametrize("n", [129, 1025])
+def test_odd_phillips_factors_its_blocks_without_the_matrix(monkeypatch, n):
+    # Its grid is mirrored about an exact 0, so the middle row and column
+    # join the even block, as in the dense fold.
+    op = make_problem("phillips", n, decompose=False).op
+    want = DenseOperator(as_dense_matrix(op))._system
+    monkeypatch.setattr(ToeplitzOperator, "_entries", lambda self: pytest.fail("matrix built"))
+    system = op._system
+    assert isinstance(system, operators._ReflectionDecomposition)
+    assert [v.shape[0] for v, _, _ in system._right_parts] == [n // 2 + 1, n // 2]
+    _assert_same_system(system, want)
 
 
 @pytest.mark.parametrize("n", [256, 1024])
@@ -199,23 +211,23 @@ def _structure_case(n, hankel, sign, source):
 @pytest.mark.parametrize("n", [8, 9, 130, 131])
 def test_structure_tests_agree_with_the_dense_ones(monkeypatch, n, hankel, sign, source):
     build, matrix = _structure_case(n, hankel, sign, source)
-    dense_sign, dense_symmetric = _reflection_sign(matrix), _is_symmetric(matrix)
+    dense_sign = next((s for s in (1.0, -1.0) if np.array_equal(matrix[::-1, ::-1], s * matrix)), None)
+    dense_symmetric = _is_symmetric(matrix)
     if source == "diagonals":
         assert dense_sign == sign
         # The test ``_decompose`` reads off t before it tries the random block.
         values = build()._values
         assert (hankel or np.array_equal(values, values[::-1])) == dense_symmetric
         assert dense_symmetric == (hankel or sign == 1.0)
-    reflected = build()._reflection_blocks()
-    blocks_without_matrix = n % 2 == 0 and dense_sign is not None
-    if blocks_without_matrix:
+    reflected = _reflection_blocks(build()._rows, (n, n))
+    if dense_sign is not None:
         assert reflected[1:] == (dense_sign, dense_symmetric)
     else:
         assert reflected is None
     # Whichever way it is built, the system has the dense factorization's
     # bits (no random block below n = 256), and the matrix only where needed.
     op = build()
-    if blocks_without_matrix:
+    if dense_sign is not None:
         monkeypatch.setattr(op, "_entries", lambda: pytest.fail("matrix built"))
     _assert_same_system(op._system, DenseOperator(matrix)._system)
 
@@ -252,15 +264,15 @@ def test_a_nonsymmetric_toeplitz_takes_no_fft_block(monkeypatch):
 
 
 def test_a_zero_facing_its_negative_leaves_the_matrix_to_decide():
-    # +0.0 == -0.0, so the dense test finds J A J = A; the blocks cut from
-    # the top rows would hold +0.0 where the matrix's hold -0.0, so the
-    # matrix is built, and the system keeps the dense bits.
+    # +0.0 == -0.0, so J A J = A holds in value; the blocks cut from the
+    # top rows would hold +0.0 where the matrix's hold -0.0, so the matrix
+    # is built and factored whole, as a dense one is, with its bits.
     n = 8
     build, matrix = _structure_case(n, False, 1.0, "closed form")
     for i, j in ((1, 2), (2, 1)):
         matrix[i, j], matrix[n - 1 - i, n - 1 - j] = 0.0, -0.0
-    assert _reflection_sign(matrix) == 1.0 and _is_symmetric(matrix)
-    assert build()._reflection_blocks() is None
+    assert np.array_equal(matrix[::-1, ::-1], matrix) and _is_symmetric(matrix)
+    assert _reflection_blocks(build()._rows, (n, n)) is None
     _assert_same_system(build()._system, DenseOperator(matrix)._system)
 
 
