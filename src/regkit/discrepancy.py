@@ -64,6 +64,8 @@ class DiscrepancyConfig:
     max_root_iterations: int = 200
 
     def __post_init__(self):
+        for name in ("C", "root_rel_tolerance"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         if not self.C > 1.0:
             raise InvalidParameterError(f"C must exceed 1, got {self.C}")
         if not 0.0 < self.root_rel_tolerance < 1.0:

@@ -26,7 +26,7 @@ from .errors import (
     NoRootBelowError,
     SizeLimitError,
 )
-from .operators import MAX_DENSE_DIM
+from .operators import MAX_DENSE_DIM, _check_alpha
 from .problems import add_noise, make_problem
 from .tikhonov import (
     apriori_alpha_schedule,
@@ -258,27 +258,30 @@ def run_verify_bounds(family, ns, alphas, params=None, slack=1e-12):
     For each size and alpha, checks measured <= (1 + slack) / (2 sqrt(alpha));
     the margin column reports bound - measured.  Both norms are read off the
     family's singular system, so hilbert and phillips above
-    ``MAX_DENSE_DIM``, which have none, raise ``SizeLimitError``.
+    ``MAX_DENSE_DIM``, which have none, raise ``SizeLimitError``.  An
+    alpha that is not positive raises InvalidParameterError before any
+    row is measured, and each n is checked as ``make_problem`` checks it.
     """
+    alphas = [_check_alpha(alpha) for alpha in alphas]
     rows = []
     violations = 0
     for n in ns:
-        decomp = make_problem(family, int(n), **(params or {})).decomp
+        problem = make_problem(family, n, **(params or {}))
+        decomp = problem.decomp
         if decomp is None:
             raise SizeLimitError(
                 f"verify-bounds reads the singular values of {family}, which has "
                 f"none above MAX_DENSE_DIM = {MAX_DENSE_DIM}; got n = {n}"
             )
         op_norm = float(decomp.singular_values[0]) if decomp.rank else 0.0
-        for alpha in alphas:
-            a = float(alpha)
+        for a in alphas:
             bound = 1.0 / (2.0 * math.sqrt(a))
             measured = solution_operator_norm(decomp, a)
             if measured > bound * (1.0 + slack):
                 violations += 1
             rows.append(
                 BoundsRow(
-                    n=int(n),
+                    n=problem.n,
                     alpha=a,
                     operator_norm=op_norm,
                     bound=bound,

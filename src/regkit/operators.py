@@ -11,12 +11,14 @@ after construction and every operation here is a pure function, so
 concurrent use needs no locking; matrix-free callbacks must themselves be
 re-entrant.
 
-Each kind owns one singular system, ``_system``, untruncated and built
-once on first read: a factored matrix up to ``MAX_DENSE_DIM`` (for a
-Toeplitz operator, mostly without building the matrix: its reflection
-blocks cut from its entries, or a random block on FFT products),
-sorted diagonal entries, the closed-form cosine and sine transforms of
-the gradient and Green's operators, or none.  Theorem 1 bounds every filter
+Every kind but ``matrix_free`` builds its entries in one place,
+``_rows(start, stop)``, read by ``matrix``, kept once read, by
+``as_dense_matrix`` and by ``_matrix_system``, which factors dense and
+Toeplitz operators, the latter mostly without the matrix.  Each kind
+owns one singular system, ``_system``, untruncated and built once on
+first read: a factored matrix up to ``MAX_DENSE_DIM``, sorted diagonal
+entries, the closed-form cosine and sine transforms of the gradient
+and Green's operators, or none.  Theorem 1 bounds every filter
 factor by 1 / (2 sqrt(alpha)), so no sigma > 0 is dropped for a Tikhonov
 solve; ``make_problem`` attaches the same object.  Only at alpha = 0 is
 a system truncated: ``svd_decompose`` and ``diagonal_decomposition``
@@ -50,7 +52,7 @@ two half-size blocks, in the bases of vectors even and odd under J, for
 a quarter of the flops (``_ReflectionDecomposition``); each block takes
 eigh when A is exactly symmetric with the + sign, else the SVD.  One
 cutter, ``_reflection_blocks``, cuts them band by band from the top
-rows, of a dense matrix or of a Toeplitz operator built for it.
+rows that ``_rows`` reads.
 Any other matrix first tries one certified random block (``_sketch``),
 in O(n^2 r) when the numerical rank r above n eps sigma_1 is below its
 width, as for hilbert.
@@ -640,6 +642,21 @@ class LinearOperator:
         x = _as_vector(x, self.domain_dim, "x")
         return self.apply_adjoint(self.apply(x)) + a * x
 
+    def _rows(self, start, stop):
+        """Rows start..stop-1 of the matrix: a view of a dense one, else a new array.
+
+        Every kind but ``matrix_free`` has entries; ``matrix``,
+        ``as_dense_matrix`` and ``_matrix_system`` read them here alone.
+        """
+        raise UnsupportedKindError(f"cannot materialize operator of kind {self.kind!r}")
+
+    @functools.cached_property
+    def matrix(self):
+        """The dense matrix, read-only, built from ``_rows`` on first read up to ``MAX_DENSE_DIM``."""
+        matrix = as_dense_matrix(self)
+        matrix.setflags(write=False)
+        return matrix
+
     # Tikhonov kernels.  Callers pass a checked alpha ``a``, validated
     # nonzero vectors and an ``IterativeSolverConfig``; each kernel returns
     # (vector, iterations), with zero iterations for direct forms.
@@ -756,18 +773,16 @@ class DenseOperator(LinearOperator):
         q = np.linalg.qr(stacked)[0]
         return q[:n, :] @ (q.T @ rhs), 0
 
+    def _rows(self, start, stop):
+        return self.matrix[start:stop]
+
     def _decompose(self, rank_tolerance=0.0):
         """``_matrix_system`` of the matrix; None above ``MAX_DENSE_DIM``."""
         if max(self.range_dim, self.domain_dim) > MAX_DENSE_DIM:
             return None
-        return _matrix_system(self.matrix, self._symmetric, rank_tolerance)
+        return _matrix_system(self._rows, self.matrix.shape, rank_tolerance)
 
     _system = functools.cached_property(_decompose)
-
-    @functools.cached_property
-    def _symmetric(self):
-        """Whether the matrix is square and equal to its transpose entry for entry."""
-        return _is_symmetric(self.matrix)
 
     #: Whether a selection has projected data on this operator.
     _selected = False
@@ -792,7 +807,7 @@ class DenseOperator(LinearOperator):
         """
         fresh = not self._selected and "_system" not in vars(self)
         self._selected = True
-        if fresh and self._symmetric and self.domain_dim <= MAX_DENSE_DIM:
+        if fresh and self.domain_dim <= MAX_DENSE_DIM and _is_symmetric(self.matrix):
             return _KrylovProjection(self, f, cfg, cap=max(32, self.domain_dim // 8))
         return super()._project(f, cfg, alpha)
 
@@ -802,20 +817,27 @@ def _is_symmetric(matrix):
     return matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T)
 
 
-def _matrix_system(matrix, symmetric, rank_tolerance):
-    """The eigh or SVD factorization of a matrix, truncated at ``rank_tolerance``.
+def _matrix_system(rows, shape, rank_tolerance, products=None):
+    """The system of the matrix that a dense or Toeplitz operator's ``_rows`` reads, truncated at ``rank_tolerance``.
 
-    A matrix with ``A[::-1, ::-1] == +-A`` bit for bit is factored as its
-    two half-size reflection blocks (``_reflection_blocks``), cut from
-    views of its rows; most other matrices fail the test on its first
-    band, ``_BAND`` rows against their mirror.  Any other matrix is
-    factored whole, by eigh if exactly ``symmetric``, else by the SVD
-    (``_factor``), unless one random block certifies first (``_sketch``).
+    Each is tried at most once, in order: the two half-size reflection
+    blocks of a matrix with ``A[::-1, ::-1] == +-A`` bit for bit
+    (``_reflection_blocks``), cut from its rows, a test most other
+    matrices fail on their first band; one random block (``_sketch``) on
+    ``products``, a symmetric Toeplitz operator's ``_FFTProducts``; and
+    the whole matrix, read once by ``rows(0, m)`` (a Toeplitz one is
+    built for this and dropped), factored by its own random block, else
+    by eigh if it is exactly symmetric and the SVD if not (``_factor``).
     """
-    reflected = _reflection_blocks(lambda start, stop: matrix[start:stop], matrix.shape)
+    reflected = _reflection_blocks(rows, shape)
     if reflected is not None:
-        return _ReflectionDecomposition(*reflected, matrix.shape, rank_tolerance)
-    return _picked_system(*(_sketch(matrix, symmetric) or _factor(matrix, symmetric)), rank_tolerance)
+        return _ReflectionDecomposition(*reflected, shape, rank_tolerance)
+    picked = products is not None and _sketch(products, True)
+    if not picked:
+        matrix = rows(0, shape[0])
+        symmetric = _is_symmetric(matrix)
+        picked = _sketch(matrix, symmetric) or _factor(matrix, symmetric)
+    return _picked_system(*picked, rank_tolerance)
 
 
 def _picked_system(s, pick, rank_tolerance):
@@ -1105,6 +1127,12 @@ class DiagonalOperator(LinearOperator):
     def apply_adjoint(self, w):
         return self.values * _as_vector(w, self.range_dim, "w")
 
+    def _rows(self, start, stop):
+        rows = np.zeros((stop - start, self.domain_dim))
+        index = np.arange(stop - start)
+        rows[index, start + index] = self.values[start:stop]
+        return rows
+
     def _decompose(self, rank_tolerance=0.0):
         """The entries sorted nonincreasing, with their coordinate axes as indices."""
         order = np.argsort(-self.values, kind="stable")
@@ -1133,8 +1161,7 @@ class GradientOperator(LinearOperator):
 
     Applied in O(n) and solved through its closed-form singular system
     (``_GradientDecomposition``) in O(n log n), so no size cap applies.
-    ``matrix`` is the dense matrix, built on first read up to
-    ``MAX_DENSE_DIM``.
+    ``_rows`` builds its entries, -n and n on two diagonals.
     """
 
     kind = "gradient"
@@ -1153,16 +1180,13 @@ class GradientOperator(LinearOperator):
         out[1:] += scaled
         return out
 
-    @functools.cached_property
-    def matrix(self):
+    def _rows(self, start, stop):
         n = self.domain_dim
-        _check_dense_dim(n - 1, n, "dense matrix")
-        matrix = np.zeros((n - 1, n))
-        idx = np.arange(n - 1)
-        matrix[idx, idx] = -float(n)
-        matrix[idx, idx + 1] = float(n)
-        matrix.setflags(write=False)
-        return matrix
+        rows = np.zeros((stop - start, n))
+        index = np.arange(stop - start)
+        rows[index, start + index] = -float(n)
+        rows[index, start + index + 1] = float(n)
+        return rows
 
     @functools.cached_property
     def _system(self):
@@ -1176,8 +1200,8 @@ class GreenOperator(LinearOperator):
     with G(s, t) = s (t - 1) for s <= t the Green's function.  K is
     symmetric and negative definite.  Applied and solved through its
     closed-form singular system (``_GreenDecomposition``, a DST-II) in
-    O(n log n), so no size cap applies.  ``matrix`` is the dense matrix,
-    built on first read up to ``MAX_DENSE_DIM``.
+    O(n log n), so no size cap applies.  ``_rows`` evaluates h G at the
+    midpoints of its rows and columns.
     """
 
     kind = "green"
@@ -1192,17 +1216,12 @@ class GreenOperator(LinearOperator):
 
     apply_adjoint = apply  # K is symmetric
 
-    @functools.cached_property
-    def matrix(self):
+    def _rows(self, start, stop):
         n = self.domain_dim
-        _check_dense_dim(n, n, "dense matrix")
         h = 1.0 / n
         t = (np.arange(1, n + 1) - 0.5) * h
-        s_col, t_row = np.meshgrid(t, t, indexing="ij")
-        kernel = np.where(s_col <= t_row, s_col * (t_row - 1.0), t_row * (s_col - 1.0))
-        matrix = h * kernel
-        matrix.setflags(write=False)
-        return matrix
+        s_col, t_row = np.meshgrid(t[start:stop], t, indexing="ij")
+        return h * np.where(s_col <= t_row, s_col * (t_row - 1.0), t_row * (s_col - 1.0))
 
     @functools.cached_property
     def _system(self):
@@ -1229,8 +1248,7 @@ class ToeplitzOperator(LinearOperator):
     raised.  Taking the row slice breaks the earlier interface, a
     zero-argument ``entries()`` that returned the whole matrix: the
     factorization builds A a band at a time, and such a builder fails its
-    first call.  ``matrix`` is built from them on first read,
-    up to ``MAX_DENSE_DIM``.  Up to the cap, ``_system`` is the matrix's
+    first call.  Up to ``MAX_DENSE_DIM``, ``_system`` is the matrix's
     factorization, mostly without the matrix (``_decompose``), and the
     kernels filter through it, as for the other kinds with a system.
     Above it there is no system, and selection and solves grow a
@@ -1293,47 +1311,19 @@ class ToeplitzOperator(LinearOperator):
         windows = np.lib.stride_tricks.sliding_window_view(self._values[::-1], n)
         return np.array(windows[start:stop] if self._hankel else windows[n - stop : n - start][::-1])
 
-    def _entries(self):
-        """A new n x n array of the entries."""
-        return self._rows(0, self.domain_dim)
-
-    @functools.cached_property
-    def matrix(self):
-        n = self.domain_dim
-        _check_dense_dim(n, n, "dense matrix")
-        matrix = self._entries()
-        matrix.setflags(write=False)
-        return matrix
-
     def _decompose(self, rank_tolerance=0.0):
-        """``_matrix_system`` of the matrix, mostly without it; None above ``MAX_DENSE_DIM``.
+        """``_matrix_system`` of the rows, with FFT products if t is symmetric; None above ``MAX_DENSE_DIM``.
 
-        A ``matrix`` already read is factored as a dense one.  Otherwise
-        none is built for an operator with J A J = +-A bit for bit, at any
-        n, whose two reflection blocks are cut from its rows
-        (``_reflection_blocks``) with the dense blocks' bits, nor for one
-        read off t that is symmetric and whose random block certifies
-        (``_sketch``) on FFT products, which round otherwise than the
-        dense ones.  Any other is factored as its matrix, built for it and
-        dropped: hilbert below the block's least width, a block that does
-        not certify, or a nonsymmetric operator without the reflection.
+        The products round otherwise than the dense ones.  Whether
+        ``matrix`` was read first makes no difference.
         """
         n = self.domain_dim
         if n > MAX_DENSE_DIM:
             return None
-        matrix = vars(self).get("matrix")
-        if matrix is None:
-            reflected = _reflection_blocks(self._rows, (n, n))
-            if reflected is not None:
-                return _ReflectionDecomposition(*reflected, (n, n), rank_tolerance)
-            # Read off t, A = A^T iff A is Hankel or t is a palindrome.
-            values = self._values
-            if self._closed_form is None and (self._hankel or np.array_equal(values, values[::-1])):
-                sketched = _sketch(_FFTProducts(self), True)
-                if sketched is not None:
-                    return _picked_system(*sketched, rank_tolerance)
-            matrix = self._entries()
-        return _matrix_system(matrix, _is_symmetric(matrix), rank_tolerance)
+        # Read off t, A = A^T iff A is Hankel or t is a palindrome.
+        values = self._values
+        symmetric = self._closed_form is None and (self._hankel or np.array_equal(values, values[::-1]))
+        return _matrix_system(self._rows, (n, n), rank_tolerance, _FFTProducts(self) if symmetric else None)
 
     _system = functools.cached_property(_decompose)
 
@@ -1854,10 +1844,11 @@ def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     hilbert at n = 1024 takes ~12 ms instead of ~250 ms.  Values at or
     below ``rank_tolerance * sigma_1`` are truncated into the null space,
     as ``minimal_norm_solution`` wants; each call factors anew.  A
-    problem's ``decomp`` is the untruncated ``op._system`` instead.  A
+    problem's ``decomp`` is the untruncated ``op._system`` instead.  Both
+    kinds take the one path ``_matrix_system`` from their ``_rows``; a
     ``ToeplitzOperator`` is factored as its matrix, mostly without
-    building it (``ToeplitzOperator._decompose``).  Dimensions are capped
-    at ``MAX_DENSE_DIM``.
+    building it, with the same bits whether ``matrix`` was read or not.
+    Dimensions are capped at ``MAX_DENSE_DIM``.
 
     Raises
     ------
@@ -1904,7 +1895,7 @@ def filter_factors(singular_values, alpha):
 
 def null_space_residual(decomp, f):
     """Norm of the component of f orthogonal to the range of A."""
-    f = _as_vector(f, decomp.range_dim, "f")
+    f = _as_data(f, decomp.range_dim, "f")
     return float(np.linalg.norm(f - decomp.project_range(f)))
 
 
@@ -1923,8 +1914,10 @@ def minimal_norm_solution(decomp, f):
     NotInRangeError
         If the component of f outside the kept left vectors exceeds the
         tolerance times ``||f||``.
+    InvalidParameterError
+        If f holds inf or nan.
     """
-    f = _as_vector(f, decomp.range_dim, "f")
+    f = _as_data(f, decomp.range_dim, "f")
     tolerance = decomp.rank_tolerance or DEFAULT_RANK_TOLERANCE
     s = decomp.singular_values
     kept = _kept(s, tolerance)
@@ -1943,22 +1936,17 @@ def minimal_norm_solution(decomp, f):
 
 
 def as_dense_matrix(op):
-    """Materialize a dense, diagonal, gradient, Green's or Toeplitz operator as a new matrix.
+    """Materialize an operator of any kind but ``matrix_free`` as a new matrix.
 
-    A Toeplitz operator's ``matrix`` is copied only if it has been read;
-    otherwise its entries are built for the call, and not cached.
+    A ``matrix`` already read, as a dense operator's always is, is
+    copied; otherwise the entries are built for the call by
+    ``op._rows(0, m)``, and not cached.  Dimensions are capped at
+    ``MAX_DENSE_DIM``; a matrix-free operator raises UnsupportedKindError.
     """
-    if isinstance(op, ToeplitzOperator) and "matrix" not in vars(op):
-        _check_dense_dim(op.range_dim, op.domain_dim, "dense matrix")
-        return op._entries()
-    if isinstance(op, (DenseOperator, GradientOperator, GreenOperator, ToeplitzOperator)):
+    if "matrix" in vars(op):
         return np.array(op.matrix)
-    if isinstance(op, DiagonalOperator):
-        _check_dense_dim(op.range_dim, op.domain_dim, "dense matrix")
-        return np.diag(op.values)
-    raise UnsupportedKindError(
-        f"cannot materialize operator of kind {op.kind!r}"
-    )
+    _check_dense_dim(op.range_dim, op.domain_dim, "dense matrix")
+    return op._rows(0, op.range_dim)
 
 
 def write_dense_text(op, path):

@@ -90,7 +90,7 @@ def _grid(n, a, b):
 
 
 def _build_diagonal(n, p=2.0):
-    p = float(p)
+    p = _as_real(p, "p")
     idx = np.arange(1, n + 1, dtype=float)
     op = DiagonalOperator(idx ** (-p))
     return op, 1.0 / idx, {"p": p}

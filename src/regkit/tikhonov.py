@@ -66,6 +66,7 @@ class IterativeSolverConfig:
     max_iterations: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "rel_tolerance", _as_real(self.rel_tolerance, "rel_tolerance"))
         if not 0.0 < self.rel_tolerance < 1.0:
             raise InvalidParameterError("rel_tolerance must lie in (0, 1)")
         if self.max_iterations is not None:

@@ -34,6 +34,23 @@ def phillips_grid(n):
     return t, h
 
 
+def refuse_whole_matrix(monkeypatch, op):
+    """Make ``op`` fail the test when its ``_rows`` is asked for all its rows at once.
+
+    Reading a band passes: a factorization without the matrix reads the
+    top half and its mirror, which never span all m >= 2 rows.
+    """
+    rows = op._rows
+
+    def bands(start, stop):
+        if stop - start >= op.range_dim:
+            pytest.fail("the whole matrix was built")
+        return rows(start, stop)
+
+    monkeypatch.setattr(op, "_rows", bands)
+    return op
+
+
 def matrix_free_view(op):
     """Re-expose any operator through callbacks only (hides its kind)."""
     return MatrixFreeOperator(

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import regkit
-from regkit import MAX_DENSE_DIM, ConvergenceError, SizeLimitError, make_problem
+from regkit import (
+    MAX_DENSE_DIM,
+    ConvergenceError,
+    InvalidParameterError,
+    SizeLimitError,
+    make_problem,
+    solve_primal,
+)
 from regkit.cli import main
 from regkit.experiments import (
     CSV_HEADER,
@@ -157,6 +164,36 @@ def test_choose_alpha_seed_from_environment(capsys, monkeypatch):
     assert from_env == explicit
 
 
+def test_a_seed_from_the_environment_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("REGKIT_SEED", "x")
+    argv = ["choose-alpha", "--problem", "diagonal", "--n", "8", "--delta", "1e-3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "REGKIT_SEED must be an integer" in captured.err
+
+
+def test_out_in_a_missing_directory_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "record.json"
+    argv = ["solve", "--problem", "diagonal", "--n", "3", "--alpha", "0.1", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "missing" in captured.err
+    assert not out.parent.exists()
+
+
+def test_solve_above_the_cap_takes_the_certified_solve(capsys):
+    # hilbert has no singular system past MAX_DENSE_DIM, so the fixed-alpha
+    # solve grows a Golub-Kahan space on the FFT apply.
+    n, alpha = 5000, 1e-2
+    assert n > MAX_DENSE_DIM
+    assert main(["solve", "--problem", "hilbert", "--n", str(n), "--alpha", str(alpha)]) == 0
+    record, _ = _json_out(capsys)
+    problem = make_problem("hilbert", n)
+    u = solve_primal(problem.op, problem.f, alpha).u
+    assert record["error_to_y"] == float(np.linalg.norm(u - problem.y))
+    assert record["u_norm"] == float(np.linalg.norm(u)) <= record["y_norm"]
+
+
 def test_nonconvergence_exit_four(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ConvergenceError("stalled", iterations=7)
@@ -231,6 +268,12 @@ def test_sweep_records_failures_in_row():
     assert "failed" in sweep_summary(records)
 
 
+def test_sweep_summary_without_a_successful_row():
+    records = run_sweep("deriv2", 16, [0.5, 0.2], seed=1)
+    assert all(np.isnan(r.alpha) for r in records)
+    assert sweep_summary(records) == "sweep: no successful rows (2 failed)"
+
+
 # --- verify-bounds ----------------------------------------------------------------------
 
 def test_verify_bounds_table(capsys):
@@ -293,6 +336,25 @@ def test_verify_bounds_without_a_singular_system_exits_two(capsys, family):
     assert str(MAX_DENSE_DIM) in capsys.readouterr().err
 
 
+# 0 raised ZeroDivisionError and -1 a math-domain ValueError, so the process
+# exited 1, the code of a bound violation, with a traceback.
+@pytest.mark.parametrize("alphas", ["0", "-1", "1,0", "nan"])
+def test_verify_bounds_refuses_a_nonpositive_alpha(capsys, alphas):
+    argv = ["verify-bounds", "--family", "gradient_family", "--ns", "8", "--alphas", alphas]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "alpha must be positive" in captured.err
+    with pytest.raises(InvalidParameterError, match="alpha must be positive"):
+        run_verify_bounds("gradient_family", [8], [float(a) for a in alphas.split(",")])
+
+
+def test_verify_bounds_takes_no_fractional_size():
+    # int(8.5) ran n = 8.
+    with pytest.raises(InvalidParameterError, match="n must be an integer"):
+        run_verify_bounds("gradient_family", [8.5], [1.0])
+    assert [row.n for row in run_verify_bounds("gradient_family", [8.0], [1.0]).rows] == [8]
+
+
 def test_verify_bounds_library_report():
     report = run_verify_bounds("gradient_family", [8, 16], [1e-2, 1.0])
     assert report.violations == 0
@@ -341,7 +403,8 @@ def test_config_file_coerces_flag_style_strings(tmp_path, capsys):
     '{"problem": "diagonal", "n": "abc", "deltas": "1e-2"}',
     '{"problem": "diagonal", "n": 8, "deltas": "1e-2,x"}',
     '{"problem": "diagonal", "n": ',
-], ids=["bad-int", "bad-real-list", "malformed-json"])
+    '["diagonal", 8]',
+], ids=["bad-int", "bad-real-list", "malformed-json", "not-an-object"])
 def test_config_file_bad_values_exit_two(tmp_path, capsys, text):
     cfg = tmp_path / "run.json"
     cfg.write_text(text)
@@ -424,6 +487,11 @@ def test_csv_header_contract():
 def test_parse_rejects_foreign_header():
     with pytest.raises(Exception):
         parse_records_csv("a,b,c\n1,2,3\n")
+
+
+def test_parse_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(InvalidParameterError, match="malformed CSV row"):
+        parse_records_csv(CSV_HEADER + "\ndiagonal,3,0\n")
 
 
 def test_list_problems(capsys):

@@ -223,6 +223,14 @@ def test_config_validation():
         DiscrepancyConfig(root_rel_tolerance=0.0)
 
 
+# A string leaked TypeError from the comparison.
+@pytest.mark.parametrize("field", ["C", "root_rel_tolerance"])
+@pytest.mark.parametrize("bad", ["x", None, [2.0]], ids=["string", "none", "list"])
+def test_config_refuses_a_value_that_is_not_a_number(field, bad):
+    with pytest.raises(InvalidParameterError, match=field):
+        DiscrepancyConfig(**{field: bad})
+
+
 # nan leaked a ValueError from int(); 2.5 was accepted.
 @pytest.mark.parametrize("count", [float("nan"), float("inf"), 2.5, "100", 0])
 def test_config_refuses_a_non_integral_root_budget(count):

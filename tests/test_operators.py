@@ -15,6 +15,7 @@ from regkit import (
     MatrixFreeOperator,
     NotInRangeError,
     SizeLimitError,
+    ToeplitzOperator,
     UnsupportedKindError,
     as_dense_matrix,
     diagonal_decomposition,
@@ -433,6 +434,14 @@ def test_null_space_residual_mixed():
     assert null_space_residual(decomp, [4.0, 3.0]) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("read", [null_space_residual, minimal_norm_solution])
+def test_null_space_reads_refuse_non_finite_data(read, bad):
+    decomp = svd_decompose(DenseOperator(np.diag([1.0, 0.0])))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        read(decomp, [bad, 1.0])
+
+
 def test_minimal_norm_identity():
     decomp = svd_decompose(DenseOperator(np.eye(2)))
     np.testing.assert_allclose(minimal_norm_solution(decomp, [1.0, 2.0]), [1.0, 2.0])
@@ -507,6 +516,74 @@ def test_dense_text_rejects_matrix_free(tmp_path):
     op = matrix_free_view(DenseOperator(np.eye(2)))
     with pytest.raises(UnsupportedKindError):
         write_dense_text(op, tmp_path / "nope.txt")
+    with pytest.raises(UnsupportedKindError):
+        op.matrix
+
+
+# --- one builder of entries: ``_rows`` ----------------------------------------------
+
+def _gradient_builder(n):
+    """The dense builder ``GradientOperator.matrix`` once was."""
+    matrix = np.zeros((n - 1, n))
+    idx = np.arange(n - 1)
+    matrix[idx, idx] = -float(n)
+    matrix[idx, idx + 1] = float(n)
+    return matrix
+
+
+def _green_builder(n):
+    """The dense builder ``GreenOperator.matrix`` once was."""
+    h = 1.0 / n
+    t = (np.arange(1, n + 1) - 0.5) * h
+    s_col, t_row = np.meshgrid(t, t, indexing="ij")
+    return h * np.where(s_col <= t_row, s_col * (t_row - 1.0), t_row * (s_col - 1.0))
+
+
+def _kind_case(kind, n):
+    """(operator, the matrix its kind's earlier builder made)."""
+    import scipy.linalg as sla
+
+    rng = philox(900 + n)
+    if kind == "dense":
+        matrix = rng.standard_normal((n, n + 1))
+        matrix[0, 0] = -0.0
+        return DenseOperator(matrix), matrix
+    if kind == "diagonal":
+        values = rng.random(n)
+        values[-1] = 0.0
+        return DiagonalOperator(values), np.diag(values)
+    if kind == "gradient":
+        return GradientOperator(n), _gradient_builder(n)
+    if kind == "green":
+        return GreenOperator(n), _green_builder(n)
+    column, row = rng.standard_normal(n), rng.standard_normal(n)
+    if kind == "closed form":
+        matrix = rng.standard_normal((n, n))
+        entries = lambda rows: matrix[rows].copy()  # noqa: E731
+        return ToeplitzOperator(column, row, entries=entries), matrix
+    hankel = kind == "hankel"
+    return ToeplitzOperator(column, row, hankel=hankel), (sla.hankel if hankel else sla.toeplitz)(column, row)
+
+
+def _bits(a):
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 64, 65, 129])
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "gradient", "green", "toeplitz", "hankel", "closed form"])
+def test_matrix_and_as_dense_matrix_keep_each_kinds_bits(kind, n):
+    op, want = _kind_case(kind, n)
+    fresh = as_dense_matrix(op)
+    assert fresh.flags.writeable
+    assert ("matrix" in vars(op)) == (kind == "dense")  # built for the call, not cached
+    matrix = op.matrix
+    assert not matrix.flags.writeable and op.matrix is matrix
+    copy = as_dense_matrix(op)
+    assert copy.flags.writeable and not np.shares_memory(copy, matrix)
+    for got in (fresh, matrix, copy):
+        assert _bits(got) == _bits(want)
+    # Bands are the matrix's rows.
+    assert _bits(op._rows(1, op.range_dim)) == _bits(want[1:])
 
 
 def test_operators_are_immutable():

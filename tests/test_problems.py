@@ -133,6 +133,13 @@ def test_unknown_problem_and_bad_sizes():
         make_problem("diagonal", 8, q=3)
 
 
+# float("x") leaked ValueError past the guard, which caught TypeError alone.
+@pytest.mark.parametrize("bad", ["x", None, [1.0, 2.0]], ids=["string", "none", "list"])
+def test_diagonal_decay_must_be_a_number(bad):
+    with pytest.raises(InvalidParameterError, match="p must be a real number"):
+        make_problem("diagonal", 8, p=bad)
+
+
 # --- noise --------------------------------------------------------------------------
 
 def test_noise_magnitude_exact():

@@ -102,3 +102,44 @@ def test_a_rank_past_the_block_is_factored_whole():
     matrix = (b + b.T) / 2.0
     assert operators._sketch(matrix, True) is None
     assert svd_decompose(DenseOperator(matrix)).rank == 49
+
+
+def _indefinite_tail(blind):
+    """A symmetric 256 x 256 matrix: 20 dominant eigenvalues, then 100 of +-5 n eps sigma_1.
+
+    The block's 12 spare columns cannot span the tail, and its Ritz values
+    there mix both signs, so the smallest cancels below the limit n eps
+    sigma_1 and the first check passes.  ``blind`` puts the tail, and all
+    but the 10 smallest dominant values, orthogonal to ``_sketch``'s probes,
+    drawn after its block from the same fixed seed.
+    """
+    n = 256
+    start = philox(71).standard_normal((n, n))
+    if blind:
+        draws = np.random.default_rng(np.random.Philox(operators._POWER_START_SEED))
+        draws.standard_normal((n, _SKETCH_WIDTH))
+        start[:, :10] = draws.standard_normal((n, operators._SKETCH_PROBES))
+    v = np.linalg.qr(start)[0]
+    lam = np.zeros(n)
+    lam[:20] = np.concatenate([1e-2 * 0.5 ** np.arange(10), 0.5 ** np.arange(10)])
+    lam[20:120] = 5.0 * n * np.finfo(float).eps * (-1.0) ** np.arange(100)
+    b = (v * lam) @ v.T
+    return (b + b.T) / 2.0
+
+
+@pytest.mark.parametrize("blind, refusal", [(False, "probes"), (True, "residuals")])
+def test_a_tail_the_block_misses_is_refused(monkeypatch, blind, refusal):
+    # Past the Ritz-value check, the probes see the tail; probes blind to it
+    # pass, and the kept tail pairs' residuals, ~5 times the limit, refuse.
+    matrix = _indefinite_tail(blind)
+    factor, signed = operators._factor, operators._signed
+    ritz, residuals = [], []
+    monkeypatch.setattr(operators, "_factor", lambda *args: ritz.append(factor(*args)) or ritz[-1])
+    monkeypatch.setattr(operators, "_signed", lambda *args: residuals.append(1) or signed(*args))
+    assert operators._sketch(matrix, True) is None
+    s = ritz[0][0]
+    assert s.size == _SKETCH_WIDTH and s[-1] <= matrix.shape[0] * np.finfo(float).eps * s[0]
+    assert bool(residuals) == (refusal == "residuals")
+    monkeypatch.undo()
+    want = operators._factor(matrix, True)[0]
+    np.testing.assert_array_equal(DenseOperator(matrix)._system.singular_values, want)

@@ -248,6 +248,13 @@ def test_solver_config_validation():
     assert IterativeSolverConfig(max_iterations=5).budget(32) == 5
 
 
+# A string leaked TypeError from the comparison.
+@pytest.mark.parametrize("bad", ["x", None, [1e-6]], ids=["string", "none", "list"])
+def test_solver_config_refuses_a_tolerance_that_is_not_a_number(bad):
+    with pytest.raises(InvalidParameterError, match="rel_tolerance"):
+        IterativeSolverConfig(rel_tolerance=bad)
+
+
 # nan leaked a ValueError from int(); 2.5 was accepted and budgeted 2 steps.
 @pytest.mark.parametrize("count", [float("nan"), float("inf"), 2.5, "100", 0])
 def test_solver_config_refuses_a_non_integral_budget(count):
