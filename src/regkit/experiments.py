@@ -26,7 +26,7 @@ from .errors import (
     NoRootBelowError,
     SizeLimitError,
 )
-from .operators import MAX_DENSE_DIM, _check_alpha
+from .operators import MAX_DENSE_DIM, _as_real, _check_alpha
 from .problems import add_noise, make_problem
 from .tikhonov import (
     apriori_alpha_schedule,
@@ -170,13 +170,13 @@ def run_solve(name, n, alpha, params=None):
 def run_choose_alpha(name, n, delta, seed, C=1.5, params=None):
     """Select alpha by residual matching on noisy data, then solve."""
     started = time.perf_counter()
+    cfg = DiscrepancyConfig(C=C)
     problem = make_problem(name, n, **(params or {}))
     noisy = add_noise(problem, delta, seed)
-    cfg = DiscrepancyConfig(C=float(C))
     solution, _selection = regularized_solve_auto(
         _system(problem), noisy.f_delta, noisy.delta, cfg
     )
-    return _finish(problem, solution, noisy.delta, _f17(C), started)
+    return _finish(problem, solution, noisy.delta, _f17(cfg.C), started)
 
 
 def run_sweep(name, n, deltas, seed, rule="discrepancy", C=1.5, params=None):
@@ -184,18 +184,20 @@ def run_sweep(name, n, deltas, seed, rule="discrepancy", C=1.5, params=None):
 
     Rows are ordered by the given deltas regardless of execution order.
     The same seed drives every row, so the perturbation direction is
-    shared and only its amplitude changes along the sweep.
+    shared and only its amplitude changes along the sweep.  C is read
+    only by the discrepancy rule, before the problem is built.
     """
-    deltas = [float(d) for d in deltas]
-    if any(d <= 0 for d in deltas):
-        raise InvalidParameterError("all noise levels must be positive")
+    deltas = [_as_real(d, "noise level") for d in deltas]
+    if not all(d > 0 for d in deltas):
+        raise InvalidParameterError(f"all noise levels must be positive, got {deltas}")
     if not all(b < a for a, b in zip(deltas, deltas[1:])):
         raise InvalidParameterError("noise levels must be strictly decreasing")
     if rule not in ("discrepancy", "apriori"):
         raise InvalidParameterError(
             f"unknown rule {rule!r}; expected 'discrepancy' or 'apriori'"
         )
-    label = _f17(C) if rule == "discrepancy" else C_APRIORI
+    cfg = DiscrepancyConfig(C=C) if rule == "discrepancy" else None
+    label = _f17(cfg.C) if rule == "discrepancy" else C_APRIORI
     problem = make_problem(name, n, **(params or {}))
     records = []
     for delta in deltas:
@@ -203,7 +205,6 @@ def run_sweep(name, n, deltas, seed, rule="discrepancy", C=1.5, params=None):
         noisy = add_noise(problem, delta, seed)
         try:
             if rule == "discrepancy":
-                cfg = DiscrepancyConfig(C=float(C))
                 solution, _sel = regularized_solve_auto(
                     _system(problem), noisy.f_delta, noisy.delta, cfg
                 )

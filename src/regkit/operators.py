@@ -42,20 +42,20 @@ A dense matrix or vector set of any kind is refused above
 Scalars are real throughout: complex input is refused, not cast.  The
 singular system provides the spectral calculus used elsewhere: filter
 factors, projections onto the range and its complement, and minimal-norm
-solutions.  An exactly symmetric matrix gets it from its
-eigendecomposition A = Q diag(lambda) Q^T, as sigma_i = |lambda_i|,
-v_i = q_i and u_i = sign(lambda_i) q_i, with the q_i held once and their
-signs beside them (``_SignedDecomposition``); any other matrix from a
-general SVD.  A matrix of any shape that its reversal J maps to itself
-or its negative, ``A[::-1, ::-1] == +-A`` bit for bit, is factored as
-two half-size blocks, in the bases of vectors even and odd under J, for
-a quarter of the flops (``_ReflectionDecomposition``); each block takes
+solutions.  One class, ``_FactoredDecomposition``, holds every factored
+matrix's system.  An exactly symmetric block gets it from its
+eigendecomposition A = Q diag(lambda) Q^T, as sigma_i = |lambda_i|, v_i
+= q_i and u_i = sign(lambda_i) q_i, with the q_i held once and their
+signs beside them; any other from a general SVD.  A matrix of any shape
+that its reversal J maps to itself or its negative, ``A[::-1, ::-1] ==
++-A`` bit for bit, is factored as two half-size blocks, in the bases of
+vectors even and odd under J, for a quarter of the flops; each takes
 eigh when A is exactly symmetric with the + sign, else the SVD.  One
-cutter, ``_reflection_blocks``, cuts them band by band from the top
-rows that ``_rows`` reads.
-Any other matrix first tries one certified random block (``_sketch``),
-in O(n^2 r) when the numerical rank r above n eps sigma_1 is below its
-width, as for hilbert.
+cutter, ``_reflection_blocks``, cuts them band by band from the top rows
+that ``_rows`` reads.  Any other matrix is one block, and first tries
+one random block (``_sketch``), in O(n^2 r) when the numerical rank r
+above n eps sigma_1 is below its width, as for hilbert; a part above
+that limit which its fixed-seed probes cannot see may be left out.
 """
 
 from __future__ import annotations
@@ -828,32 +828,21 @@ def _matrix_system(rows, shape, rank_tolerance, products=None):
     the whole matrix, read once by ``rows(0, m)`` (a Toeplitz one is
     built for this and dropped), factored by its own random block, else
     by eigh if it is exactly symmetric and the SVD if not (``_factor``).
+    Every route ends in one ``_FactoredDecomposition``, of the two blocks
+    or of the one.
     """
     reflected = _reflection_blocks(rows, shape)
     if reflected is not None:
-        return _ReflectionDecomposition(*reflected, shape, rank_tolerance)
+        blocks, sign, symmetric = reflected
+        # Popped, so each block is freed before the next is factored.
+        factors = [_factor(blocks.pop(0), symmetric and sign > 0) for _ in range(2)]
+        return _FactoredDecomposition(factors, shape, rank_tolerance, sign)
     picked = products is not None and _sketch(products, True)
     if not picked:
         matrix = rows(0, shape[0])
         symmetric = _is_symmetric(matrix)
         picked = _sketch(matrix, symmetric) or _factor(matrix, symmetric)
-    return _picked_system(*picked, rank_tolerance)
-
-
-def _picked_system(s, pick, rank_tolerance):
-    """The system of ``_factor``'s (sigma, pick), or ``_sketch``'s, truncated at ``rank_tolerance``."""
-    keep = _kept(s, rank_tolerance)
-    s, (left, right, signs) = s[keep], pick(keep)
-    for factor in (s, left, right):
-        factor.setflags(write=False)
-    if signs is not None:
-        return _SignedDecomposition(s, right, signs, rank_tolerance)
-    return SpectralDecomposition(
-        singular_values=s,
-        left_vectors=left,
-        right_vectors=right,
-        rank_tolerance=rank_tolerance,
-    )
+    return _FactoredDecomposition([picked], shape, rank_tolerance)
 
 
 def _factor(matrix, symmetric):
@@ -867,7 +856,8 @@ def _factor(matrix, symmetric):
     ordered by nonincreasing |lambda_i|: ``left`` is ``right``, the picked
     q_i held once, and ``signs`` the sign(lambda_i).  Any other matrix
     goes through the SVD, with ``signs`` None.  Only the picked columns
-    are copied, and none when all are picked.
+    are copied, and none when all are picked.  The pair is one block of
+    a ``_FactoredDecomposition``: a whole matrix, reflection or Ritz block.
     """
     if symmetric:
         # On hilbert at n = 1024 and phillips at n = 1025 (one OpenBLAS
@@ -910,17 +900,22 @@ def _transpose_in_place(a):
 
 
 def _sketch(matrix, symmetric):
-    """``_factor``'s (sigma, pick) for the values above n eps sigma_1 by one random block, or None.
+    """``_factor``'s (sigma, pick) for one random block's pairs above max(m, n) eps sigma_1, or None.
 
     Tried on matrices at least ``8 * _SKETCH_WIDTH`` wide.  Q spans A A
     Omega (A A^T A Omega if A is not symmetric) for a fixed-seed Gaussian
     Omega of ``_SKETCH_WIDTH`` columns; Rayleigh-Ritz factors Q^T A Q, or
     Q^T A, by ``_factor`` (Halko, Martinsson & Tropp, SIAM Review 53,
-    2011).  It is kept only if its smallest Ritz value, 10 sqrt(2/pi)
-    times the largest of ``_SKETCH_PROBES`` probe residuals, which bounds
-    ||(I - Q Q^T) A|| except with probability 10^-10 (their Lemma 4.1),
-    and every kept ||A v_i - sigma_i u_i|| are at most limit = max(m, n)
-    eps sigma_1.  Values below the limit carry no correct digits from a
+    2011).  It is kept only if three figures are at most limit =
+    max(m, n) eps sigma_1: its smallest Ritz value, 10 sqrt(2/pi) times
+    the largest of ``_SKETCH_PROBES`` probe residuals, and every kept
+    ||A v_i - sigma_i u_i||.  So each pair it returns is a singular pair
+    of A to within the limit, its value above it.  No value above about
+    three times the limit is left out only for a matrix drawn apart from
+    the fixed-seed probes, except with probability 10^-10 (their Lemma
+    4.1, then Weyl): a part above the limit orthogonal to the probes,
+    whose Ritz values cancel below it, passes every check and is left
+    out.  Values below the limit carry no correct digits from a
     whole-matrix factorization either (Weyl).  A failed attempt costs a
     few percent of factoring the whole matrix.  A symmetric ``matrix``
     need only have ``shape`` and ``@`` with blocks of columns, as a
@@ -1220,8 +1215,13 @@ class GreenOperator(LinearOperator):
         n = self.domain_dim
         h = 1.0 / n
         t = (np.arange(1, n + 1) - 0.5) * h
-        s_col, t_row = np.meshgrid(t[start:stop], t, indexing="ij")
-        return h * np.where(s_col <= t_row, s_col * (t_row - 1.0), t_row * (s_col - 1.0))
+        s, t = t[start:stop, None], t[None, :]
+        # The s <= t branch is built in the output and the other copied in
+        # under its mask, so the peak is two matrices.
+        rows = s * (t - 1.0)
+        np.copyto(rows, t * (s - 1.0), where=s > t)
+        rows *= h
+        return rows
 
     @functools.cached_property
     def _system(self):
@@ -1540,136 +1540,132 @@ class _AxesDecomposition(SpectralDecomposition):
         return out
 
 
-class _SignedDecomposition(SpectralDecomposition):
-    """Singular system of a symmetric matrix from eigh: u_i = signs_i v_i.
+class _FactoredDecomposition(SpectralDecomposition):
+    """Singular system of a factored matrix, whole or as two reflection blocks.
 
-    Holds the right vectors once with their signs, so the left vectors,
-    a second array of the same size, are built only when read.  A product
-    by +-1 is exact, so U^T f = signs * (V^T f) and U c = V (signs * c)
-    give the same bits as the products with the dense left vectors.
+    ``factors`` holds one (sigma, pick) pair of ``_factor`` or ``_sketch``
+    per block: one for the whole matrix, or two for a matrix with J A J =
+    ``sign`` A, J the reversal, in ``_parities(sign)`` order.  J A J = A
+    maps the even vectors under reversal (``_fold``) to even and odd to
+    odd, and J A J = -A even to odd and odd to even, so in those
+    orthonormal bases A is two blocks about half its size (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976): a quarter of the flops to
+    factor.  The spectra are merged nonincreasing and truncated as one.
+    Each side keeps a (vectors, signs, where) triple per block, even
+    first: the block's singular vectors, their signs (None for all +1),
+    and their positions in the merged order.  An eigh factor's two
+    triples share one array, with u_i = sign(lambda_i) v_i, exact in
+    every product.  The products and dense vectors of one block are its
+    stored arrays' (the left ones signed when read); two blocks fold and
+    unfold.  The choice is made once, at construction.
     """
 
-    def __init__(self, singular_values, right_vectors, signs, rank_tolerance):
-        # Straight into the instance dict, past the frozen __setattr__.
-        vars(self).update(
-            singular_values=singular_values,
-            right_vectors=right_vectors,
-            rank_tolerance=rank_tolerance,
-            _signs=signs,
-            _shape=(right_vectors.shape[0],) * 2,
-        )
-
-    @functools.cached_property
-    def left_vectors(self):
-        vectors = self.right_vectors * self._signs
-        vectors.setflags(write=False)
-        return vectors
-
-    def _left(self, c):
-        return self.right_vectors @ _signed(self._signs, c)
-
-    def _left_t(self, f):
-        return _signed(self._signs, self.right_vectors.T @ f)
-
-
-class _ReflectionDecomposition(SpectralDecomposition):
-    """Singular system of a matrix with J A J = sign A, J the reversal, from two half-size blocks.
-
-    The even and odd vectors under reversal (``_fold``) are orthonormal
-    bases on each side.  J A J = A maps even vectors to even and odd to
-    odd, and J A J = -A even to odd and odd to even, so in those bases A
-    is two blocks about half its size on each side (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976): a quarter of the flops to factor.
-    The two blocks, in ``_parities(sign)`` order, are cut in place of
-    A's top rows (``_reflection_blocks``): a dense matrix's, or a
-    Toeplitz operator's, built with no matrix.  Each is taken out
-    of the list handed over and goes through ``_factor``, so it is freed
-    before the next is factored: by eigh when A is exactly symmetric with
-    sign +1, as each block then is too, and by the SVD otherwise.  The
-    two spectra are merged nonincreasing and truncated as
-    one.  Each side keeps a (vectors, signs, where) triple per parity,
-    even first: the half-size singular vectors, their signs (None for all
-    +1), and their positions in the merged order.  An eigh block's left
-    and right triples share one array, with u_i = sign(lambda_i) v_i.
-    Products fold, multiply by both halves and unfold; the dense vectors
-    are built only when read.
-    """
-
-    def __init__(self, blocks, sign, symmetric, shape, rank_tolerance):
-        # Block b has rows of parity b (0 even, 1 odd) and columns of
-        # parity cols[b].
-        cols = [c for _, c in _parities(sign)]
-        factors = [_factor(blocks.pop(0), symmetric and sign > 0) for _ in cols]
-        s = np.concatenate([factors[0][0], factors[1][0]])
+    def __init__(self, factors, shape, rank_tolerance, sign=None):
+        s = np.concatenate([sigma for sigma, _ in factors])
         order = np.argsort(-s, kind="stable")
         kept = order[_kept(s[order], rank_tolerance)]
-        split = factors[0][0].size
-        left, right = [], []
-        for b, (_, pick) in enumerate(factors):
-            where = np.flatnonzero((kept >= split) == b)
-            u, v, signs = pick(kept[where] - b * split)
+        left, right, start = [], [], 0
+        for sigma, pick in factors:
+            where = np.flatnonzero((kept >= start) & (kept < start + sigma.size))
+            u, v, signs = pick(kept[where] - start)
             left.append((u, signs, where))
             right.append((v, None, where))
+            start += sigma.size
+        if len(factors) == 1:
+            analysis, synthesis, columns = _whole_analysis, _whole_synthesis, _stored_columns
+        else:
+            analysis, synthesis, columns = _folded_analysis, _folded_synthesis, _unfolded
         # Straight into the instance dict, past the frozen __setattr__.
         vars(self).update(
             singular_values=_readonly(s[kept]),
             rank_tolerance=rank_tolerance,
             _shape=shape,
             _left_parts=tuple(left),
-            _right_parts=tuple(right[c] for c in cols),
+            # J A J = -A takes even columns to odd rows, so the block of
+            # even columns is the second.
+            _right_parts=tuple(right[::-1] if sign == -1 else right),
+            _analysis=analysis,
+            _synthesis=synthesis,
+            _columns=columns,
         )
-
-    def _analysis(self, parts, x):
-        c = np.empty(self.rank)
-        for (vectors, signs, where), half in zip(parts, _fold(x)):
-            c[where] = _signed(signs, vectors.T @ half)
-        return c
-
-    def _synthesis(self, parts, c):
-        return _unfold(*(vectors @ _signed(signs, c[where]) for vectors, signs, where in parts))
-
-    def _unfolded(self, parts):
-        """``_synthesis(parts, I)``, the dense vectors, unfolded column by column.
-
-        Each column lies in one half, so its unfold is one scaling by
-        sqrt(1/2), negated in the bottom rows of an odd column.  Products
-        with the identity's 0/1 columns and by +-1 are exact, so this gives
-        their bits without forming the identity or a folded copy.
-        """
-        h = parts[1][0].shape[0]
-        n = parts[0][0].shape[0] + h
-        out = np.zeros((n, self.rank))
-        for parity, (vectors, signs, where) in enumerate(parts):
-            half = vectors[:h] * (_HALF_SQRT2 if signs is None else _HALF_SQRT2 * signs)
-            out[:h, where] = half
-            if parity:
-                np.negative(half, out=half)
-            out[n - h :, where] = half[::-1]
-            del half  # before the next part's is made
-            if vectors.shape[0] > h:  # the middle of an odd length, even
-                out[h, where] = _signed(signs, vectors[h])
-        out.setflags(write=False)
-        return out
 
     @functools.cached_property
     def left_vectors(self):
-        return self._unfolded(self._left_parts)
+        return self._columns(self._left_parts, self.rank)
 
     @functools.cached_property
     def right_vectors(self):
-        return self._unfolded(self._right_parts)
+        return self._columns(self._right_parts, self.rank)
 
     def _left(self, c):
         return self._synthesis(self._left_parts, c)
 
     def _left_t(self, f):
-        return self._analysis(self._left_parts, f)
+        return self._analysis(self._left_parts, f, self.rank)
 
     def _right(self, c):
         return self._synthesis(self._right_parts, c)
 
     def _right_t(self, x):
-        return self._analysis(self._right_parts, x)
+        return self._analysis(self._right_parts, x, self.rank)
+
+
+def _whole_analysis(parts, x, rank):
+    """A whole-matrix side's coordinates of x."""
+    ((vectors, signs, _),) = parts
+    return _signed(signs, vectors.T @ x)
+
+
+def _whole_synthesis(parts, c):
+    """A whole-matrix side's vector of coordinates c."""
+    ((vectors, signs, _),) = parts
+    return vectors @ _signed(signs, c)
+
+
+def _folded_analysis(parts, x, rank):
+    """A two-block side's coordinates of x, each block's from its half of the fold."""
+    c = np.empty(rank)
+    for (vectors, signs, where), half in zip(parts, _fold(x)):
+        c[where] = _signed(signs, vectors.T @ half)
+    return c
+
+
+def _folded_synthesis(parts, c):
+    """A two-block side's vector of coordinates c, unfolded from each block's half."""
+    return _unfold(*(vectors @ _signed(signs, c[where]) for vectors, signs, where in parts))
+
+
+def _stored_columns(parts, rank):
+    """A whole-matrix side's dense vectors: its stored ones, times their signs if it has any."""
+    ((vectors, signs, _),) = parts
+    if signs is not None:
+        vectors = vectors * signs
+    vectors.setflags(write=False)
+    return vectors
+
+
+def _unfolded(parts, rank):
+    """A two-block side's dense vectors: its ``_folded_synthesis`` of I, unfolded column by column.
+
+    Each column lies in one half, so its unfold is one scaling by
+    sqrt(1/2), negated in the bottom rows of an odd column.  Products
+    with the identity's 0/1 columns and by +-1 are exact, so this gives
+    their bits without forming the identity or a folded copy.
+    """
+    h = parts[1][0].shape[0]
+    n = parts[0][0].shape[0] + h
+    out = np.zeros((n, rank))
+    for parity, (vectors, signs, where) in enumerate(parts):
+        half = vectors[:h] * (_HALF_SQRT2 if signs is None else _HALF_SQRT2 * signs)
+        out[:h, where] = half
+        if parity:
+            np.negative(half, out=half)
+        out[n - h :, where] = half[::-1]
+        del half  # before the next part's is made
+        if vectors.shape[0] > h:  # the middle of an odd length, even
+            out[h, where] = _signed(signs, vectors[h])
+    out.setflags(write=False)
+    return out
 
 
 class _HalfSampleDecomposition(SpectralDecomposition):
@@ -1839,11 +1835,13 @@ def svd_decompose(op, rank_tolerance=DEFAULT_RANK_TOLERANCE):
     sign(lambda_i) q_i, any other by ``np.linalg.svd``, and one with
     ``A[::-1, ::-1] == +-A`` bit for bit as two half-size blocks, in
     the bases of vectors even and odd under reversal.  A matrix at least
-    256 wide first tries one certified random block of 32 columns, which
-    serves when fewer values than that exceed max(m, n) eps sigma_1:
-    hilbert at n = 1024 takes ~12 ms instead of ~250 ms.  Values at or
-    below ``rank_tolerance * sigma_1`` are truncated into the null space,
-    as ``minimal_norm_solution`` wants; each call factors anew.  A
+    256 wide first tries one random block of 32 columns, which serves
+    when its checks pass: hilbert at n = 1024, with 24 values above
+    max(m, n) eps sigma_1, takes ~12 ms instead of ~250 ms.  Every pair
+    the block keeps is checked, but a part above that limit orthogonal
+    to its fixed-seed probes can be left out (``_sketch``).  Values at
+    or below ``rank_tolerance * sigma_1`` are truncated into the null
+    space, as ``minimal_norm_solution`` wants; each call factors anew.  A
     problem's ``decomp`` is the untruncated ``op._system`` instead.  Both
     kinds take the one path ``_matrix_system`` from their ``_rows``; a
     ``ToeplitzOperator`` is factored as its matrix, mostly without

@@ -274,6 +274,33 @@ def test_sweep_summary_without_a_successful_row():
     assert sweep_summary(records) == "sweep: no successful rows (2 failed)"
 
 
+# float(C) leaked ValueError ("x") and TypeError (None); run_choose_alpha
+# raised it only after building the problem and adding noise.
+@pytest.mark.parametrize("C", ["x", None])
+def test_runners_refuse_a_C_that_is_not_a_number_before_building(monkeypatch, C):
+    built = []
+    monkeypatch.setattr("regkit.experiments.make_problem", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(InvalidParameterError, match="C must be a real number"):
+        run_choose_alpha("diagonal", 8, 1e-3, seed=1, C=C)
+    with pytest.raises(InvalidParameterError, match="C must be a real number"):
+        run_sweep("diagonal", 8, [1e-2], seed=1, C=C)
+    assert built == []
+
+
+# float(d) leaked ValueError ("x") and TypeError (None).
+@pytest.mark.parametrize("deltas", [["x"], [None], [0.1, "x"]])
+def test_sweep_refuses_a_level_that_is_not_a_number(deltas):
+    with pytest.raises(InvalidParameterError, match="noise level must be a real number"):
+        run_sweep("diagonal", 8, deltas, seed=1)
+
+
+# nan after 0.1 was refused as "not strictly decreasing".
+@pytest.mark.parametrize("deltas", [[0.1, math.nan], [math.nan], [0.1, 0.0], [1e-2, -1e-3]])
+def test_sweep_refuses_a_level_that_is_not_positive(deltas):
+    with pytest.raises(InvalidParameterError, match="noise levels must be positive"):
+        run_sweep("diagonal", 8, deltas, seed=1)
+
+
 # --- verify-bounds ----------------------------------------------------------------------
 
 def test_verify_bounds_table(capsys):

@@ -17,8 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from regkit import DenseOperator, as_dense_matrix, make_problem, svd_decompose
-from regkit.operators import _factor, _fold, _kept, _unfold
+from regkit import DenseOperator, GreenOperator, as_dense_matrix, make_problem, svd_decompose
+from regkit.operators import _factor, _fold, _kept, _sketch, _unfold
 
 from conftest import philox, phillips_grid
 
@@ -135,6 +135,16 @@ def test_as_dense_matrix_builds_one_matrix_and_caches_none():
     assert not np.shares_memory(copy, op.matrix)
 
 
+def test_green_rows_peak_near_two_matrices():
+    # The output and the other branch under its mask.  Built through
+    # np.meshgrid and a three-array np.where they peaked at 41.0 MiB, five
+    # matrices.
+    n = 1024
+    matrix, _, peak = _traced(lambda: as_dense_matrix(GreenOperator(n)))
+    assert matrix.nbytes == 8 * MiB
+    assert peak <= 2.2 * matrix.nbytes
+
+
 def test_symmetric_system_keeps_one_factor():
     # hilbert is symmetric but not reflection-symmetric, and at n = 255 too
     # narrow for the random block: its system is one whole-matrix eigh,
@@ -242,6 +252,50 @@ def test_shared_whole_matrix_factor_gives_the_signed_copy_bits(n):
     np.testing.assert_array_equal(decomp._left(c), left @ c)
     np.testing.assert_array_equal(decomp.left_vectors, left)
     assert decomp.left_vectors is decomp.left_vectors
+
+
+def _nonsymmetric_factors(matrix, block):
+    """(sigma, left, right) above 0 from np.linalg.svd of the matrix, or of ``_sketch``'s block."""
+    if block:
+        s, pick = _sketch(matrix, False)
+        keep = _kept(s, 0.0)
+        left, right, signs = pick(keep)
+        assert signs is None
+        return s[keep], left, right
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    keep = _kept(s, 0.0)
+    return s[keep], u[:, keep], vt[keep].T
+
+
+@pytest.mark.parametrize(
+    "shape, block",
+    [((7, 7), False), ((64, 64), False), ((300, 300), False), ((5, 8), False), ((300, 600), True)],
+    ids=["7x7", "64x64", "300x300", "5x8", "block300x600"],
+)
+def test_whole_matrix_svd_system_gives_the_factors_bits(shape, block):
+    # Nonsymmetric and not reflection-symmetric: one block, from the SVD of
+    # the whole matrix or of the random block, whose stored factors are the
+    # system's vectors.
+    rng = philox(400 + shape[0])
+    if block:  # rank 30, below the block's width, so the block certifies
+        matrix = rng.standard_normal((shape[0], 30)) @ rng.standard_normal((30, shape[1]))
+    else:
+        matrix = rng.standard_normal(shape)
+    decomp = svd_decompose(DenseOperator(matrix), 0.0)
+    s, left, right = _nonsymmetric_factors(matrix, block)
+    assert len(decomp._left_parts) == 1
+    assert decomp.left_vectors is decomp._left_parts[0][0]
+    assert decomp.right_vectors is decomp._right_parts[0][0]
+    assert not decomp.left_vectors.flags.writeable and not decomp.right_vectors.flags.writeable
+    for got, want in zip(
+        (decomp.singular_values, decomp.left_vectors, decomp.right_vectors), (s, left, right)
+    ):
+        np.testing.assert_array_equal(got, want)
+    f, x, c = (rng.standard_normal(k) for k in (shape[0], shape[1], decomp.rank))
+    np.testing.assert_array_equal(decomp._left_t(f), left.T @ f)
+    np.testing.assert_array_equal(decomp._right_t(x), right.T @ x)
+    np.testing.assert_array_equal(decomp._left(c), left @ c)
+    np.testing.assert_array_equal(decomp._right(c), right @ c)
 
 
 @pytest.mark.parametrize("n", [8, 9, 128, 129])

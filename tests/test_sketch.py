@@ -104,8 +104,8 @@ def test_a_rank_past_the_block_is_factored_whole():
     assert svd_decompose(DenseOperator(matrix)).rank == 49
 
 
-def _indefinite_tail(blind):
-    """A symmetric 256 x 256 matrix: 20 dominant eigenvalues, then 100 of +-5 n eps sigma_1.
+def _indefinite_tail(blind, tail=5.0):
+    """A symmetric 256 x 256 matrix: 20 dominant eigenvalues, then 100 of +-``tail`` n eps sigma_1.
 
     The block's 12 spare columns cannot span the tail, and its Ritz values
     there mix both signs, so the smallest cancels below the limit n eps
@@ -122,7 +122,7 @@ def _indefinite_tail(blind):
     v = np.linalg.qr(start)[0]
     lam = np.zeros(n)
     lam[:20] = np.concatenate([1e-2 * 0.5 ** np.arange(10), 0.5 ** np.arange(10)])
-    lam[20:120] = 5.0 * n * np.finfo(float).eps * (-1.0) ** np.arange(100)
+    lam[20:120] = tail * n * np.finfo(float).eps * (-1.0) ** np.arange(100)
     b = (v * lam) @ v.T
     return (b + b.T) / 2.0
 
@@ -143,3 +143,22 @@ def test_a_tail_the_block_misses_is_refused(monkeypatch, blind, refusal):
     monkeypatch.undo()
     want = operators._factor(matrix, True)[0]
     np.testing.assert_array_equal(DenseOperator(matrix)._system.singular_values, want)
+
+
+def test_a_tail_orthogonal_to_the_probes_can_be_left_out():
+    # At +-1.5 times the limit every tail Ritz value cancels below it, so no
+    # tail pair is kept for the residual check, and the probes are blind to
+    # the tail: the block passes with the 100 tail values, all above the
+    # limit, left out.  What holds is what the checks test: each kept pair
+    # is a singular pair to within the limit, and its value exceeds it.
+    matrix = _indefinite_tail(True, tail=1.5)
+    n = matrix.shape[0]
+    s, pick = operators._sketch(matrix, True)
+    limit = n * np.finfo(float).eps * s[0]
+    exact = np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1]
+    assert np.count_nonzero(exact > limit) == 120
+    assert s.size == 20 and np.all(s > limit)
+    left, right, signs = pick(np.ones(s.size, dtype=bool))
+    assert np.linalg.norm(matrix @ right - left * (signs * s), axis=0).max() <= limit
+    assert np.abs(s - exact[:20]).max() <= limit
+    assert DenseOperator(matrix)._system.rank == 20

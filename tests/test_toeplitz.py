@@ -155,7 +155,7 @@ def test_odd_phillips_factors_its_blocks_without_the_matrix(monkeypatch, n):
     op = make_problem("phillips", n, decompose=False).op
     want = DenseOperator(as_dense_matrix(op))._system
     system = refuse_whole_matrix(monkeypatch, op)._system
-    assert isinstance(system, operators._ReflectionDecomposition)
+    assert len(system._left_parts) == 2
     assert [v.shape[0] for v, _, _ in system._right_parts] == [n // 2 + 1, n // 2]
     _assert_same_system(system, want)
 
