@@ -35,7 +35,14 @@ from .errors import (
     InvalidParameterError,
     NoRootBelowError,
 )
-from .operators import SpectralDecomposition, _as_data, _as_real, _check_alpha, _check_count
+from .operators import (
+    SpectralDecomposition,
+    _as_data,
+    _as_real,
+    _check_alpha,
+    _check_count,
+    _norm,
+)
 from .tikhonov import IterativeSolverConfig, _solution, solve_primal
 from .tikhonov import solve_spectral  # noqa: F401  (perfbench/spans.py wraps this binding)
 
@@ -153,7 +160,17 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
 
 
 def _select(system, f_delta, delta, cfg, solver_cfg):
-    """``solve_alpha``'s selection together with the projection it used."""
+    """``solve_alpha``'s selection, the projection it used and the data's unit.
+
+    The projection and the root search see f_delta / unit and C delta /
+    unit, with unit the power of two that puts ||f_delta|| / unit in
+    [1, 2), so that no square they form overflows or underflows, whatever
+    the scale of the data.  Dividing by a power of two is exact and the
+    root is homogeneous of degree 0 in the data, so alpha keeps the bits
+    of a search on the data itself wherever that one stays in range.  The
+    selection's g and residual are in the data's units; the projection's
+    solution is to be multiplied by unit.
+    """
     cfg = cfg or DiscrepancyConfig()
     delta = _as_real(delta, "delta")
     if not np.isfinite(delta) or delta <= 0:
@@ -162,7 +179,7 @@ def _select(system, f_delta, delta, cfg, solver_cfg):
             "degenerates for exact data (use the a-priori schedule instead)"
         )
     f_delta = _as_data(f_delta, system.range_dim, "f_delta")
-    data_norm = float(np.linalg.norm(f_delta))
+    data_norm = _norm(f_delta)
     threshold = cfg.C * delta
     if data_norm <= threshold:
         raise DataTooNoisyError(
@@ -172,21 +189,33 @@ def _select(system, f_delta, delta, cfg, solver_cfg):
             data_norm=data_norm,
             threshold=threshold,
         )
+    unit = 2.0 ** (math.frexp(data_norm)[1] - 1)
+    f_delta = f_delta / unit
     projection = system._project(f_delta, solver_cfg or IterativeSolverConfig())
     alpha = None
     while True:
-        selection = _root(projection, threshold, cfg, alpha)
+        selection = _root(projection, threshold / unit, cfg, alpha, unit)
         if selection is not None and projection.certifies(selection.alpha):
-            return selection, projection
+            return selection, projection, unit
         alpha = None if selection is None else selection.alpha
-        if not projection.extend(alpha):
+        try:
+            grown = projection.extend(alpha)
+        except ConvergenceError as err:
+            if err.last_iterate is not None:  # x_k for f_delta / unit
+                err.last_iterate = err.diagnostics["last_iterate"] = err.last_iterate * unit
+            raise
+        if not grown:
             # A capped space did not certify: select on the operator's
             # singular system, from scratch.
             projection, alpha = system._system._project(f_delta), None
 
 
-def _root(projection, threshold, cfg, start=None):
+def _root(projection, threshold, cfg, start=None, unit=1.0):
     """The root on one projection, or None if it needs a longer one.
+
+    The projection's data and ``threshold`` are the caller's divided by
+    ``unit``; the selection and the errors report g and the residual
+    multiplied back by it.
 
     With beta = 1/alpha and G(beta) = g(1/beta) - g(0+), the function
     phi(beta) = G(beta)^(-1/2) is increasing and concave: it is
@@ -207,11 +236,12 @@ def _root(projection, threshold, cfg, start=None):
     any g is evaluated; a projection that is not ``exhausted`` may only be
     too short to resolve the range.
     """
-    target = threshold**2
+    target = threshold * threshold  # correctly rounded, where pow may miss by an ulp
     floor = projection.outside_sq
     if floor >= target:
         if not projection.exhausted:
             return None
+        floor, target = floor * unit * unit, target * unit * unit
         raise NoRootBelowError(
             f"discrepancy value {floor:.6g} as alpha -> 0 already reaches the target "
             f"(C*delta)^2 = {target:.6g}; the data component outside the operator "
@@ -230,8 +260,8 @@ def _root(projection, threshold, cfg, start=None):
         if abs(residual - threshold) <= cfg.root_rel_tolerance * threshold:
             return AlphaSelection(
                 alpha=alpha,
-                g_value=g,
-                achieved_residual=residual,
+                g_value=g * unit * unit,
+                achieved_residual=residual * unit,
                 bracket_expansions=0,
                 iterations=iterations,
             )
@@ -246,7 +276,7 @@ def _root(projection, threshold, cfg, start=None):
         f"discrepancy root search exhausted its budget ({iterations} evaluations)",
         iterations=iterations,
         last_alpha=last,
-        achieved_residual=residual,
+        achieved_residual=residual * unit,
     )
 
 
@@ -266,10 +296,10 @@ def regularized_solve_auto(system, f_delta, delta, cfg=None, solver_cfg=None):
     the exact spectral sum ``solve_spectral`` would compute; on an
     operator it is recomputed through the operator.
     """
-    selection, projection = _select(system, f_delta, delta, cfg, solver_cfg)
-    u = projection.solution(selection.alpha)
+    selection, projection, unit = _select(system, f_delta, delta, cfg, solver_cfg)
+    u = projection.solution(selection.alpha) * unit
     if isinstance(system, SpectralDecomposition):
         residual = selection.achieved_residual
     else:
-        residual = np.linalg.norm(system.apply(u) - f_delta)
+        residual = _norm(system.apply(u) - f_delta)
     return _solution(u, selection.alpha, residual, projection.path, projection.steps), selection

@@ -34,7 +34,8 @@ independent checks of each other and of the other kinds.  The
 Krylov bases stay orthonormal to working precision, with Gram-Schmidt
 only where an O(1) bound on the loss of orthogonality asks for it; one
 method, ``_KrylovProjection._append``, bounds, measures, orthogonalizes
-and stores every basis vector.  Each system sets its shape once, and
+and stores every basis vector, and one loop, ``_rotations``, computes
+every damped-LSQR rotation of the space.  Each system sets its shape once, and
 the sorted entries and closed forms build dense vectors only when read.
 A dense matrix or vector set of any kind is refused above
 ``MAX_DENSE_DIM`` before it is allocated (``_check_dense_dim``).
@@ -61,6 +62,7 @@ that limit which its fixed-seed probes cannot see may be left out.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -133,6 +135,8 @@ _LOSS_LIMIT = 1e-14
 
 _EPS = float(np.finfo(float).eps)
 
+_TINY = float(np.finfo(float).tiny)  # the least normal number
+
 _FLOAT = np.dtype(float)
 
 #: Rounding a Golub-Kahan half-step adds to <vec, q_i>, per unit of the
@@ -147,6 +151,24 @@ def _real(x, label):
     if a.dtype.kind == "c":
         raise InvalidParameterError(f"{label} must be real; it holds complex entries")
     return a
+
+
+def _norm(v):
+    """||v||: sqrt(v @ v) wherever that is a normal number, so with its bits.
+
+    Elsewhere v is first divided by the power of two at its largest
+    entry, which is exact, so the norm neither overflows nor underflows
+    while it is representable.
+    """
+    sq = float(np.vdot(v, v))  # the same bits as v @ v, but no warning where it overflows
+    if _TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    top = float(np.abs(v).max()) if v.size else 0.0
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    unit = 2.0 ** (math.frexp(top)[1] - 1)
+    w = v / unit
+    return math.sqrt(np.vdot(w, w)) * unit
 
 
 def _as_vector(x, dim, label):
@@ -287,46 +309,6 @@ class _Projection:
         return True
 
 
-class _DampedLSQR:
-    """Damped LSQR's rotations of a stored bidiagonal.
-
-    LSQR (Paige & Saunders, ACM TOMS 8, 1982) with damp = sqrt(alpha)
-    solves min ||A x - f||^2 + alpha ||x||^2 on the Golub-Kahan space of
-    f through the QR factorization of [B_k; sqrt(alpha) I], one column at
-    a time, by Givens rotations (Elden, BIT 17, 1977).  ``step`` takes
-    beta_{k+1} and alpha_{k+1}, the next column of B_k, and returns, at
-    O(1) cost and without forming a vector, the normal-equation residual
-    ||A^T (f - A x_k) - alpha x_k|| = alpha_{k+1} |tau_k| of the iterate
-    x_k, and ||x_k|| from the LQ factorization of R.
-    ``_KrylovProjection._sweep`` runs the same rotations inline.
-    """
-
-    def __init__(self, alpha, alpha_1, beta_1):
-        self._damp_sq = alpha
-        self._rhobar, self._phibar = alpha_1, beta_1
-        self._cs2, self._sn2, self._z, self._xxnorm = -1.0, 0.0, 0.0, 0.0
-
-    def step(self, beta, alpha_next):
-        # (cbar, sbar) rotates the damping row into row k; the reflection
-        # (cs, sn) then takes beta_{k+1} out of row k+1.
-        rhobar1 = math.sqrt(self._rhobar**2 + self._damp_sq)
-        phibar = self._rhobar / rhobar1 * self._phibar
-        rho = math.hypot(rhobar1, beta)
-        cs, sn = rhobar1 / rho, beta / rho
-        self._rhobar = -cs * alpha_next
-        phi, self._phibar = cs * phibar, sn * phibar
-        theta = sn * alpha_next
-        # Rotate theta away on the right; the rotated system gives ||x_k||.
-        gambar = -self._cs2 * rho
-        rhs = phi - self._sn2 * rho * self._z
-        xnorm = math.sqrt(self._xxnorm + (rhs / gambar) ** 2)
-        gamma = math.hypot(gambar, theta)
-        self._cs2, self._sn2 = gambar / gamma, theta / gamma
-        self._z = rhs / gamma
-        self._xxnorm += self._z**2
-        return alpha_next * abs(sn * phi), xnorm
-
-
 class _KrylovProjection:
     """Projection of f onto a Golub-Kahan Krylov space, grown on demand.
 
@@ -345,6 +327,9 @@ class _KrylovProjection:
     alpha; ``certifies`` asks that to be at most ``rel_tolerance *
     ||x_k||``, and it alone accepts a root or a solve.  ``extend`` grows the
     space to the size damped LSQR says a rejected alpha needs, or doubles it.
+    One loop, ``_rotations``, computes damped LSQR's rotations for all
+    three: the sweep, the certificate's s_{k+1}, which the sweep returns,
+    and the sizing.
     ``products`` and ``subtractions`` count the vectors whose product with
     their basis was formed and those that were orthogonalized.
     """
@@ -366,7 +351,7 @@ class _KrylovProjection:
         self._sized = False  # whether the LSQR monitor chose the current size
         self._u_loss = self._v_loss = 0.0  # bounds on the newest u's and v's loss
         self.steps = self.products = self.subtractions = 0
-        beta = math.sqrt(f @ f)
+        beta = _norm(f)
         self._u = (f / beta)[None, :]
         self._v = np.empty((1, op.domain_dim))
         self._beta = [beta]
@@ -475,61 +460,86 @@ class _KrylovProjection:
         self._swept = None
         self.outside_sq = self.floor()
 
-    def _sweep(self, alpha):
-        """(alpha, y, g, slope, s_{k+1}) at alpha; the last sweep is kept.
+    def _rotations(self, alpha):
+        """Damped LSQR's Givens rotations of [B_k; sqrt(alpha) I], column by column.
 
-        One pass of damped LSQR's rotations gives the QR factorization of
-        [B_k; sqrt(alpha) I]; y follows by back substitution on R.  The
-        rotated residual is zero but for phibar_{k+1} in row k+1 and psi_j
-        in the damping rows, and applying the rotations backwards to it
-        gives r = beta_1 e_1 - B_k y without forming that difference,
-        which cancels when r is small against beta_1.  With R^T R =
-        B_k^T B_k + alpha I, dg/d(ln alpha) = 2 alpha^2 ||R^{-T} y||^2.
+        LSQR (Paige & Saunders, ACM TOMS 8, 1982; Elden, BIT 17, 1977):
+        (cbar_j, sbar_j) rotates the damping row into row j, then (c_j, s_j)
+        takes beta_{j+1} out of row j+1.  Yields, per column j, R's rho_j
+        and theta_{j+1}, phi_j, c_j, cbar_j s_j, sbar_j psi_j, s_j and
+        phibar_{j+1}.  Each column is read from the stored bidiagonal when
+        asked for, so the loop runs alongside a growing space.
         """
-        if self._swept is not None and self._swept[0] == alpha:
-            return self._swept
-        k = self._size
         sqrt, hypot = math.sqrt, math.hypot
         damp = sqrt(alpha)
-        rhobar, phibar = self._alpha[0], self._beta[0]
-        # Per column j: R's diagonal rho_j and superdiagonal theta_{j+1}, the
-        # rotated right-hand side phi_j, and what the backward pass needs to
-        # rotate r back: cs_j, cbar_j sn_j and sbar_j psi_j.
-        rho, theta, phi, cs, decay, push = ([0.0] * k for _ in range(6))
-        for j, (beta, alpha_next) in enumerate(zip(self._beta[1 : k + 1], self._alpha[1 : k + 1])):
+        betas, alphas = self._beta, self._alpha
+        rhobar, phibar = alphas[0], betas[0]
+        j = 1
+        while j < len(alphas):
+            beta, alpha_next = betas[j], alphas[j]
             rhobar1 = sqrt(rhobar**2 + alpha)
             cbar = rhobar / rhobar1
             sbar = damp / rhobar1
             psi = -sbar * phibar
             phibar = cbar * phibar
-            rho_j = hypot(rhobar1, beta)
-            c = rhobar1 / rho_j
-            s = beta / rho_j
+            rho = hypot(rhobar1, beta)
+            c = rhobar1 / rho
+            s = beta / rho
             rhobar = -c * alpha_next
-            phi[j] = c * phibar
+            phi = c * phibar
             phibar = s * phibar
-            rho[j] = rho_j
-            theta[j] = s * alpha_next
-            cs[j] = c
-            decay[j] = cbar * s
-            push[j] = sbar * psi
+            yield rho, s * alpha_next, phi, c, cbar * s, sbar * psi, s, phibar
+            j += 1
+
+    def _sweep(self, alpha):
+        """(alpha, y, g, slope, s_{k+1}) at alpha; the last sweep is kept.
+
+        The first k columns of ``_rotations`` give R; y follows by back
+        substitution on R.  The rotated residual is zero but for
+        phibar_{k+1} in row k+1 and psi_j in the damping rows, and applying
+        the rotations backwards to it gives r = beta_1 e_1 - B_k y without
+        forming that difference, which cancels when r is small against
+        beta_1.  Its last entry s_{k+1} is the certificate's.  With R^T R =
+        B_k^T B_k + alpha I, dg/d(ln alpha) = 2 alpha^2 ||R^{-T} y||^2.
+        """
+        if self._swept is not None and self._swept[0] == alpha:
+            return self._swept
+        k = self._size
+        columns = list(itertools.islice(self._rotations(alpha), k))
         # Backwards: y by substitution on R, and r from its last entry,
         # s_{k+1} = r[k], to its first.
         y, r = [0.0] * k, [0.0] * (k + 1)
-        later, t = 0.0, phibar
+        later, t = 0.0, columns[-1][7] if k else self._beta[0]
         for j in range(k - 1, -1, -1):
-            y[j] = later = (phi[j] - theta[j] * later) / rho[j]
-            r[j + 1] = -cs[j] * t
-            t = decay[j] * t - push[j]
+            rho, theta, phi, c, decay, push, _, _ = columns[j]
+            y[j] = later = (phi - theta * later) / rho
+            r[j + 1] = -c * t
+            t = decay * t - push
         r[0] = t
         w_sq, w, above = 0.0, 0.0, 0.0
-        for y_j, rho_j, theta_j in zip(y, rho, theta):
-            w = (y_j - above * w) / rho_j
+        for y_j, column in zip(y, columns):
+            w = (y_j - above * w) / column[0]
             w_sq += w * w
-            above = theta_j
+            above = column[1]
         g = math.fsum([v * v for v in r])
         self._swept = (alpha, np.array(y), g, 2.0 * alpha * alpha * w_sq, r[k])
         return self._swept
+
+    def _monitor(self, alpha):
+        """Per column k of ``_rotations``, at O(1) each: damped LSQR's
+        normal-equation residual ||A^T (f - A x_k) - alpha x_k|| =
+        alpha_{k+1} |s_k phi_k|, and ||x_k|| from the LQ factorization of R.
+        """
+        cs2, sn2, z, xxnorm = -1.0, 0.0, 0.0, 0.0
+        for j, (rho, theta, phi, _, _, _, s, _) in enumerate(self._rotations(alpha), 1):
+            gambar = -cs2 * rho
+            rhs = phi - sn2 * rho * z
+            xnorm = math.sqrt(xxnorm + (rhs / gambar) ** 2)
+            gamma = math.hypot(gambar, theta)
+            cs2, sn2 = gambar / gamma, theta / gamma
+            z = rhs / gamma
+            xxnorm += z**2
+            yield self._alpha[j] * abs(s * phi), xnorm
 
     def discrepancy(self, alpha):
         """g(alpha) = ||r||^2 and its slope dg/d(ln alpha)."""
@@ -540,9 +550,12 @@ class _KrylovProjection:
         return self._sweep(alpha)[1] @ self._basis
 
     def _error_bound(self, alpha):
-        """The certified bound |alpha_{k+1} s_{k+1}| / alpha on ||x_k - u_alpha||, over ||x_k||."""
+        """The certified bound |alpha_{k+1} s_{k+1}| / alpha on ||x_k - u_alpha||, over ||x_k||.
+
+        ||x_k|| = ||y|| is taken by ``_norm``: at a large alpha, y @ y underflows.
+        """
         _, y, _, _, s_last = self._sweep(alpha)
-        return abs(self._alpha_next * s_last) / (alpha * math.sqrt(y @ y))
+        return abs(self._alpha_next * s_last) / (alpha * _norm(y))
 
     def certifies(self, alpha):
         """Whether ||x_k - u_alpha|| <= ``rel_tolerance`` ||x_k||: always once exhausted."""
@@ -550,7 +563,7 @@ class _KrylovProjection:
 
     def moments(self):
         """||f||^2 - g(0+) and ||A^T f||^2 = ||B_k^T beta_1 e_1||^2 = (alpha_1 beta_1)^2."""
-        beta_sq = self._beta[0] ** 2
+        beta_sq = self._beta[0] * self._beta[0]
         return beta_sq - self.outside_sq, beta_sq * self._alpha[0] ** 2
 
     def floor(self):
@@ -571,15 +584,17 @@ class _KrylovProjection:
             logs.append(log_z)
         top = max(logs)
         scaled_sq = math.fsum([math.exp(2.0 * (v - top)) for v in logs])  # ||z||^2 / e^(2 top)
-        return self._beta[0] ** 2 * math.exp(-2.0 * top) / scaled_sq
+        return self._beta[0] * self._beta[0] * math.exp(-2.0 * top) / scaled_sq
 
     def extend(self, alpha=None):
         """Grow the space after ``certifies`` rejected ``alpha``, a root or a fixed alpha.
 
-        Damped LSQR with damp = sqrt(alpha) is replayed over the stored
+        The rotations of damped LSQR with damp = sqrt(alpha)
+        (``_monitor`` on ``_rotations``) are replayed over the stored
         bidiagonal and then run alongside new Golub-Kahan steps, one at a
-        time, until its normal-equation residual alpha_{k+1} |tau_k| meets
-        the certificate's own limit ``rel_tolerance * alpha * ||x_k||``,
+        time, until the normal-equation residual alpha_{k+1} |s_k phi_k|
+        of a new column meets the certificate's own limit
+        ``rel_tolerance * alpha * ||x_k||``,
         the space is exhausted, or the budget is spent; B_k is fixed once
         at the end.  That residual is the |alpha_{k+1} s_{k+1}| the
         certificate bounds, but the monitor only sizes the space: the root
@@ -606,15 +621,14 @@ class _KrylovProjection:
             self._grow(min(2 * self.steps, self._budget))
             return True
         self._sized = True
-        monitor = _DampedLSQR(alpha, self._alpha[0], self._beta[0])
-        for j in range(1, self.steps + 1):
-            monitor.step(self._beta[j], self._alpha[j])
-        limit = self._rel_tolerance * alpha
-        while not self.exhausted and self.steps < self._budget:
-            self._step()
-            residual, xnorm = monitor.step(self._beta[self.steps], self._alpha[self.steps])
-            if residual <= limit * xnorm:
+        limit, stored = self._rel_tolerance * alpha, self.steps
+        for j, (residual, xnorm) in enumerate(self._monitor(alpha), 1):
+            if j > stored and residual <= limit * xnorm:
                 break
+            if j == self.steps:
+                if self.exhausted or self.steps >= self._budget:
+                    break
+                self._step()
         self._factor()
         return True
 

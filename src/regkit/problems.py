@@ -16,6 +16,7 @@ requested level exactly rather than merely bounding it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .operators import (
     _as_real,
     _check_count,
     _kept,
+    _norm,
     _readonly,
     svd_decompose,  # noqa: F401  (perfbench/spans.py wraps this binding)
     write_dense_text,
@@ -124,6 +126,11 @@ def _phillips_kernel(d, h):
     return d
 
 
+def _phillips_entries(t, h, rows):
+    """Rows ``rows`` of phillips' matrix: the kernel at every t_i - t_j."""
+    return _phillips_kernel(np.subtract.outer(t[rows], t), h)
+
+
 def _build_phillips(n):
     # Classical first-kind convolution on [-6, 6]: the kernel, and the
     # solution profile, are 1 + cos(pi x / 3) supported on |x| < 3.
@@ -141,7 +148,7 @@ def _build_phillips(n):
     op = ToeplitzOperator(
         _phillips_kernel(t - t[0], h),
         _phillips_kernel(t[0] - t, h),
-        entries=lambda rows: _phillips_kernel(np.subtract.outer(t[rows], t), h),
+        entries=functools.partial(_phillips_entries, t, h),
     )
     return op, y, {}
 
@@ -264,14 +271,14 @@ def add_noise(problem, delta, seed):
     direction /= np.linalg.norm(direction)
     f_delta = problem.f + delta * direction
     realized = f_delta - problem.f
-    norm_realized = np.linalg.norm(realized)
+    norm_realized = _norm(realized)
     if norm_realized > 0:
         # One correction pass tightens the realized level toward the
         # requested one; the FP grid of f limits how close it can get.
         f_delta = problem.f + realized * (delta / norm_realized)
     return NoisyData(
         f_delta=_readonly(f_delta),
-        delta=float(np.linalg.norm(f_delta - problem.f)),
+        delta=_norm(f_delta - problem.f),
         seed=seed,
     )
 

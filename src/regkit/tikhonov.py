@@ -35,6 +35,7 @@ from .operators import (
     _as_vector,
     _check_alpha,
     _check_count,
+    _norm,
     _readonly,
     filter_factors,
     operator_norm_estimate,
@@ -105,7 +106,7 @@ def _solution(u, alpha, residual_norm, path, iterations):
         u=_readonly(u),
         alpha=float(alpha),
         residual_norm=float(residual_norm),
-        solution_norm=float(np.linalg.norm(u)),
+        solution_norm=_norm(u),
         path=path,
         iterations=int(iterations),
     )
@@ -119,7 +120,7 @@ def _minimize(op, f, alpha, cfg, path):
         return _solution(np.zeros(op.domain_dim), a, 0.0, path, 0)
     kernel = op._solve_primal if path == "primal" else op._solve_dual
     u, iters = kernel(a, f, cfg or IterativeSolverConfig())
-    return _solution(u, a, np.linalg.norm(op.apply(u) - f), path, iters)
+    return _solution(u, a, _norm(op.apply(u) - f), path, iters)
 
 
 def solve_shifted_normal(op, b, alpha, cfg=None):

@@ -476,3 +476,63 @@ def test_decomposition_solve_reuses_the_selection_projection(name):
     assert solution.residual_norm == again.residual_norm
     assert solution.residual_norm == np.sqrt(selection.g_value)
     assert (solution.path, solution.iterations) == ("spectral", 0)
+
+
+def _deriv2_system(route, prob):
+    if route == "spectral":
+        return prob.decomp
+    if route == "dense":
+        return DenseOperator(prob.op.matrix)
+    return matrix_free_view(prob.op)
+
+
+@pytest.mark.parametrize("k", [520, 600, -600])
+@pytest.mark.parametrize("route", ["spectral", "dense", "matrix_free"])
+def test_selection_is_invariant_to_the_scale_of_the_data(route, k):
+    # Scaling f_delta and delta by 2^k scales g by 4^k: at k = 520 its
+    # squares overflow, and at k = -600 ||f_delta||^2 underflows to 0.
+    prob = make_problem("deriv2", 64)
+    noisy = add_noise(prob, 1e-2 * np.linalg.norm(prob.f), 5)
+    solution, selection = regularized_solve_auto(
+        _deriv2_system(route, prob), noisy.f_delta, noisy.delta
+    )
+    scale = 2.0**k
+    scaled, scaled_selection = regularized_solve_auto(
+        _deriv2_system(route, prob), noisy.f_delta * scale, noisy.delta * scale
+    )
+    assert scaled_selection.alpha == selection.alpha
+    assert scaled_selection.achieved_residual == selection.achieved_residual * scale
+    assert np.array_equal(scaled.u, solution.u * scale)
+    assert scaled.path == solution.path and scaled.iterations == solution.iterations
+    assert scaled.solution_norm == pytest.approx(solution.solution_norm * scale, rel=1e-15)
+    assert scaled.residual_norm == pytest.approx(solution.residual_norm * scale, rel=1e-15)
+
+
+def test_a_spent_budget_reports_the_iterate_in_the_data_units():
+    # The Krylov space certifies nothing within 10 steps; the error's x_k
+    # belongs to the data as given, not to the data the search divided.
+    prob = make_problem("deriv2", 256)
+    noisy = add_noise(prob, 1e-3 * np.linalg.norm(prob.f), 1)
+    cfg = IterativeSolverConfig(max_iterations=10)
+    errors = []
+    for scale in (1.0, 2.0**600):
+        with pytest.raises(ConvergenceError) as err:
+            regularized_solve_auto(
+                matrix_free_view(prob.op), noisy.f_delta * scale, noisy.delta * scale,
+                solver_cfg=cfg,
+            )
+        errors.append(err.value)
+    plain, scaled = errors
+    assert plain.iterations == scaled.iterations == 10
+    assert scaled.achieved_residual == plain.achieved_residual
+    assert np.array_equal(scaled.last_iterate, plain.last_iterate * 2.0**600)
+    assert scaled.diagnostics["last_iterate"] is scaled.last_iterate
+
+
+def test_no_root_below_reports_g_at_zero_in_the_data_units():
+    # diag(1, 0.5, 0) leaves f's third entry outside the range: g(0+) = 1.
+    decomp = diagonal_decomposition([1.0, 0.5, 0.0])
+    for scale in (1.0, 2.0**300, 2.0**-300):
+        with pytest.raises(NoRootBelowError) as err:
+            solve_alpha(decomp, np.ones(3) * scale, 0.1 * scale)
+        assert err.value.g_at_zero == scale * scale

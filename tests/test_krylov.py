@@ -21,12 +21,14 @@ from regkit import (
     MatrixFreeOperator,
     add_noise,
     make_problem,
+    solve_dual,
+    solve_primal,
     solve_spectral,
     svd_decompose,
 )
 from regkit import discrepancy, operators
 from regkit.discrepancy import DiscrepancyConfig, _select
-from regkit.operators import _DampedLSQR, _KrylovProjection
+from regkit.operators import _KrylovProjection
 
 from conftest import gradient_callbacks, matrix_free_view, philox
 
@@ -123,6 +125,8 @@ def test_second_pass_restores_orthogonality_under_cancellation():
 def test_lsqr_monitor_matches_projected_problem():
     # Oracle: the damped projected problem min ||B_k y - beta_1 e_1||^2 +
     # alpha ||y||^2 solved densely; its residual's last entry is s_{k+1}.
+    # The monitor's residual alpha_{k+1} |s_k phi_k| and ||x_k|| come from
+    # the rotations that ``_sweep`` reads, so both must match the oracle.
     prob = make_problem("deriv2", 128)
     fd, _ = _noisy(prob, 1e-2, 4)
     projection = _KrylovProjection(matrix_free_view(prob.op), fd, IterativeSolverConfig())
@@ -135,9 +139,9 @@ def test_lsqr_monitor_matches_projected_problem():
     for alpha in (1e-9, 1e-6, 1e-3):
         y = np.linalg.solve(b.T @ b + alpha * np.eye(k), b.T @ rhs)
         s_last = (rhs - b @ y)[k]
-        monitor = _DampedLSQR(alpha, projection._alpha[0], projection._beta[0])
-        for j in range(1, k + 1):
-            residual, xnorm = monitor.step(projection._beta[j], projection._alpha[j])
+        monitored = list(projection._monitor(alpha))  # one per stored column
+        assert len(monitored) == k
+        residual, xnorm = monitored[-1]
         assert residual == pytest.approx(abs(projection._alpha[k] * s_last), rel=1e-8)
         assert xnorm == pytest.approx(np.linalg.norm(y), rel=1e-8)
 
@@ -147,7 +151,7 @@ def test_bases_stay_orthonormal(name, rel_noise):
     prob = make_problem(name, 256)
     system = gradient_callbacks(256) if name == "gradient_family" else matrix_free_view(prob.op)
     fd, delta = _noisy(prob, rel_noise, 2)
-    _, projection = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
+    _, projection, _ = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
     assert projection.exhausted == (name == "gradient_family")
     for rows in _bases(projection):
         assert _orthonormality(rows) <= 1e-13
@@ -161,7 +165,7 @@ def test_gram_schmidt_runs_on_demand():
     fd, delta = _noisy(prob, 1e-2, 1)
     counts = []
     for _ in range(2):
-        _, projection = _select(gradient_callbacks(256), fd, delta, DiscrepancyConfig(C=C), None)
+        _, projection, _ = _select(gradient_callbacks(256), fd, delta, DiscrepancyConfig(C=C), None)
         assert len(projection._alpha) + len(projection._beta) - 1 == 511
         counts.append((projection.steps, projection.products, projection.subtractions))
     assert counts == [(255, 273, 45)] * 2
@@ -196,7 +200,7 @@ def test_bases_stay_orthonormal_with_gram_schmidt_on_demand(case):
             delta = rel * np.linalg.norm(f)
             fds.append((system, f + delta * rng.standard_normal(f.size) / np.sqrt(4 * f.size), delta))
     for system, fd, delta in fds:
-        _, projection = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
+        _, projection, _ = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
         for rows in _bases(projection):
             assert _orthonormality(rows) <= 1e-13
 
@@ -205,14 +209,14 @@ def test_bases_stay_orthonormal_with_gram_schmidt_on_demand(case):
 def test_deriv2_space_is_sized_not_doubled(seed, factor_sizes):
     prob = make_problem("deriv2", 256)
     fd, delta = _noisy(prob, 1e-3, seed)
-    selection, projection = _select(
+    selection, projection, unit = _select(
         matrix_free_view(prob.op), fd, delta, DiscrepancyConfig(C=C), None
     )
     # Sized by the monitor (k = 13 on these seeds), not doubled to 16.
     assert projection.steps < 2 * operators._KRYLOV_START
     assert len(factor_sizes) <= 2
     reference = solve_spectral(prob.decomp, fd, selection.alpha).u
-    u = projection.solution(selection.alpha)
+    u = projection.solution(selection.alpha) * unit
     assert np.linalg.norm(u - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
@@ -365,7 +369,7 @@ def test_floor_is_zero_on_a_space_exhausted_by_beta(factor_sizes, monkeypatch):
     assert projection.outside_sq == 0.0
     assert reads == factor_sizes == [8, n - 1]
     # Residual matching certifies its root only there, where g(0+) = 0.
-    selection, projection = _select(gradient_callbacks(n), f, 1e-3, DiscrepancyConfig(C=C), None)
+    selection, projection, _ = _select(gradient_callbacks(n), f, 1e-3, DiscrepancyConfig(C=C), None)
     assert projection.exhausted and reads[-1] == n - 1
     assert abs(selection.achieved_residual - C * 1e-3) <= 1e-10 * C * 1e-3
 
@@ -430,3 +434,32 @@ def test_gradient_family_selection_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1e280])
+@pytest.mark.parametrize("case", ["hilbert", "gradient_callbacks"])
+def test_krylov_solve_at_a_large_alpha_is_the_adjoint_over_alpha(case, alpha):
+    # u = (A^T A + alpha I)^{-1} A^T f = A^T f / alpha to within ||A||^2 / alpha,
+    # while ||u||^2 underflows: it is 1e-396 on hilbert at 1e200.
+    if case == "hilbert":
+        prob = make_problem("hilbert", 5000)
+        op, f = prob.op, prob.f
+    else:
+        op, f = gradient_callbacks(512), make_problem("gradient_family", 512).f
+    want = op.apply_adjoint(f)
+    for solve in (solve_primal, solve_dual):
+        solution = solve(op, f, alpha)
+        assert solution.path == solve.__name__[len("solve_") :]
+        assert np.linalg.norm(solution.u * alpha - want) <= 1e-12 * np.linalg.norm(want)
+        assert solution.solution_norm == pytest.approx(np.linalg.norm(want) / alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_krylov_solve_is_invariant_to_the_scale_of_the_data(k):
+    # ||f||^2 overflows at 2^600 and underflows at 2^-600; beta_1 = ||f|| does not.
+    prob = make_problem("deriv2", 64)
+    op = matrix_free_view(prob.op)
+    plain = solve_primal(op, prob.f, 1e-3)
+    scaled = solve_primal(op, prob.f * 2.0**k, 1e-3)
+    assert scaled.iterations == plain.iterations
+    assert np.array_equal(scaled.u, plain.u * 2.0**k)

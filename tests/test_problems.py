@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -294,3 +295,38 @@ def test_instances_and_noisy_data_compare_by_identity():
     assert (first == first) is True
     assert (prob == make_problem("phillips", 8)) is False
     assert (prob == prob) is True
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 129, 5000])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_every_problem_round_trips_through_pickle(name, n):
+    prob = make_problem(name, n)
+    copy = pickle.loads(pickle.dumps(prob))
+    x = np.random.default_rng(np.random.Philox(n)).standard_normal(n)
+    assert _same_bits(copy.y, prob.y) and _same_bits(copy.f, prob.f)
+    assert _same_bits(copy.op.apply(x), prob.op.apply(x))
+    assert _same_bits(copy.op.apply_adjoint(prob.f), prob.op.apply_adjoint(prob.f))
+    assert _same_bits(copy.op._rows(0, 8), prob.op._rows(0, 8))
+    if prob.decomp is None:
+        assert copy.decomp is None
+        return
+    d, e = prob.decomp, copy.decomp
+    c = d._left_t(prob.f)
+    assert _same_bits(e.singular_values, d.singular_values)
+    assert _same_bits(e._left_t(prob.f), c)
+    assert _same_bits(e._right_t(x), d._right_t(x))
+    assert _same_bits(e._left(c), d._left(c))
+    assert _same_bits(e._right(c), d._right(c))
+
+
+def test_add_noise_realizes_a_level_whose_square_overflows():
+    # ||realized||^2 = 1e400 is past the largest float; the level is not.
+    prob = make_problem("deriv2", 64)
+    noisy = add_noise(prob, 1e200, 3)
+    assert noisy.delta == pytest.approx(1e200, rel=1e-12)
+    assert np.abs(noisy.f_delta).max() > 1e190

@@ -22,6 +22,7 @@ from regkit import (
     svd_decompose,
     solve_alpha,
 )
+from regkit import discrepancy
 from regkit.operators import _Projection
 
 from conftest import matrix_free_view, philox
@@ -228,17 +229,27 @@ def test_diagonal_solution_map_norm_agrees_across_kinds(case):
 
 
 def _evaluations(decomp, f_delta, delta):
-    """solve_alpha's selection and every g it evaluated, in order."""
-    evaluated = []
-    discrepancy_at = _Projection.discrepancy
+    """solve_alpha's selection and every g it evaluated, in order, in the data's units.
+
+    The search sees the data divided by a power of two, its ``unit``, so
+    each g is multiplied back by unit^2, which is exact.
+    """
+    evaluated, units = [], []
+    discrepancy_at, root = _Projection.discrepancy, discrepancy._root
 
     def counted(self, alpha):
         g = discrepancy_at(self, alpha)
         evaluated.append(g[0])
         return g
 
+    def rooted(projection, threshold, cfg, start=None, unit=1.0):
+        units.append(unit)
+        return root(projection, threshold, cfg, start, unit)
+
     with mock.patch.object(_Projection, "discrepancy", counted):
-        return solve_alpha(decomp, f_delta, delta), evaluated
+        with mock.patch.object(discrepancy, "_root", rooted):
+            selection = solve_alpha(decomp, f_delta, delta)
+    return selection, [g * units[0] ** 2 for g in evaluated]
 
 
 # phi(beta) = (g(1/beta) - g(0+))^(-1/2) is concave and increasing in

@@ -12,6 +12,7 @@ Each test here passes alone and in any order: ``pytest
 tests/test_setup_memory.py`` runs them in a process of their own.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ MiB = 2**20
 
 #: Python objects and numpy array headers that a problem holds besides its
 #: array buffers: the instance, the operator, the system, their dicts,
-#: tuples and the closure.
+#: tuples and the partial.
 HEADERS = 12 * 2**10
 
 #: Length-n float vectors that a problem may hold besides its factors: y,
@@ -42,7 +43,7 @@ VECTORS = 16
 
 
 def _held_bytes(*roots):
-    """Bytes of the distinct array buffers that roots hold, through regkit objects, tuples and closures."""
+    """Bytes of the distinct array buffers that roots hold, through regkit objects, tuples, closures and partials."""
     seen, total, stack = set(), 0, list(roots)
     while stack:
         obj = stack.pop()
@@ -58,6 +59,8 @@ def _held_bytes(*roots):
             stack.extend(obj)
         elif getattr(obj, "__closure__", None):
             stack.extend(cell.cell_contents for cell in obj.__closure__)
+        elif isinstance(obj, functools.partial):
+            stack.extend(obj.args)
         elif type(obj).__module__.startswith("regkit"):
             stack.extend(vars(obj).values())
     return total
