@@ -20,6 +20,11 @@ Reinsch's smoothing-spline iteration (Numer. Math. 10, 1967): no bracket
 is needed, and scaling A by s scales the root by s^2.  Acceptance
 is judged on the achieved residual, since the downstream guarantees (in
 particular ||u|| <= ||y||) are stated through the residual value.
+
+Each projection divides its data by the power of two that puts its norm
+in [1, 2), its ``unit``, and this module reads the unit only to report g
+and residuals in the data's units: scaling f_delta and delta by 2^k
+scales the solution and residual by 2^k exactly and keeps alpha's bits.
 """
 
 from __future__ import annotations
@@ -111,9 +116,10 @@ def discrepancy_value(system, f_delta, alpha, solver_cfg=None):
     a = _check_alpha(alpha)
     f_delta = _as_data(f_delta, system.range_dim, "f_delta")
     if isinstance(system, SpectralDecomposition):
-        return system._project(f_delta).discrepancy(a)[0]
-    sol = solve_primal(system, f_delta, a, solver_cfg)
-    return float(sol.residual_norm**2)
+        projection = system._project(f_delta)
+        return projection.discrepancy(a)[0] * projection.unit * projection.unit
+    residual = solve_primal(system, f_delta, a, solver_cfg).residual_norm
+    return residual * residual  # inf where it overflows, as the sum above
 
 
 def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
@@ -160,16 +166,15 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
 
 
 def _select(system, f_delta, delta, cfg, solver_cfg):
-    """``solve_alpha``'s selection, the projection it used and the data's unit.
+    """``solve_alpha``'s selection and the projection it used.
 
-    The projection and the root search see f_delta / unit and C delta /
-    unit, with unit the power of two that puts ||f_delta|| / unit in
-    [1, 2), so that no square they form overflows or underflows, whatever
-    the scale of the data.  Dividing by a power of two is exact and the
-    root is homogeneous of degree 0 in the data, so alpha keeps the bits
-    of a search on the data itself wherever that one stays in range.  The
-    selection's g and residual are in the data's units; the projection's
-    solution is to be multiplied by unit.
+    The projection divides f_delta by its ``unit`` and ``_root`` divides C
+    delta by the same, so that no square of the search overflows or
+    underflows, whatever the scale of the data.  Dividing by a power of
+    two is exact and the root is homogeneous of degree 0 in the data, so
+    alpha keeps the bits of a search on the data itself wherever that one
+    stays in range.  The selection's g and residual, the projection's
+    solution and a spent budget's x_k are in the data's units.
     """
     cfg = cfg or DiscrepancyConfig()
     delta = _as_real(delta, "delta")
@@ -189,33 +194,25 @@ def _select(system, f_delta, delta, cfg, solver_cfg):
             data_norm=data_norm,
             threshold=threshold,
         )
-    unit = 2.0 ** (math.frexp(data_norm)[1] - 1)
-    f_delta = f_delta / unit
     projection = system._project(f_delta, solver_cfg or IterativeSolverConfig())
     alpha = None
     while True:
-        selection = _root(projection, threshold / unit, cfg, alpha, unit)
+        selection = _root(projection, threshold, cfg, alpha)
         if selection is not None and projection.certifies(selection.alpha):
-            return selection, projection, unit
+            return selection, projection
         alpha = None if selection is None else selection.alpha
-        try:
-            grown = projection.extend(alpha)
-        except ConvergenceError as err:
-            if err.last_iterate is not None:  # x_k for f_delta / unit
-                err.last_iterate = err.diagnostics["last_iterate"] = err.last_iterate * unit
-            raise
-        if not grown:
+        if not projection.extend(alpha):
             # A capped space did not certify: select on the operator's
             # singular system, from scratch.
             projection, alpha = system._system._project(f_delta), None
 
 
-def _root(projection, threshold, cfg, start=None, unit=1.0):
+def _root(projection, threshold, cfg, start=None):
     """The root on one projection, or None if it needs a longer one.
 
-    The projection's data and ``threshold`` are the caller's divided by
-    ``unit``; the selection and the errors report g and the residual
-    multiplied back by it.
+    The search runs in the projection's scaled units, on ``threshold`` =
+    C delta divided by ``projection.unit``; the selection and the errors
+    report g and the residual multiplied back by it.
 
     With beta = 1/alpha and G(beta) = g(1/beta) - g(0+), the function
     phi(beta) = G(beta)^(-1/2) is increasing and concave: it is
@@ -236,6 +233,8 @@ def _root(projection, threshold, cfg, start=None, unit=1.0):
     any g is evaluated; a projection that is not ``exhausted`` may only be
     too short to resolve the range.
     """
+    unit = projection.unit
+    threshold = threshold / unit
     target = threshold * threshold  # correctly rounded, where pow may miss by an ulp
     floor = projection.outside_sq
     if floor >= target:
@@ -288,7 +287,8 @@ def regularized_solve_auto(system, f_delta, delta, cfg=None, solver_cfg=None):
     minimal-norm solution y, the returned vector additionally satisfies
     ||u|| <= ||y|| up to rounding, a consequence of matching the residual
     strictly above the noise level.  The solution comes from the projection
-    the selection used, and its ``path`` names that projection:
+    the selection used, in the data's units whatever their scale (see
+    ``_select``), and its ``path`` names that projection:
     ``"spectral"`` for a singular system, ``"krylov"`` for a Golub-Kahan
     space (a matrix-free operator, a Toeplitz one above ``MAX_DENSE_DIM``,
     or the first selection on a fresh symmetric dense matrix).  On a
@@ -296,8 +296,8 @@ def regularized_solve_auto(system, f_delta, delta, cfg=None, solver_cfg=None):
     the exact spectral sum ``solve_spectral`` would compute; on an
     operator it is recomputed through the operator.
     """
-    selection, projection, unit = _select(system, f_delta, delta, cfg, solver_cfg)
-    u = projection.solution(selection.alpha) * unit
+    selection, projection = _select(system, f_delta, delta, cfg, solver_cfg)
+    u = projection.solution(selection.alpha)
     if isinstance(system, SpectralDecomposition):
         residual = selection.achieved_residual
     else:

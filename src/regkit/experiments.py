@@ -16,8 +16,6 @@ import time
 import typing
 from dataclasses import dataclass
 
-import numpy as np
-
 from .discrepancy import DiscrepancyConfig, regularized_solve_auto
 from .errors import (
     ConvergenceError,
@@ -26,7 +24,7 @@ from .errors import (
     NoRootBelowError,
     SizeLimitError,
 )
-from .operators import MAX_DENSE_DIM, _as_real, _check_alpha
+from .operators import MAX_DENSE_DIM, _as_real, _check_alpha, _norm
 from .problems import add_noise, make_problem
 from .tikhonov import (
     apriori_alpha_schedule,
@@ -128,7 +126,7 @@ def _finish(problem, solution, delta, c_label, started):
         alpha = residual = error_to_y = u_norm = math.nan
     else:
         alpha, residual, u_norm = solution.alpha, solution.residual_norm, solution.solution_norm
-        error_to_y = float(np.linalg.norm(solution.u - problem.y))
+        error_to_y = _norm(solution.u - problem.y)
     return ExperimentRecord(
         problem=problem.name,
         n=problem.n,
@@ -138,7 +136,7 @@ def _finish(problem, solution, delta, c_label, started):
         residual=residual,
         error_to_y=error_to_y,
         u_norm=u_norm,
-        y_norm=float(np.linalg.norm(problem.y)),
+        y_norm=_norm(problem.y),
         wall_ms=wall,
     )
 
@@ -188,8 +186,8 @@ def run_sweep(name, n, deltas, seed, rule="discrepancy", C=1.5, params=None):
     only by the discrepancy rule, before the problem is built.
     """
     deltas = [_as_real(d, "noise level") for d in deltas]
-    if not all(d > 0 for d in deltas):
-        raise InvalidParameterError(f"all noise levels must be positive, got {deltas}")
+    if not all(0 < d < math.inf for d in deltas):
+        raise InvalidParameterError(f"all noise levels must be positive and finite, got {deltas}")
     if not all(b < a for a, b in zip(deltas, deltas[1:])):
         raise InvalidParameterError("noise levels must be strictly decreasing")
     if rule not in ("discrepancy", "apriori"):

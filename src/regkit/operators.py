@@ -153,12 +153,20 @@ def _real(x, label):
     return a
 
 
-def _norm(v):
-    """||v||: sqrt(v @ v) wherever that is a normal number, so with its bits.
+def _unit(x):
+    """The power of two 2^e with x / 2^e in [1, 2), for a finite x > 0; 1/2 at x = 0.
 
-    Elsewhere v is first divided by the power of two at its largest
-    entry, which is exact, so the norm neither overflows nor underflows
-    while it is representable.
+    Dividing by it is exact wherever the quotient stays normal.
+    """
+    return 2.0 ** (math.frexp(x)[1] - 1)
+
+
+def _norm(v):
+    """||v||, the one vector norm: sqrt(v @ v) wherever that is a normal number, so with its bits.
+
+    Elsewhere v is first divided by the ``_unit`` of its largest entry,
+    which is exact, so the norm neither overflows nor underflows while it
+    is representable.
     """
     sq = float(np.vdot(v, v))  # the same bits as v @ v, but no warning where it overflows
     if _TINY <= sq < math.inf:
@@ -166,7 +174,7 @@ def _norm(v):
     top = float(np.abs(v).max()) if v.size else 0.0
     if top == 0.0 or not math.isfinite(top):
         return top
-    unit = 2.0 ** (math.frexp(top)[1] - 1)
+    unit = _unit(top)
     w = v / unit
     return math.sqrt(np.vdot(w, w)) * unit
 
@@ -275,15 +283,20 @@ class _Projection:
     which ``lift`` assembles from its coordinates against the v_i.  A
     full singular system is exact: it is ``exhausted`` and certifies
     every alpha.  ``outside_sq`` is g(0+).
+
+    Like every projection, it holds f divided by ``unit``, the ``_unit``
+    of ||f||, so that no square it forms overflows or underflows.
+    ``discrepancy``, ``moments`` and ``outside_sq`` are in those scaled
+    units, ``solution`` in the data's.
     """
 
     exhausted = True
     steps = 0
     path = "spectral"
 
-    def __init__(self, sigma, coeff, outside_sq, lift):
+    def __init__(self, sigma, coeff, outside_sq, lift, unit):
         self.sigma, self.coeff, self.outside_sq = sigma, coeff, float(outside_sq)
-        self._lift = lift
+        self._lift, self.unit = lift, unit
 
     def discrepancy(self, alpha):
         """g(alpha) and its slope dg/d(ln alpha) = sum_i 2 w_i^2 (1 - w_i) c_i^2."""
@@ -301,8 +314,8 @@ class _Projection:
         return self.sigma / (self.sigma**2 + alpha) * self.coeff
 
     def solution(self, alpha):
-        """The regularized solution u_alpha."""
-        return self._lift(self._coordinates(alpha))
+        """The regularized solution u_alpha, in the data's units."""
+        return self._lift(self._coordinates(alpha)) * self.unit
 
     def certifies(self, alpha):
         """Whether ``solution(alpha)`` is the minimizer for A itself."""
@@ -330,6 +343,9 @@ class _KrylovProjection:
     One loop, ``_rotations``, computes damped LSQR's rotations for all
     three: the sweep, the certificate's s_{k+1}, which the sweep returns,
     and the sizing.
+    As in ``_Projection``, beta_1, and so ``discrepancy``, ``moments`` and
+    ``outside_sq``, are for f divided by ``unit``, the ``_unit`` of ||f||;
+    ``solution`` is in the data's units.
     ``products`` and ``subtractions`` count the vectors whose product with
     their basis was formed and those that were orthogonalized.
     """
@@ -347,14 +363,15 @@ class _KrylovProjection:
         self._rel_tolerance = cfg.rel_tolerance
         self._capped = cap is not None
         self._budget = cfg.budget(op.domain_dim) if cap is None else cap
-        self._norm = 0.0  # largest bidiagonal entry: a lower bound on ||A||
+        self._largest = 0.0  # largest bidiagonal entry: a lower bound on ||A||
         self._sized = False  # whether the LSQR monitor chose the current size
         self._u_loss = self._v_loss = 0.0  # bounds on the newest u's and v's loss
         self.steps = self.products = self.subtractions = 0
         beta = _norm(f)
+        self.unit = _unit(beta)
         self._u = (f / beta)[None, :]
         self._v = np.empty((1, op.domain_dim))
-        self._beta = [beta]
+        self._beta = [beta / self.unit]
         self._alpha = []
         self._orthogonal_step(op.apply_adjoint(self._u[0]), 0.0)
         self._grow(min(_KRYLOV_START, self._budget))
@@ -385,8 +402,8 @@ class _KrylovProjection:
         largest bidiagonal entry, or a basis already spanning its space,
         is breakdown: nothing is stored and the norm is returned as 0.
         """
-        norm = math.sqrt(vec @ vec)
-        loss = (carried + _ROUNDING * self._norm) / norm if norm > 0.0 else 0.0
+        norm = _norm(vec)
+        loss = (carried + _ROUNDING * self._largest) / norm if norm > 0.0 else 0.0
         if loss > _LOSS_LIMIT and count:
             self.products += 1
             basis = rows[:count]
@@ -397,13 +414,13 @@ class _KrylovProjection:
                 self.subtractions += 1
                 before, loss = norm, _EPS
                 vec = vec - coefficients @ basis
-                norm = math.sqrt(vec @ vec)
+                norm = _norm(vec)
                 if norm < before * _DGKS_RATIO:
                     vec = vec - (basis @ vec) @ basis
-                    norm = math.sqrt(vec @ vec)
+                    norm = _norm(vec)
         if not math.isfinite(norm):
             raise InvalidParameterError("operator output must be finite; it holds inf or nan")
-        if norm <= DEFAULT_RANK_TOLERANCE * self._norm or count == rows.shape[1]:
+        if norm <= DEFAULT_RANK_TOLERANCE * self._largest or count == rows.shape[1]:
             return rows, 0.0, loss
         if count == rows.shape[0]:
             rows = np.concatenate([rows, np.empty_like(rows)])
@@ -416,10 +433,10 @@ class _KrylovProjection:
         # alpha_k <v_k, v_i> = beta_{i+1} <u_k, u_{i+1}> + alpha_i <u_k, u_i>
         # - beta_k <v_{k-1}, v_i>, up to rounding, with alpha_i, beta_{i+1}
         # at most the largest entry.
-        carried = 2.0 * self._norm * self._u_loss + beta * self._v_loss
+        carried = 2.0 * self._largest * self._u_loss + beta * self._v_loss
         self._v, alpha, self._v_loss = self._append(self._v, k, vec, carried)
         self._alpha.append(alpha)
-        self._norm = max(self._norm, alpha)
+        self._largest = max(self._largest, alpha)
         self.exhausted = alpha == 0.0
 
     def _step(self):
@@ -429,10 +446,10 @@ class _KrylovProjection:
         vec = self._op.apply(self._v[j]) - alpha * self._u[j]
         # beta_{k+1} <u_{k+1}, u_i> = alpha_i <v_k, v_i> + beta_i <v_k, v_{i-1}>
         # - alpha_k <u_k, u_i>, up to rounding.
-        carried = 2.0 * self._norm * self._v_loss + alpha * self._u_loss
+        carried = 2.0 * self._largest * self._v_loss + alpha * self._u_loss
         self._u, beta, self._u_loss = self._append(self._u, j + 1, vec, carried)
         self._beta.append(beta)
-        self._norm = max(self._norm, beta)
+        self._largest = max(self._largest, beta)
         self.steps = j + 1
         if beta == 0.0:
             self._alpha.append(0.0)
@@ -546,8 +563,8 @@ class _KrylovProjection:
         return self._sweep(alpha)[2:4]
 
     def solution(self, alpha):
-        """The projected solution x_k = V_k y."""
-        return self._sweep(alpha)[1] @ self._basis
+        """The projected solution x_k = V_k y, in the data's units."""
+        return self._sweep(alpha)[1] @ self._basis * self.unit
 
     def _error_bound(self, alpha):
         """The certified bound |alpha_{k+1} s_{k+1}| / alpha on ||x_k - u_alpha||, over ||x_k||.
@@ -1377,7 +1394,9 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
     The start vector is drawn from a fixed internal seed, so repeated
     calls give identical iterates.  Stops when successive estimates agree
     to a relative ``tol``; under a generic start this tracks the relative
-    error of the estimate.
+    error of the estimate.  Every norm is ``_norm``, so scaling A by a
+    power of two scales the estimate by it exactly while A^T A v stays
+    representable: past ||A|| ~ 1e154 that vector itself overflows.
 
     Raises
     ------
@@ -1394,18 +1413,18 @@ def operator_norm_estimate(op, tol=1e-10, max_iters=5000):
     max_iters = _check_count(max_iters, "max_iters")
     rng = np.random.default_rng(np.random.Philox(_POWER_START_SEED))
     v = rng.standard_normal(op.domain_dim)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     estimate = np.inf
     for k in range(max_iters):
         w = op.apply(v)
-        current = float(np.linalg.norm(w))
+        current = _norm(w)
         if current == 0.0:
             return 0.0
         if abs(current - estimate) <= tol * current:
             return current
         estimate = current
         z = op.apply_adjoint(w)
-        nz = np.linalg.norm(z)
+        nz = _norm(z)
         if nz == 0.0:
             return current
         v = z / nz
@@ -1497,14 +1516,18 @@ class SpectralDecomposition:
     def _project(self, f, cfg=None):
         """The ``_Projection`` of data f: U^T f, and ||f - U U^T f||^2 once.
 
+        Both are taken for f divided by its ``unit``, the ``_unit`` of
+        ||f||: U^T (f / unit) = (U^T f) / unit term by term, exactly.
         Left vectors that span the whole range leave no part of f outside.
         """
+        unit = _unit(_norm(f))
+        f = f / unit
         coeff = self.range_coefficients(f)
         outside_sq = 0.0
         if self.rank < self.range_dim:
             outside = f - self._left(coeff)
             outside_sq = outside @ outside
-        return _Projection(self.singular_values, coeff, outside_sq, self._right)
+        return _Projection(self.singular_values, coeff, outside_sq, self._right, unit)
 
 
 class _AxesDecomposition(SpectralDecomposition):
@@ -1908,7 +1931,7 @@ def filter_factors(singular_values, alpha):
 def null_space_residual(decomp, f):
     """Norm of the component of f orthogonal to the range of A."""
     f = _as_data(f, decomp.range_dim, "f")
-    return float(np.linalg.norm(f - decomp.project_range(f)))
+    return _norm(f - decomp.project_range(f))
 
 
 def minimal_norm_solution(decomp, f):
@@ -1934,8 +1957,8 @@ def minimal_norm_solution(decomp, f):
     s = decomp.singular_values
     kept = _kept(s, tolerance)
     coeff = decomp.range_coefficients(f)
-    out_of_range = float(np.linalg.norm(f - decomp._left(coeff * kept)))
-    norm_f = float(np.linalg.norm(f))
+    out_of_range = _norm(f - decomp._left(coeff * kept))
+    norm_f = _norm(f)
     if out_of_range > tolerance * norm_f:
         raise NotInRangeError(
             "data has a null-space component of norm "

@@ -235,7 +235,7 @@ def make_problem(name, n, decompose=True, **params):
             # Minimal-norm representative: drop the computed null component.
             y = decomp._right(decomp._right_t(y) * kept)
     f = op.apply(y)
-    if not np.linalg.norm(f) > 0:
+    if not _norm(f) > 0:
         raise InvalidParameterError(
             f"problem {name!r} with n={n} degenerates to zero data"
         )
@@ -268,7 +268,7 @@ def add_noise(problem, delta, seed):
     seed = _check_count(seed, "seed", least=0)
     rng = np.random.default_rng(np.random.Philox(seed))
     direction = rng.standard_normal(problem.op.range_dim)
-    direction /= np.linalg.norm(direction)
+    direction /= _norm(direction)
     f_delta = problem.f + delta * direction
     realized = f_delta - problem.f
     norm_realized = _norm(realized)

@@ -167,10 +167,13 @@ def solve_spectral(decomp, f, alpha):
     The residual norm follows from the same expansion:
     ||A u - f||^2 = sum_i (alpha/(sigma_i^2+alpha))^2 <u_i,f>^2 + ||P f||^2
     with P the projection onto the orthogonal complement of the range.
+    The sum runs on f divided by the projection's ``unit``, a power of
+    two, so it neither overflows nor underflows, and the residual is
+    multiplied back by it.
     """
     a = _check_alpha(alpha)
     projection = decomp._project(_as_data(f, decomp.range_dim, "f"))
-    residual = np.sqrt(projection.discrepancy(a)[0])
+    residual = np.sqrt(projection.discrepancy(a)[0]) * projection.unit
     return _solution(projection.solution(a), a, residual, "spectral", 0)
 
 
@@ -179,7 +182,8 @@ def functional_value(op, u, f, alpha):
     a = _check_alpha(alpha)
     u = _as_vector(u, op.domain_dim, "u")
     f = _as_vector(f, op.range_dim, "f")
-    return float(np.linalg.norm(op.apply(u) - f) ** 2 + a * np.linalg.norm(u) ** 2)
+    residual, norm = _norm(op.apply(u) - f), _norm(u)
+    return residual * residual + a * (norm * norm)
 
 
 def apriori_alpha_schedule(delta):

@@ -301,6 +301,17 @@ def test_sweep_refuses_a_level_that_is_not_positive(deltas):
         run_sweep("diagonal", 8, deltas, seed=1)
 
 
+# inf passed the check, and delta = inf was refused only after the problem
+# was built.
+@pytest.mark.parametrize("deltas", [[math.inf], [math.inf, 1e-3]])
+def test_sweep_refuses_an_infinite_level_before_building(monkeypatch, deltas):
+    built = []
+    monkeypatch.setattr("regkit.experiments.make_problem", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(InvalidParameterError, match="noise levels must be positive"):
+        run_sweep("deriv2", 32, deltas, seed=1)
+    assert built == []
+
+
 # --- verify-bounds ----------------------------------------------------------------------
 
 def test_verify_bounds_table(capsys):

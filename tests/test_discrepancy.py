@@ -536,3 +536,24 @@ def test_no_root_below_reports_g_at_zero_in_the_data_units():
         with pytest.raises(NoRootBelowError) as err:
             solve_alpha(decomp, np.ones(3) * scale, 0.1 * scale)
         assert err.value.g_at_zero == scale * scale
+
+
+# The fixed-alpha routes squared in the data's own units: at 2^600
+# solve_spectral reported residual_norm inf (true value 5.45e178 on deriv2)
+# and 0.0 at 2^-600.
+@pytest.mark.parametrize("k", [600, -600])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_fixed_alpha_spectral_solve_is_invariant_to_the_scale_of_the_data(name, k):
+    prob = make_problem(name, 64)
+    plain = solve_spectral(prob.decomp, prob.f, 1e-3)
+    scaled = solve_spectral(prob.decomp, prob.f * 2.0**k, 1e-3)
+    assert np.array_equal(scaled.u, plain.u * 2.0**k)
+    assert scaled.residual_norm == plain.residual_norm * 2.0**k
+
+
+# On a matrix-free view the square of the residual raised OverflowError.
+@pytest.mark.parametrize("route", ["spectral", "matrix_free"])
+def test_discrepancy_value_overflows_to_inf(route):
+    prob = make_problem("deriv2", 64)
+    system = prob.decomp if route == "spectral" else matrix_free_view(prob.op)
+    assert discrepancy_value(system, prob.f * 2.0**600, 1e-3) == np.inf

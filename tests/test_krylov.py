@@ -151,7 +151,7 @@ def test_bases_stay_orthonormal(name, rel_noise):
     prob = make_problem(name, 256)
     system = gradient_callbacks(256) if name == "gradient_family" else matrix_free_view(prob.op)
     fd, delta = _noisy(prob, rel_noise, 2)
-    _, projection, _ = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
+    _, projection = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
     assert projection.exhausted == (name == "gradient_family")
     for rows in _bases(projection):
         assert _orthonormality(rows) <= 1e-13
@@ -165,7 +165,7 @@ def test_gram_schmidt_runs_on_demand():
     fd, delta = _noisy(prob, 1e-2, 1)
     counts = []
     for _ in range(2):
-        _, projection, _ = _select(gradient_callbacks(256), fd, delta, DiscrepancyConfig(C=C), None)
+        _, projection = _select(gradient_callbacks(256), fd, delta, DiscrepancyConfig(C=C), None)
         assert len(projection._alpha) + len(projection._beta) - 1 == 511
         counts.append((projection.steps, projection.products, projection.subtractions))
     assert counts == [(255, 273, 45)] * 2
@@ -200,7 +200,7 @@ def test_bases_stay_orthonormal_with_gram_schmidt_on_demand(case):
             delta = rel * np.linalg.norm(f)
             fds.append((system, f + delta * rng.standard_normal(f.size) / np.sqrt(4 * f.size), delta))
     for system, fd, delta in fds:
-        _, projection, _ = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
+        _, projection = _select(system, fd, delta, DiscrepancyConfig(C=C), None)
         for rows in _bases(projection):
             assert _orthonormality(rows) <= 1e-13
 
@@ -209,14 +209,14 @@ def test_bases_stay_orthonormal_with_gram_schmidt_on_demand(case):
 def test_deriv2_space_is_sized_not_doubled(seed, factor_sizes):
     prob = make_problem("deriv2", 256)
     fd, delta = _noisy(prob, 1e-3, seed)
-    selection, projection, unit = _select(
+    selection, projection = _select(
         matrix_free_view(prob.op), fd, delta, DiscrepancyConfig(C=C), None
     )
     # Sized by the monitor (k = 13 on these seeds), not doubled to 16.
     assert projection.steps < 2 * operators._KRYLOV_START
     assert len(factor_sizes) <= 2
     reference = solve_spectral(prob.decomp, fd, selection.alpha).u
-    u = projection.solution(selection.alpha) * unit
+    u = projection.solution(selection.alpha)
     assert np.linalg.norm(u - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
@@ -369,7 +369,7 @@ def test_floor_is_zero_on_a_space_exhausted_by_beta(factor_sizes, monkeypatch):
     assert projection.outside_sq == 0.0
     assert reads == factor_sizes == [8, n - 1]
     # Residual matching certifies its root only there, where g(0+) = 0.
-    selection, projection, _ = _select(gradient_callbacks(n), f, 1e-3, DiscrepancyConfig(C=C), None)
+    selection, projection = _select(gradient_callbacks(n), f, 1e-3, DiscrepancyConfig(C=C), None)
     assert projection.exhausted and reads[-1] == n - 1
     assert abs(selection.achieved_residual - C * 1e-3) <= 1e-10 * C * 1e-3
 
@@ -384,7 +384,8 @@ def test_sweep_residual_does_not_cancel():
     for alpha in (1e-12, 1.5e-8, 1e-4):
         a = Fraction(alpha)
         exact = float((a * Fraction(0.0206) / (Fraction(0.1) ** 2 + a)) ** 2)
-        assert projection.discrepancy(alpha)[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        g = projection.discrepancy(alpha)[0] * projection.unit**2  # in the data's units
+        assert g == pytest.approx(exact, rel=1e-12, abs=0.0)
     solution, selection = discrepancy.regularized_solve_auto(op, f, delta)
     target = C * delta
     assert abs(selection.achieved_residual - target) <= 1e-10 * target

@@ -216,6 +216,16 @@ def test_norm_estimate_validation():
         operator_norm_estimate(op, max_iters=0)
 
 
+# ||A||^2 overflowed or underflowed in the norm of A^T A v: diag(2s, s)
+# read 0.0 at s = 1e100 and 0.975 * 2s at s = 1e-100.
+@pytest.mark.parametrize("k", [300, 500, -300, -500])
+@pytest.mark.parametrize("view", [lambda op: op, matrix_free_view], ids=["diagonal", "matrix_free"])
+def test_norm_estimate_is_invariant_to_the_scale_of_the_operator(view, k):
+    s = 2.0**k
+    plain = operator_norm_estimate(view(DiagonalOperator([2.0, 1.0])))
+    assert operator_norm_estimate(view(DiagonalOperator([2.0 * s, s]))) == plain * s
+
+
 # Each is refused before the first matvec.  nan ran the whole budget into a
 # ConvergenceError, inf stopped after one step (2.907 for a norm of 3), and
 # int(nan) leaked a ValueError.
@@ -432,6 +442,17 @@ def test_null_space_residual_full_rank():
 def test_null_space_residual_mixed():
     decomp = svd_decompose(DenseOperator(np.diag([1.0, 0.0])))
     assert null_space_residual(decomp, [4.0, 3.0]) == pytest.approx(3.0)
+
+
+# Both norms of the range test overflowed to inf or underflowed to 0, so
+# data outside the range passed it.
+@pytest.mark.parametrize("k", [600, -600])
+def test_range_test_holds_at_any_scale_of_the_data(k):
+    decomp = diagonal_decomposition([1.0, 0.5, 0.0])
+    f = np.array([1.0, 1.0, 1e-3]) * 2.0**k
+    with pytest.raises(NotInRangeError):
+        minimal_norm_solution(decomp, f)
+    assert null_space_residual(decomp, f) == pytest.approx(1e-3 * 2.0**k, rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

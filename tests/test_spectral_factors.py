@@ -5,6 +5,7 @@ axes, and a decomposition whose left vectors span the range skips the
 complement product.  Both must give the same bits as the dense formulas.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -124,9 +125,12 @@ class _ComplementFormula(SpectralDecomposition):
 
     def _project(self, f, cfg=None):
         d = self._decomp
+        # The power of two that puts ||f|| in [1, 2), the unit every projection divides by.
+        unit = 2.0 ** (math.frexp(np.linalg.norm(f))[1] - 1)
+        f = f / unit
         coeff = d._left_t(f)
         outside = f - d._left(coeff)
-        return _Projection(self.singular_values, coeff, outside @ outside, d._right)
+        return _Projection(self.singular_values, coeff, outside @ outside, d._right, unit)
 
 
 @pytest.mark.parametrize("name", ["deriv2", "phillips", "gradient_family"])
