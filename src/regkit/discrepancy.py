@@ -11,8 +11,8 @@ the closure of the range of A, with limits
 Given ||f_delta|| > C * delta with C > 1, the equation g(alpha) =
 (C delta)^2 therefore has exactly one positive root.  The solver projects
 the data once onto a singular system of the operator (for matrix-free
-operators, and for the first selection on a fresh symmetric dense
-matrix, a Golub-Kahan Krylov space grown until it certifies the root),
+operators, and for operators whose system would be an eigh and is not
+built yet, a Golub-Kahan Krylov space grown until it certifies the root),
 and runs Newton's method on phi(beta) = (g(1/beta) - g(0+))^(-1/2)
 in beta = 1/alpha from beta = 0, alpha = infinity.  phi is concave and
 increasing, so the iterates climb to the root without crossing it, as in
@@ -132,12 +132,14 @@ def solve_alpha(system, f_delta, delta, cfg=None, solver_cfg=None):
     the same of a Toeplitz operator's matrix up to ``MAX_DENSE_DIM``, the
     closed form of a diagonal, gradient or Green's one, or a Golub-Kahan
     Krylov space for any other, extended until its solution at the root
-    is certified.  The first selection on a dense operator with an
-    exactly symmetric matrix and no system yet takes the Krylov space,
-    to at most max(32, n // 8) steps, and moves to the factorization
-    only if the space has not certified the root by then; later
-    selections on that operator reuse the factorization.  The space
-    honours ``solver_cfg.rel_tolerance``; its cap replaces
+    is certified.  A selection on an operator with ``_space_first`` (an
+    exactly symmetric dense matrix, or a symmetric Toeplitz one with
+    closed-form entries, up to ``MAX_DENSE_DIM``) whose system is not
+    built yet takes the Krylov space, to at most max(32, n // 8) steps,
+    and builds the factorization only if the space has not certified the
+    root by then; later selections on that operator read the
+    factorization once it is built, and take a space while it is not.
+    The space honours ``solver_cfg.rel_tolerance``; its cap replaces
     ``max_iterations``.  Every g(alpha) is then O(rank) arithmetic
     on the projected spectrum, or on a Krylov space of dimension k one
     O(k) sweep of Givens rotations over its bidiagonal.  The root is
@@ -202,8 +204,8 @@ def _select(system, f_delta, delta, cfg, solver_cfg):
             return selection, projection
         alpha = None if selection is None else selection.alpha
         if not projection.extend(alpha):
-            # A capped space did not certify: select on the operator's
-            # singular system, from scratch.
+            # A capped space did not certify: build the operator's
+            # singular system and select on it, from scratch.
             projection, alpha = system._system._project(f_delta), None
 
 
@@ -291,7 +293,7 @@ def regularized_solve_auto(system, f_delta, delta, cfg=None, solver_cfg=None):
     ``_select``), and its ``path`` names that projection:
     ``"spectral"`` for a singular system, ``"krylov"`` for a Golub-Kahan
     space (a matrix-free operator, a Toeplitz one above ``MAX_DENSE_DIM``,
-    or the first selection on a fresh symmetric dense matrix).  On a
+    or one with ``_space_first`` whose space certified).  On a
     decomposition its residual is the selection's ``achieved_residual``,
     the exact spectral sum ``solve_spectral`` would compute; on an
     operator it is recomputed through the operator.

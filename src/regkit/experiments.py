@@ -144,10 +144,13 @@ def _finish(problem, solution, delta, c_label, started):
 def _system(problem):
     """What selection runs on: the problem's singular system, else its operator.
 
-    Only hilbert and phillips above ``MAX_DENSE_DIM`` have no system; their
-    operators then grow a Golub-Kahan space on the FFT apply.
+    The operator where it has ``_space_first`` (phillips up to
+    ``MAX_DENSE_DIM``), which tries a capped Golub-Kahan space before it
+    factors, or no system (hilbert and phillips above it), where the
+    space grows on the FFT apply.
     """
-    return problem.op if problem.decomp is None else problem.decomp
+    op = problem.op
+    return op if op._space_first or op._system is None else op._system
 
 
 def _solve_fixed(problem, f, alpha):
@@ -183,9 +186,12 @@ def run_sweep(name, n, deltas, seed, rule="discrepancy", C=1.5, params=None):
     Rows are ordered by the given deltas regardless of execution order.
     The same seed drives every row, so the perturbation direction is
     shared and only its amplitude changes along the sweep.  C is read
-    only by the discrepancy rule, before the problem is built.
+    only by the discrepancy rule, before the problem is built.  An empty
+    list of levels raises InvalidParameterError, before it too.
     """
     deltas = [_as_real(d, "noise level") for d in deltas]
+    if not deltas:
+        raise InvalidParameterError("a sweep needs at least one noise level")
     if not all(0 < d < math.inf for d in deltas):
         raise InvalidParameterError(f"all noise levels must be positive and finite, got {deltas}")
     if not all(b < a for a, b in zip(deltas, deltas[1:])):
@@ -260,8 +266,12 @@ def run_verify_bounds(family, ns, alphas, params=None, slack=1e-12):
     ``MAX_DENSE_DIM``, which have none, raise ``SizeLimitError``.  An
     alpha that is not positive raises InvalidParameterError before any
     row is measured, and each n is checked as ``make_problem`` checks it.
+    An empty list of sizes or of alphas, which would vouch for nothing,
+    raises InvalidParameterError before any problem is built.
     """
     alphas = [_check_alpha(alpha) for alpha in alphas]
+    if not alphas or not ns:
+        raise InvalidParameterError("verify-bounds needs at least one size and one alpha")
     rows = []
     violations = 0
     for n in ns:

@@ -20,17 +20,20 @@ first read: a factored matrix up to ``MAX_DENSE_DIM``, sorted diagonal
 entries, the closed-form cosine and sine transforms of the gradient
 and Green's operators, or none.  Theorem 1 bounds every filter
 factor by 1 / (2 sqrt(alpha)), so no sigma > 0 is dropped for a Tikhonov
-solve; ``make_problem`` attaches the same object.  Only at alpha = 0 is
-a system truncated: ``svd_decompose`` and ``diagonal_decomposition``
-factor one at a rank tolerance (``_decompose``).
+solve; ``ProblemInstance.decomp`` reads the same object.  Only at
+alpha = 0 is a system truncated: ``svd_decompose`` and
+``diagonal_decomposition`` factor one at a rank tolerance
+(``_decompose``).
 The Tikhonov kernels that the routes in ``tikhonov`` call live in the
 base class, and so does residual matching (``_project``).  Each reads
 ``_system``, or, when there is none, one Golub-Kahan space grown until
-it certifies alpha.  A dense operator's first selection on an exactly
-symmetric matrix takes that space too, capped, before its system is
-built (``DenseOperator._project``).  Only dense operators override the
-kernels, with QR forms on the matrix, so that the routes stay
-independent checks of each other and of the other kinds.  The
+it certifies alpha.  A kind whose system is a whole eigh (an exactly
+symmetric dense matrix, or a symmetric Toeplitz one with closed-form
+entries) sets ``_space_first``: its selections take that space too,
+capped, and build the system only when a space fails to certify.
+Only dense operators override the kernels, with QR forms on the
+matrix, so that the routes stay independent checks of each other and
+of the other kinds.  The
 Krylov bases stay orthonormal to working precision, with Gram-Schmidt
 only where an O(1) bound on the loss of orthogonality asks for it; one
 method, ``_KrylovProjection._append``, bounds, measures, orthogonalizes
@@ -376,7 +379,8 @@ class _KrylovProjection:
         self._orthogonal_step(op.apply_adjoint(self._u[0]), 0.0)
         self._grow(min(_KRYLOV_START, self._budget))
         while alpha is not None and not self.certifies(alpha):
-            self.extend(alpha)
+            if not self.extend(alpha):
+                break
 
     def _append(self, rows, count, vec, carried):
         """Store vec as rows[count]: (rows, norm, a bound on its loss of orthogonality).
@@ -729,11 +733,27 @@ class LinearOperator:
     #: Krylov space.  The kinds that have one build it once, on first read.
     _system = None
 
+    #: Whether a selection tries a capped Krylov space before building
+    #: ``_system``: set at construction by the kinds whose system is a
+    #: whole factorization.
+    _space_first = False
+
     def _project(self, f, cfg, alpha=None):
         """The ``_Projection`` of data f on ``_system``, else a Krylov space.
 
-        The Krylov space is grown until it certifies ``alpha``, if one is given.
+        The Krylov space is grown until it certifies ``alpha``, if one is
+        given.  A selection (no ``alpha``) on an operator with
+        ``_space_first`` whose system is not built yet takes the space
+        first, capped at ``max(32, n // 8)`` steps: that costs a few dozen
+        products, where the system costs an eigh of the matrix.  A space
+        that has not certified the root by then makes ``extend`` return
+        False, and ``discrepancy._select`` builds ``_system`` and selects on
+        it; later selections read the built system.  So only a failed
+        space factors, and k selections that each certify cost k spaces
+        and no factorization.
         """
+        if alpha is None and self._space_first and "_system" not in vars(self):
+            return _KrylovProjection(self, f, cfg, cap=max(32, self.domain_dim // 8))
         if self._system is None:
             return _KrylovProjection(self, f, cfg, alpha)
         return self._system._project(f)
@@ -750,10 +770,13 @@ class DenseOperator(LinearOperator):
 
     ``matrix`` is a read-only copy of the caller's real array; complex
     entries are refused, not cast.  Its singular system is built on first
-    read (``_matrix_system``), which a selection makes unless it is the
-    first on an exactly symmetric matrix: that one runs on a capped
-    Golub-Kahan space and factors only if the space does not certify
-    (``_project``).
+    read (``_matrix_system``).  An exactly symmetric matrix up to
+    ``MAX_DENSE_DIM`` has ``_space_first``: its selections run on a capped
+    Golub-Kahan space and factor only once one does not certify
+    (``LinearOperator._project``).  On a random symmetric matrix or
+    D^T D, whose spaces do not certify early, such a selection takes 1.3
+    to 2.7 times as long as factoring and selecting alone, at n = 128 to
+    1024 (one BLAS thread, 2-core VM).
     """
 
     kind = "dense"
@@ -769,6 +792,7 @@ class DenseOperator(LinearOperator):
         matrix.setflags(write=False)
         self.matrix = matrix
         super().__init__(matrix.shape[0], matrix.shape[1])
+        self._space_first = max(matrix.shape) <= MAX_DENSE_DIM and _is_symmetric(matrix)
 
     def apply(self, x):
         return self.matrix @ _as_vector(x, self.domain_dim, "x")
@@ -814,33 +838,6 @@ class DenseOperator(LinearOperator):
         return _matrix_system(self._rows, self.matrix.shape, rank_tolerance)
 
     _system = functools.cached_property(_decompose)
-
-    #: Whether a selection has projected data on this operator.
-    _selected = False
-
-    def _project(self, f, cfg, alpha=None):
-        """A Golub-Kahan space for the first selection on a symmetric matrix, else ``_system``.
-
-        Selecting on the space costs a few dozen products with the matrix,
-        where the system costs a whole factorization.  It is tried only
-        on a fresh operator: one whose ``_system`` is unbuilt, that no
-        selection has used, that is exactly symmetric and that has a
-        system to fall back to.  Its budget is capped at
-        ``max(32, n // 8)`` steps; a space that has not certified the root
-        by then makes ``extend`` return False, and ``discrepancy._select``
-        selects on ``_system`` instead.  Later selections take ``_system``
-        at once, so k selections on one operator cost at most one space and
-        one factorization.  On a random symmetric matrix or D^T D, whose
-        spaces do not certify early, the first selection takes 1.3 to 2.7
-        times as long as factoring and selecting alone, at n = 128 to 1024
-        (one BLAS thread, 2-core VM).  Two first selections that run at
-        once may each take a space; each result is certified either way.
-        """
-        fresh = not self._selected and "_system" not in vars(self)
-        self._selected = True
-        if fresh and self.domain_dim <= MAX_DENSE_DIM and _is_symmetric(self.matrix):
-            return _KrylovProjection(self, f, cfg, cap=max(32, self.domain_dim // 8))
-        return super()._project(f, cfg, alpha)
 
 
 def _is_symmetric(matrix):
@@ -1283,7 +1280,13 @@ class ToeplitzOperator(LinearOperator):
     factorization, mostly without the matrix (``_decompose``), and the
     kernels filter through it, as for the other kinds with a system.
     Above it there is no system, and selection and solves grow a
-    Golub-Kahan space on the FFT apply.
+    Golub-Kahan space on the FFT apply.  A symmetric operator (t a
+    palindrome, or Hankel) with ``entries`` has ``_space_first`` up to
+    ``MAX_DENSE_DIM``: its system would be an eigh of the matrix or of
+    its reflection blocks, so its selections try a capped space first
+    (``LinearOperator._project``).  Without ``entries`` its system is one
+    random block on FFT products, cheap when the rank is low, as for
+    hilbert.
     """
 
     kind = "toeplitz"
@@ -1299,6 +1302,10 @@ class ToeplitzOperator(LinearOperator):
         if entries is not None and not callable(entries):
             raise InvalidParameterError(f"entries must be callable, got {type(entries).__name__}")
         self._closed_form = entries
+        # Read off t, A = A^T iff A is Hankel or t is a palindrome.
+        self._symmetric = self._hankel or np.array_equal(values, values[::-1])
+        # A symmetric closed form gets no FFT random block: its system is an eigh.
+        self._space_first = n <= MAX_DENSE_DIM and self._symmetric and entries is not None
         # The spectra of T's and T^T's symbols, zero-padded to the circulant.
         self._spectra = (np.fft.rfft(values, 2 * n), np.fft.rfft(values[::-1], 2 * n))
 
@@ -1351,10 +1358,8 @@ class ToeplitzOperator(LinearOperator):
         n = self.domain_dim
         if n > MAX_DENSE_DIM:
             return None
-        # Read off t, A = A^T iff A is Hankel or t is a palindrome.
-        values = self._values
-        symmetric = self._closed_form is None and (self._hankel or np.array_equal(values, values[::-1]))
-        return _matrix_system(self._rows, (n, n), rank_tolerance, _FFTProducts(self) if symmetric else None)
+        products = _FFTProducts(self) if self._symmetric and self._closed_form is None else None
+        return _matrix_system(self._rows, (n, n), rank_tolerance, products)
 
     _system = functools.cached_property(_decompose)
 

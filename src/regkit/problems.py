@@ -2,11 +2,13 @@
 
 Every catalog entry constructs the solution vector first and defines the
 exact data as its image, so the constructed system is solvable by
-construction.  When the computed singular system has values at or below
-``DEFAULT_RANK_TOLERANCE * sigma_1``, the solution is projected onto the
-row space of the others, making it the minimal-norm representative of
-the data it generates.  hilbert and phillips above ``MAX_DENSE_DIM`` have
-no singular system, so their solution is left as constructed.
+construction.  When the operator's singular system is cheap to build
+and has values at or below ``DEFAULT_RANK_TOLERANCE * sigma_1``, the
+solution is projected onto the row space of the others, making it the
+minimal-norm representative of the data it generates.  phillips' system
+is an eigh of its matrix, which its selections avoid
+(``LinearOperator._project``), and hilbert above ``MAX_DENSE_DIM`` has
+none, so their solution is left as constructed.
 
 Noise directions come from the Philox counter-based generator (64-bit,
 keyed by the caller's seed), so noisy data is reproducible bit-for-bit
@@ -57,15 +59,17 @@ class ProblemInstance:
     """An operator with its exact minimal-norm solution and exact data.
 
     Invariants: f = A y up to rounding, computed through ``op.apply``, and
-    f is nonzero.  ``decomp`` is ``op._system``, untruncated: at alpha = 0
-    use ``svd_decompose(op)``, or ``minimal_norm_solution(decomp, f)``,
-    which reads it at ``DEFAULT_RANK_TOLERANCE``.  Wherever ``decomp`` is
-    set, y is orthogonal to its null space at that tolerance, and so the
-    minimal-norm solution.  hilbert and phillips above ``MAX_DENSE_DIM``
-    have no system: ``decomp`` is None and y is the unprojected profile,
-    which for hilbert's numerically rank-deficient matrix is not
-    minimal-norm.  Two instances are equal only if they are the same
-    object.
+    f is nonzero.  ``decomp`` is ``op._system``, untruncated and built on
+    first read: at alpha = 0 use ``svd_decompose(op)``, or
+    ``minimal_norm_solution(decomp, f)``, which reads it at
+    ``DEFAULT_RANK_TOLERANCE``.  Where the operator has a system and no
+    ``_space_first``, y is orthogonal to its null space at that
+    tolerance, and so the minimal-norm solution.  phillips' y is never
+    projected: it is the profile at every n.  hilbert and phillips above
+    ``MAX_DENSE_DIM`` have no system: ``decomp`` is None and y is the
+    unprojected profile, which for hilbert's numerically rank-deficient
+    matrix is not minimal-norm.  Two instances are equal only if they are
+    the same object.
     """
 
     name: str
@@ -74,7 +78,11 @@ class ProblemInstance:
     op: LinearOperator
     y: np.ndarray
     f: np.ndarray
-    decomp: SpectralDecomposition | None = None
+
+    @property
+    def decomp(self) -> SpectralDecomposition | None:
+        """``op._system``, built on first read; None where there is none."""
+        return self.op._system
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +189,7 @@ PROBLEM_SUMMARIES = {
 }
 
 
-def make_problem(name, n, decompose=True, **params):
+def make_problem(name, n, **params):
     """Build a catalog problem of size n.
 
     Parameters
@@ -194,20 +202,20 @@ def make_problem(name, n, decompose=True, **params):
         hilbert (a Hankel matrix) and phillips (a Toeplitz one) are
         of kind ``ToeplitzOperator``, applied by FFT; each builds its n x n
         matrix only when ``op.matrix`` is read, or for a factorization
-        that needs it (hilbert below n = 256).
-    decompose : bool
-        Build ``op._system``, attach it and project the solution on its
-        vectors above ``DEFAULT_RANK_TOLERANCE * sigma_1``.  For hilbert
-        and phillips up to ``MAX_DENSE_DIM``, that factors the matrix
-        without building it: at n = 4096 hilbert's set-up keeps 1 MiB and
-        peaks at 7 MiB, and phillips' keeps 64 MiB of eigenvectors, held
-        once for both sides of its symmetric blocks, and peaks at 97 MiB
-        (tracemalloc).  hilbert's system, of rank 20 to 27 for n from 256
-        to 4096, comes from one certified random block on FFT products in
-        O(n r log n): ~7 ms at n = 1024, where factoring the whole matrix
-        takes ~250 ms, and no later solve on ``op`` factors.  Above
-        ``MAX_DENSE_DIM`` they have no system, ``decomp`` stays None and
-        the solution is not projected.
+        that needs it (hilbert below n = 256).  The solution is projected
+        on ``op._system``'s vectors above ``DEFAULT_RANK_TOLERANCE *
+        sigma_1`` wherever the operator has no ``_space_first``, which
+        builds that system here.  hilbert's, of rank 20 to 27 for n from
+        256 to 4096, comes from one certified random block on FFT products
+        in O(n r log n): ~7 ms at n = 1024, where factoring the whole
+        matrix takes ~250 ms; at n = 4096 its set-up keeps 1 MiB and peaks
+        at 7 MiB (tracemalloc).  phillips is ``_space_first``, so nothing
+        is factored here: its system, the eigh of two reflection blocks
+        without the matrix, is built on the first read of ``decomp``, a
+        fixed-alpha solve or a selection whose capped space fails.  At n
+        = 4096 that keeps 64 MiB of eigenvectors, held once for both sides
+        of its symmetric blocks, and peaks at 97 MiB.  Above
+        ``MAX_DENSE_DIM`` neither has a system and ``decomp`` is None.
     **params
         Problem-specific parameters, e.g. ``p`` for ``diagonal``.
 
@@ -228,7 +236,7 @@ def make_problem(name, n, decompose=True, **params):
         raise InvalidParameterError(
             f"bad parameters for problem {name!r}: {exc}"
         ) from None
-    decomp = op._system if decompose else None
+    decomp = None if op._space_first else op._system
     if decomp is not None:
         kept = _kept(decomp.singular_values, DEFAULT_RANK_TOLERANCE)
         if kept.sum() < op.domain_dim:
@@ -246,7 +254,6 @@ def make_problem(name, n, decompose=True, **params):
         op=op,
         y=_readonly(y),
         f=_readonly(f),
-        decomp=decomp,
     )
 
 

@@ -11,7 +11,7 @@ from regkit import (
     GreenOperator,
     MatrixFreeOperator,
 )
-from regkit.problems import _grid
+from regkit.problems import _CATALOG, _grid
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests' child
 # interpreters need it too when regkit is not installed.
@@ -23,6 +23,11 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 def philox(seed):
     return np.random.default_rng(np.random.Philox(seed))
+
+
+def catalog_operator(name, n):
+    """The catalog problem's operator as its builder makes it, with nothing read or factored."""
+    return _CATALOG[name](n)[0]
 
 
 def phillips_grid(n):

@@ -301,14 +301,38 @@ def test_sweep_refuses_a_level_that_is_not_positive(deltas):
         run_sweep("diagonal", 8, deltas, seed=1)
 
 
+def _builds(monkeypatch):
+    """The arguments of every problem the runners build from now on."""
+    built = []
+    monkeypatch.setattr("regkit.experiments.make_problem", lambda *args, **kwargs: built.append(args))
+    return built
+
+
 # inf passed the check, and delta = inf was refused only after the problem
 # was built.
 @pytest.mark.parametrize("deltas", [[math.inf], [math.inf, 1e-3]])
 def test_sweep_refuses_an_infinite_level_before_building(monkeypatch, deltas):
-    built = []
-    monkeypatch.setattr("regkit.experiments.make_problem", lambda *args, **kwargs: built.append(args))
+    built = _builds(monkeypatch)
     with pytest.raises(InvalidParameterError, match="noise levels must be positive"):
         run_sweep("deriv2", 32, deltas, seed=1)
+    assert built == []
+
+
+# Each printed an empty table and "all bounds hold", or a CSV of only its
+# header, and exited 0.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-bounds", "--family", "deriv2", "--ns", "", "--alphas", "1e-2"],
+        ["verify-bounds", "--family", "deriv2", "--ns", "64", "--alphas", ","],
+        ["sweep", "--problem", "deriv2", "--n", "16", "--deltas", ","],
+    ],
+)
+def test_an_empty_list_is_refused_before_building(monkeypatch, capsys, argv):
+    built = _builds(monkeypatch)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at least one" in err
     assert built == []
 
 

@@ -1,12 +1,12 @@
-"""Selection on a fresh symmetric dense matrix runs on a Golub-Kahan space.
+"""Selection on a symmetric dense matrix runs on a Golub-Kahan space.
 
-The first selection on a ``DenseOperator`` whose singular system is
-unbuilt and whose matrix is exactly symmetric projects the data on a
-certified Golub-Kahan space of at most max(32, n // 8) steps, and factors
-nothing.  A space that does not certify by then falls back to the system,
-and every later selection on the operator uses the system: k selections
-cost at most one space and one factorization.  Any other matrix selects
-on its system at once, as before.
+A selection on a ``DenseOperator`` whose singular system is unbuilt and
+whose matrix is exactly symmetric projects the data on a certified
+Golub-Kahan space of at most max(32, n // 8) steps, and factors nothing.
+Only a space that does not certify by then builds the system, and
+selects on it; every later selection on the operator reads the system.
+So k selections whose spaces certify cost k spaces and no factorization.
+Any other matrix selects on its system at once, as before.
 """
 
 import functools
@@ -23,7 +23,7 @@ from regkit import (
 )
 from regkit.operators import _KrylovProjection
 
-from conftest import philox
+from conftest import catalog_operator, philox
 
 REL_NOISE = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
 
@@ -92,7 +92,7 @@ def test_fresh_symmetric_selection_factors_nothing(monkeypatch, name, n):
 @pytest.mark.parametrize("n", [128, 129])
 def test_nonsymmetric_dense_selection_keeps_the_system_bits(monkeypatch, n):
     # gradient_family's matrix, and phillips' one ulp off symmetric.
-    skewed = np.array(make_problem("phillips", n, decompose=False).op.matrix)
+    skewed = np.array(catalog_operator("phillips", n).matrix)
     skewed[0, 1] = np.nextafter(skewed[0, 1], np.inf)
     steps = _count_steps(monkeypatch)
     for matrix in (GradientOperator(n).matrix, skewed):
@@ -146,20 +146,37 @@ def test_space_past_its_cap_factors_once(monkeypatch, build):
         assert selection == want_selection
 
 
-def test_three_selections_make_one_factorization(monkeypatch):
+def test_three_selections_factor_nothing(monkeypatch):
+    # Each selection whose space certifies leaves the system unbuilt, so the
+    # next one takes a space too.
     prob = make_problem("phillips", 128)
     op = DenseOperator(prob.op.matrix)
     built, steps = _count_systems(monkeypatch), _count_steps(monkeypatch)
-    paths = []
     for k, rel in enumerate([1e-2, 1e-3, 1e-4]):
         noisy = add_noise(prob, rel * np.linalg.norm(prob.f), seed=k)
+        before = steps[0]
         solution, _ = regularized_solve_auto(op, noisy.f_delta, noisy.delta)
-        paths.append(solution.path)
-        if k == 0:
-            taken = steps[0]
-    assert paths == ["krylov", "spectral", "spectral"]
-    assert built == [op]
-    assert 0 < taken == steps[0]
+        assert solution.path == "krylov"
+        assert 0 < steps[0] - before == solution.iterations
+    assert built == []
+
+
+def test_selections_after_a_failed_space_read_the_system(monkeypatch):
+    # Only a space that fails builds the system; every later selection on
+    # that operator reads it and grows no space.
+    n = 256
+    matrix = _random_symmetric(n)
+    op = DenseOperator(matrix)
+    built, steps = _count_systems(monkeypatch), _count_steps(monkeypatch)
+    y = np.cos(np.linspace(0.0, 2.0, n))
+    f = matrix @ y
+    for k, rel in enumerate([1e-2, 1e-3, 1e-4]):
+        noise = philox(40 + k).standard_normal(n)
+        delta = rel * np.linalg.norm(f)
+        solution, _ = regularized_solve_auto(op, f + delta / np.linalg.norm(noise) * noise, delta)
+        assert (solution.path, solution.iterations) == ("spectral", 0)
+        assert steps[0] == max(32, n // 8)
+        assert built == [op]
 
 
 def test_operator_with_a_built_system_selects_on_it(monkeypatch):

@@ -266,6 +266,15 @@ def test_failed_certificate_on_a_sized_space_doubles(monkeypatch, factor_sizes):
     assert factor_sizes == [operators._KRYLOV_START, sized, 2 * sized]
 
 
+def test_a_capped_fixed_alpha_space_stops_at_its_cap():
+    # extend returned False at the cap without growing, and the loop that
+    # grows a space to a fixed alpha called it forever.
+    prob = make_problem("deriv2", 256)
+    projection = _KrylovProjection(prob.op, prob.f, IterativeSolverConfig(), alpha=1e-14, cap=4)
+    assert projection.steps == 4
+    assert not projection.certifies(1e-14)
+
+
 def _rotated_sweep(projection, alpha):
     """The sweep as damped LSQR's rotations column by column, stored as tuples."""
     k = projection.steps

@@ -32,7 +32,7 @@ from regkit import (
     write_dense_text,
 )
 
-from conftest import philox, matrix_free_view
+from conftest import catalog_operator, philox, matrix_free_view
 
 
 # --- apply / apply_adjoint -------------------------------------------------
@@ -651,7 +651,7 @@ def test_symmetric_indefinite_singular_system():
 def test_negative_definite_deriv2_matches_svd_and_primal():
     # deriv2's own kind has a closed form; its matrix keeps eigh covered
     # on a negative-definite input.
-    op = DenseOperator(make_problem("deriv2", 64, decompose=False).op.matrix)
+    op = DenseOperator(catalog_operator("deriv2", 64).matrix)
     assert np.all(np.linalg.eigvalsh(op.matrix) < 0)
     decomp = svd_decompose(op)
     reference = np.linalg.svd(op.matrix, compute_uv=False)
@@ -667,7 +667,7 @@ def test_negative_definite_deriv2_matches_svd_and_primal():
 
 
 def test_one_ulp_asymmetry_takes_the_svd_path(monkeypatch):
-    matrix = np.array(make_problem("phillips", 32, decompose=False).op.matrix)
+    matrix = np.array(catalog_operator("phillips", 32).matrix)
     matrix[0, 1] = np.nextafter(matrix[0, 1], np.inf)
 
     def refuse(*args, **kwargs):

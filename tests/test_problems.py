@@ -26,6 +26,7 @@ from regkit import (
     svd_decompose,
 )
 
+from conftest import catalog_operator
 
 ALL_SIZES = (4, 8, 16, 32, 64, 128, 256)
 
@@ -57,8 +58,7 @@ def test_hilbert_two_by_two():
 def test_hilbert_matches_scipy_exactly(n):
     from scipy.linalg import hilbert
 
-    prob = make_problem("hilbert", n, decompose=False)
-    np.testing.assert_array_equal(prob.op.matrix, hilbert(n))
+    np.testing.assert_array_equal(catalog_operator("hilbert", n).matrix, hilbert(n))
 
 
 def test_gradient_family_norm_growth():
@@ -116,11 +116,15 @@ def test_instance_invariants(name, n):
     assert np.linalg.norm(null_part) <= 1e-10 * np.linalg.norm(prob.y)
 
 
-def test_decompose_flag_skips_decomposition():
-    prob = make_problem("deriv2", 16, decompose=False)
-    assert prob.decomp is None
-    full = make_problem("deriv2", 16)
-    np.testing.assert_array_equal(prob.f, full.f)
+def test_decomp_is_built_on_first_read():
+    # phillips' set-up factors nothing; its system is built when decomp is read.
+    prob = make_problem("phillips", 16)
+    assert "_system" not in vars(prob.op)
+    decomp = prob.decomp
+    assert "_system" in vars(prob.op)
+    assert decomp is prob.op._system and prob.decomp is decomp
+    with pytest.raises(AttributeError):
+        prob.decomp = None
 
 
 def test_unknown_problem_and_bad_sizes():

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from regkit import DenseOperator, GradientOperator, make_problem, svd_decompose
+from regkit import DenseOperator, GradientOperator, svd_decompose
 from regkit.operators import (
     DEFAULT_RANK_TOLERANCE,
     _SKETCH_WIDTH,
@@ -19,7 +19,7 @@ from regkit.operators import (
     _reflection_blocks,
 )
 
-from conftest import philox
+from conftest import catalog_operator, philox
 
 
 def _flip(b):
@@ -192,7 +192,7 @@ def _factorizations(monkeypatch, matrix, rank_tolerance=DEFAULT_RANK_TOLERANCE):
 )
 def test_catalog_matrices_factor_only_half_size_blocks(monkeypatch, name, factorization):
     n = 128
-    calls = _factorizations(monkeypatch, make_problem(name, n, decompose=False).op.matrix)
+    calls = _factorizations(monkeypatch, catalog_operator(name, n).matrix)
     assert [kind for kind, _ in calls] == [factorization] * 2
     assert max(max(shape) for _, shape in calls) <= math.ceil(n / 2)
 
@@ -205,12 +205,12 @@ def test_symmetric_blocks_of_opposite_parity_take_the_svd(monkeypatch):
 
 def test_hilbert_is_factored_whole(monkeypatch):
     n = 128
-    calls = _factorizations(monkeypatch, make_problem("hilbert", n, decompose=False).op.matrix)
+    calls = _factorizations(monkeypatch, catalog_operator("hilbert", n).matrix)
     assert calls == [("eigh", (n, n))]
 
 
 def test_truncated_hilbert_factors_only_the_block(monkeypatch):
-    calls = _factorizations(monkeypatch, make_problem("hilbert", 1024, decompose=False).op.matrix)
+    calls = _factorizations(monkeypatch, catalog_operator("hilbert", 1024).matrix)
     assert calls == [("eigh", (_SKETCH_WIDTH, _SKETCH_WIDTH))]
 
 
@@ -219,7 +219,7 @@ def test_untruncated_hilbert_takes_the_block(monkeypatch):
     # n eps sigma_1, which the block certifies: the values below carry no
     # correct digits from a whole-matrix eigh either.
     n = 256
-    calls = _factorizations(monkeypatch, make_problem("hilbert", n, decompose=False).op.matrix, 0.0)
+    calls = _factorizations(monkeypatch, catalog_operator("hilbert", n).matrix, 0.0)
     assert calls == [("eigh", (_SKETCH_WIDTH, _SKETCH_WIDTH))]
 
 

@@ -21,7 +21,7 @@ import pytest
 from regkit import DenseOperator, GreenOperator, as_dense_matrix, make_problem, svd_decompose
 from regkit.operators import _factor, _fold, _kept, _sketch, _unfold
 
-from conftest import philox, phillips_grid
+from conftest import catalog_operator, philox, phillips_grid
 
 # numpy.fft and numpy.random load on first use, by the Toeplitz products and
 # ``_sketch``'s random block; loading them here keeps their modules out of
@@ -84,14 +84,17 @@ def test_phillips_set_up_holds_one_factor_and_no_matrix():
     # built: the peak above what is kept is the second block (2 MiB) while
     # it is factored, the first's eigenvectors being kept, and a band of
     # rows' temporaries.
+    # The set-up factors nothing; the first read of decomp does.
     n = 1024
-    prob, kept, peak = _traced(lambda: make_problem("phillips", n))
+    prob = make_problem("phillips", n)
+    assert "_system" not in vars(prob.op)
+    decomp, kept, peak = _traced(lambda: prob.decomp)
     assert "matrix" not in vars(prob.op)
-    factors = {id(v): v.nbytes for v, _, _ in prob.decomp._right_parts}
+    factors = {id(v): v.nbytes for v, _, _ in decomp._right_parts}
     assert sum(factors.values()) == 4 * MiB
     # Left factors share the right ones' buffers (u_i = sign_i v_i).
-    assert all(id(v) in factors for v, _, _ in prob.decomp._left_parts)
-    held = _held_bytes(prob)
+    assert all(id(v) in factors for v, _, _ in decomp._left_parts)
+    held = _held_bytes(decomp)
     # A second factor, a kept half or the matrix fails one of these.
     assert 4 * MiB <= held <= 4 * MiB + VECTORS * 8 * n
     assert held <= kept <= held + HEADERS
@@ -116,9 +119,10 @@ def test_hilbert_set_up_makes_no_full_size_temporary():
 @pytest.mark.parametrize("name", ["hilbert", "phillips"])
 def test_set_up_peaks_below_one_matrix(name):
     # Each once built its 8 MiB matrix for the factorization; odd-n
-    # phillips also factored it whole, and peaked at 16.6 MiB.
+    # phillips also factored it whole, and peaked at 16.6 MiB.  phillips'
+    # system is built when decomp is first read.
     for n in (1024, 1025):
-        _, _, peak = _traced(lambda: make_problem(name, n))
+        _, _, peak = _traced(lambda: make_problem(name, n).decomp)
         assert peak < 8 * MiB, n
 
 
@@ -153,7 +157,7 @@ def test_symmetric_system_keeps_one_factor():
     # narrow for the random block: its system is one whole-matrix eigh,
     # every value kept.
     n = 255
-    op = make_problem("hilbert", n, decompose=False).op
+    op = catalog_operator("hilbert", n)
     system, kept, peak = _traced(lambda: op._system)
     assert system.rank == n
     assert system.right_vectors.nbytes <= kept <= 1.1 * n * n * 8
@@ -206,14 +210,14 @@ def test_builders_give_the_expressions_bits(n):
     diff = t[:, None] - t[None, :]
     phillips = h * np.where(np.abs(diff) < 3.0, 1.0 + np.cos(np.pi * diff / 3.0), 0.0)
     for name, want in (("hilbert", hilbert), ("phillips", phillips)):
-        got = make_problem(name, n, decompose=False).op.matrix
+        got = catalog_operator(name, n).matrix
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("name", ["hilbert", "phillips"])
 def test_catalog_matrix_is_read_only(name):
-    matrix = make_problem(name, 64, decompose=False).op.matrix
+    matrix = catalog_operator(name, 64).matrix
     assert not matrix.flags.writeable
     with pytest.raises(ValueError):
         matrix[0, 0] = 1.0

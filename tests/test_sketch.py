@@ -6,11 +6,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from regkit import DenseOperator, make_problem, regularized_solve_auto, svd_decompose
+from regkit import DenseOperator, regularized_solve_auto, svd_decompose
 from regkit import operators
 from regkit.operators import _SKETCH_WIDTH
 
-from conftest import philox
+from conftest import catalog_operator, philox
 
 
 def _low_rank(m, n, indefinite=False):
@@ -30,7 +30,7 @@ def _low_rank(m, n, indefinite=False):
     return (x * d) @ y.T
 
 
-CASES = {f"hilbert{n}": (lambda n=n: make_problem("hilbert", n, decompose=False).op.matrix)
+CASES = {f"hilbert{n}": (lambda n=n: catalog_operator("hilbert", n).matrix)
          for n in (256, 512, 1024, 2048)}
 for m, n in [(512, 512), (300, 600), (600, 300)]:
     CASES[f"low_rank{m}x{n}"] = lambda m=m, n=n: _low_rank(m, n)

@@ -166,7 +166,7 @@ def test_repr_of_diagonal_problem_builds_no_axes():
     prob = make_problem("diagonal", 4096)
     tracemalloc.start()
     try:
-        text = repr(prob)
+        text = repr(prob) + repr(prob.decomp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -23,21 +23,24 @@ from regkit import (
     InvalidParameterError,
     SizeLimitError,
     ToeplitzOperator,
+    add_noise,
     as_dense_matrix,
     export_problem,
     make_problem,
     read_dense_text,
+    regularized_solve_auto,
     solve_dual,
     solve_primal,
     solve_shifted_normal,
     svd_decompose,
 )
 from regkit.cli import main
+from regkit.experiments import run_sweep
 from regkit import operators
 from regkit.operators import _is_symmetric, _reflection_blocks
 from regkit.problems import _grid
 
-from conftest import philox, phillips_grid, refuse_whole_matrix
+from conftest import catalog_operator, philox, phillips_grid, refuse_whole_matrix
 
 _LARGE = 100_000
 
@@ -67,7 +70,7 @@ def test_matches_scipy_toeplitz_and_hankel(n, hankel):
 @pytest.mark.parametrize("name", ["hilbert", "phillips"])
 @pytest.mark.parametrize("n", [64, 65, 1024, 1025])
 def test_catalog_products_match_the_matrix(name, n):
-    op = make_problem(name, n, decompose=False).op
+    op = catalog_operator(name, n)
     assert isinstance(op, ToeplitzOperator)
     _assert_products_match(op, op.matrix, philox(n))
 
@@ -108,7 +111,7 @@ def _reference_phillips(n, mirrored=True):
 )
 def test_matrix_has_the_dense_builders_bits(name, n):
     reference = {"hilbert": _reference_hilbert, "phillips": _reference_phillips}[name]
-    got = make_problem(name, n, decompose=False).op.matrix
+    got = catalog_operator(name, n).matrix
     want = reference(n)
     assert not got.flags.writeable
     np.testing.assert_array_equal(got, want)
@@ -121,7 +124,7 @@ def test_even_phillips_is_reflection_symmetric_bit_for_bit(n):
     # these n, so the dense builder's matrix is not mirror-exact; phillips
     # negates its grid's left half for the right one.  Each t_i - t_j then
     # moves by a few ulps of 6, and the kernel's slope is at most pi h / 3.
-    matrix = as_dense_matrix(make_problem("phillips", n, decompose=False).op)
+    matrix = as_dense_matrix(catalog_operator("phillips", n))
     reference = _reference_phillips(n, mirrored=False)
     assert np.array_equal(matrix[::-1, ::-1], matrix)
     assert not np.array_equal(reference[::-1, ::-1], reference)
@@ -135,7 +138,7 @@ def _assert_same_system(system, want):
 
 @pytest.mark.parametrize("name, n", [("phillips", 256), ("phillips", 129)])
 def test_system_is_the_dense_factorization_bit_for_bit(name, n):
-    op = make_problem(name, n, decompose=False).op
+    op = catalog_operator(name, n)
     system = op._system
     assert "matrix" not in vars(op)  # not kept, if built
     _assert_same_system(system, DenseOperator(op.matrix)._system)
@@ -143,8 +146,8 @@ def test_system_is_the_dense_factorization_bit_for_bit(name, n):
 
 @pytest.mark.parametrize("n", [64, 256, 300, 1000, 1024])
 def test_even_phillips_factors_its_blocks_without_the_matrix(monkeypatch, n):
-    want = DenseOperator(make_problem("phillips", n, decompose=False).op.matrix)._decompose()
-    op = refuse_whole_matrix(monkeypatch, make_problem("phillips", n, decompose=False).op)
+    want = DenseOperator(catalog_operator("phillips", n).matrix)._decompose()
+    op = refuse_whole_matrix(monkeypatch, catalog_operator("phillips", n))
     _assert_same_system(op._system, want)
 
 
@@ -152,7 +155,7 @@ def test_even_phillips_factors_its_blocks_without_the_matrix(monkeypatch, n):
 def test_odd_phillips_factors_its_blocks_without_the_matrix(monkeypatch, n):
     # Its grid is mirrored about an exact 0, so the middle row and column
     # join the even block, as in the dense fold.
-    op = make_problem("phillips", n, decompose=False).op
+    op = catalog_operator("phillips", n)
     want = DenseOperator(as_dense_matrix(op))._system
     system = refuse_whole_matrix(monkeypatch, op)._system
     assert len(system._left_parts) == 2
@@ -164,9 +167,9 @@ def test_odd_phillips_factors_its_blocks_without_the_matrix(monkeypatch, n):
 def test_hilbert_system_matches_the_dense_factorization_to_rounding(monkeypatch, n):
     # The random block takes FFT products, which round otherwise than the
     # dense ones: the same values and subspaces, not the same bits.
-    matrix = make_problem("hilbert", n, decompose=False).op.matrix
+    matrix = catalog_operator("hilbert", n).matrix
     want = DenseOperator(matrix)._system
-    system = refuse_whole_matrix(monkeypatch, make_problem("hilbert", n, decompose=False).op)._system
+    system = refuse_whole_matrix(monkeypatch, catalog_operator("hilbert", n))._system
     scale = want.singular_values[0]
     assert system.rank == want.rank
     assert np.abs(system.singular_values - want.singular_values).max() <= 8 * np.finfo(float).eps * scale
@@ -212,8 +215,7 @@ def test_structure_tests_agree_with_the_dense_ones(monkeypatch, n, hankel, sign,
     if source == "diagonals":
         assert dense_sign == sign
         # The test ``_decompose`` reads off t before it tries the random block.
-        values = build()._values
-        assert (hankel or np.array_equal(values, values[::-1])) == dense_symmetric
+        assert build()._symmetric == dense_symmetric
         assert dense_symmetric == (hankel or sign == 1.0)
     reflected = _reflection_blocks(build()._rows, (n, n))
     if dense_sign is not None:
@@ -315,8 +317,8 @@ def test_system_does_not_depend_on_a_matrix_already_read(n):
     # At 256 hilbert's system comes from the random block on FFT products,
     # which round otherwise than the dense ones, whether or not the
     # matrix was read first.
-    want = make_problem("hilbert", n, decompose=False).op._system
-    op = make_problem("hilbert", n, decompose=False).op
+    want = catalog_operator("hilbert", n)._system
+    op = catalog_operator("hilbert", n)
     matrix = op.matrix
     _assert_same_system(op._system, want)
     assert op.matrix is matrix
@@ -325,11 +327,13 @@ def test_system_does_not_depend_on_a_matrix_already_read(n):
 @pytest.mark.parametrize("name", ["hilbert", "phillips"])
 def test_set_up_holds_no_n_by_n_array(name):
     # phillips keeps its two half-size blocks' eigenvectors, n^2 / 4 doubles
-    # each; hilbert its rank-27 random-block factors.
+    # each; hilbert its rank-27 random-block factors.  phillips' set-up
+    # factors nothing, so its system is built here by reading decomp.
     n = MAX_DENSE_DIM
     tracemalloc.start()
     try:
         prob = make_problem(name, n)
+        prob.decomp
         largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
     finally:
         tracemalloc.stop()
@@ -400,6 +404,53 @@ def test_above_the_cap_solves_grow_a_krylov_space():
     normal = op.apply_adjoint(op.apply(primal.u) - f) + alpha * primal.u
     assert np.linalg.norm(normal) <= 1e-10 * np.linalg.norm(op.apply_adjoint(f))
     np.testing.assert_array_equal(solve_dual(op, f, alpha).u, primal.u)
+
+
+# --- a space before the system ------------------------------------------------------
+
+def _refuse_factorizations(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored a matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+
+
+def test_phillips_at_the_cap_sets_up_and_selects_without_factoring(monkeypatch):
+    # Its set-up ran an eigh of both 2048-row reflection blocks, 1.8 s.
+    _refuse_factorizations(monkeypatch)
+    prob = make_problem("phillips", MAX_DENSE_DIM)
+    noisy = add_noise(prob, 1e-3 * np.linalg.norm(prob.f), seed=1)
+    solution, _ = regularized_solve_auto(prob.op, noisy.f_delta, noisy.delta)
+    assert solution.path == "krylov"
+    assert abs(solution.residual_norm - 1.5 * noisy.delta) <= 1e-8 * 1.5 * noisy.delta
+    assert "_system" not in vars(prob.op)
+
+
+def test_a_phillips_sweep_factors_nothing(monkeypatch):
+    # Only a space that fails to certify builds the system, so no level
+    # after the first factors either.
+    _refuse_factorizations(monkeypatch)
+    records = run_sweep("phillips", 2048, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], seed=1)
+    assert all(np.isfinite(r.alpha) for r in records)
+
+
+@pytest.mark.parametrize("off", [False, True], ids=["palindrome", "one ulp off"])
+def test_a_symmetric_closed_form_selects_on_a_space_first(off):
+    # phillips' t and entries; t one ulp off a palindrome is not symmetric,
+    # and is factored at once, from its (symmetric) entries.
+    n = 128
+    prob = make_problem("phillips", n)
+    values = prob.op._values
+    column, row = values[n - 1 :], np.array(values[n - 1 :: -1])
+    if off:
+        row[5] = np.nextafter(row[5], np.inf)
+    op = ToeplitzOperator(column, row, entries=prob.op._closed_form)
+    assert op._space_first is not off
+    noisy = add_noise(prob, 1e-2 * np.linalg.norm(prob.f), seed=2)
+    solution, _ = regularized_solve_auto(op, noisy.f_delta, noisy.delta)
+    assert solution.path == ("spectral" if off else "krylov")
+    assert ("_system" in vars(op)) is off
 
 
 # --- the catalog above the cap -------------------------------------------------------
