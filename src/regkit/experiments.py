@@ -142,15 +142,14 @@ def _finish(problem, solution, delta, c_label, started):
 
 
 def _system(problem):
-    """What selection runs on: the problem's singular system, else its operator.
+    """What selection runs on: the operator's eager system, else the operator.
 
-    The operator where it has ``_space_first`` (phillips up to
-    ``MAX_DENSE_DIM``), which tries a capped Golub-Kahan space before it
-    factors, or no system (hilbert and phillips above it), where the
-    space grows on the FFT apply.
+    The operator where its system waits for a failed space (phillips up
+    to ``MAX_DENSE_DIM``, which tries a capped Golub-Kahan space before it
+    factors) or where it has none (hilbert and phillips above it, whose
+    space grows on the FFT apply).
     """
-    op = problem.op
-    return op if op._space_first or op._system is None else op._system
+    return problem.op._eager_system or problem.op
 
 
 def _solve_fixed(problem, f, alpha):

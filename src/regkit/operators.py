@@ -359,12 +359,13 @@ class _KrylovProjection:
     def __init__(self, op, f, cfg, alpha=None, cap=None):
         """The space of f, grown until it certifies ``alpha`` if one is given.
 
-        A ``cap`` replaces the budget, and ``extend`` past it returns
-        False instead of raising.
+        A ``cap`` replaces the budget.  Without ``alpha``, ``extend`` past
+        it returns False instead of raising; with one, the space raises
+        ``ConvergenceError`` at the cap, as at a budget.
         """
         self._op = op
         self._rel_tolerance = cfg.rel_tolerance
-        self._capped = cap is not None
+        self._capped = cap is not None and alpha is None
         self._budget = cfg.budget(op.domain_dim) if cap is None else cap
         self._largest = 0.0  # largest bidiagonal entry: a lower bound on ||A||
         self._sized = False  # whether the LSQR monitor chose the current size
@@ -379,8 +380,7 @@ class _KrylovProjection:
         self._orthogonal_step(op.apply_adjoint(self._u[0]), 0.0)
         self._grow(min(_KRYLOV_START, self._budget))
         while alpha is not None and not self.certifies(alpha):
-            if not self.extend(alpha):
-                break
+            self.extend(alpha)
 
     def _append(self, rows, count, vec, carried):
         """Store vec as rows[count]: (rows, norm, a bound on its loss of orthogonality).
@@ -734,9 +734,17 @@ class LinearOperator:
     _system = None
 
     #: Whether a selection tries a capped Krylov space before building
-    #: ``_system``: set at construction by the kinds whose system is a
-    #: whole factorization.
+    #: ``_system``: true for the kinds whose system is a whole eigh.
     _space_first = False
+
+    @property
+    def _eager_system(self):
+        """``_system`` where a set-up may build it at once, else None.
+
+        A kind with ``_space_first`` leaves its system to the selection
+        whose capped space fails (``_project``), so it gives None here.
+        """
+        return None if self._space_first else self._system
 
     def _project(self, f, cfg, alpha=None):
         """The ``_Projection`` of data f on ``_system``, else a Krylov space.
@@ -752,7 +760,7 @@ class LinearOperator:
         space factors, and k selections that each certify cost k spaces
         and no factorization.
         """
-        if alpha is None and self._space_first and "_system" not in vars(self):
+        if alpha is None and "_system" not in vars(self) and self._space_first:
             return _KrylovProjection(self, f, cfg, cap=max(32, self.domain_dim // 8))
         if self._system is None:
             return _KrylovProjection(self, f, cfg, alpha)
@@ -771,7 +779,9 @@ class DenseOperator(LinearOperator):
     ``matrix`` is a read-only copy of the caller's real array; complex
     entries are refused, not cast.  Its singular system is built on first
     read (``_matrix_system``).  An exactly symmetric matrix up to
-    ``MAX_DENSE_DIM`` has ``_space_first``: its selections run on a capped
+    ``MAX_DENSE_DIM`` has ``_space_first``, checked by the first selection
+    on an unfactored operator, so that construction and fixed-alpha solves
+    skip the O(n^2) comparison: its selections run on a capped
     Golub-Kahan space and factor only once one does not certify
     (``LinearOperator._project``).  On a random symmetric matrix or
     D^T D, whose spaces do not certify early, such a selection takes 1.3
@@ -792,7 +802,6 @@ class DenseOperator(LinearOperator):
         matrix.setflags(write=False)
         self.matrix = matrix
         super().__init__(matrix.shape[0], matrix.shape[1])
-        self._space_first = max(matrix.shape) <= MAX_DENSE_DIM and _is_symmetric(matrix)
 
     def apply(self, x):
         return self.matrix @ _as_vector(x, self.domain_dim, "x")
@@ -838,6 +847,11 @@ class DenseOperator(LinearOperator):
         return _matrix_system(self._rows, self.matrix.shape, rank_tolerance)
 
     _system = functools.cached_property(_decompose)
+
+    @functools.cached_property
+    def _space_first(self):
+        """Whether the matrix is at most ``MAX_DENSE_DIM`` and exactly symmetric, on first read."""
+        return max(self.matrix.shape) <= MAX_DENSE_DIM and _is_symmetric(self.matrix)
 
 
 def _is_symmetric(matrix):

@@ -1,14 +1,14 @@
-"""Reproducible test problems with known minimal-norm solutions.
+"""Reproducible test problems with known exact solutions.
 
 Every catalog entry constructs the solution vector first and defines the
 exact data as its image, so the constructed system is solvable by
 construction.  When the operator's singular system is cheap to build
-and has values at or below ``DEFAULT_RANK_TOLERANCE * sigma_1``, the
-solution is projected onto the row space of the others, making it the
-minimal-norm representative of the data it generates.  phillips' system
-is an eigh of its matrix, which its selections avoid
-(``LinearOperator._project``), and hilbert above ``MAX_DENSE_DIM`` has
-none, so their solution is left as constructed.
+(``LinearOperator._eager_system``) and has values at or below
+``DEFAULT_RANK_TOLERANCE * sigma_1``, the solution is projected onto the
+row space of the others, making it the minimal-norm representative of
+the data it generates.  phillips' system is an eigh of its matrix, which
+its selections avoid (``LinearOperator._project``), and hilbert above
+``MAX_DENSE_DIM`` has none, so their solution is left as constructed.
 
 Noise directions come from the Philox counter-based generator (64-bit,
 keyed by the caller's seed), so noisy data is reproducible bit-for-bit
@@ -56,20 +56,22 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """An operator with its exact minimal-norm solution and exact data.
+    """An operator with an exact solution, minimal-norm where it was projected, and exact data.
 
     Invariants: f = A y up to rounding, computed through ``op.apply``, and
     f is nonzero.  ``decomp`` is ``op._system``, untruncated and built on
     first read: at alpha = 0 use ``svd_decompose(op)``, or
     ``minimal_norm_solution(decomp, f)``, which reads it at
-    ``DEFAULT_RANK_TOLERANCE``.  Where the operator has a system and no
-    ``_space_first``, y is orthogonal to its null space at that
+    ``DEFAULT_RANK_TOLERANCE``.  Where ``make_problem`` built the system
+    (``op._eager_system``), y is orthogonal to its null space at that
     tolerance, and so the minimal-norm solution.  phillips' y is never
-    projected: it is the profile at every n.  hilbert and phillips above
-    ``MAX_DENSE_DIM`` have no system: ``decomp`` is None and y is the
-    unprojected profile, which for hilbert's numerically rank-deficient
-    matrix is not minimal-norm.  Two instances are equal only if they are
-    the same object.
+    projected: it is the profile at every n, and so not minimal-norm
+    where its system drops values (1 at n = 129, 2 at 1025 and 6 at
+    4096, among others); at 4096 its null component is about 5e-10 of
+    ||y||.  hilbert and phillips above ``MAX_DENSE_DIM`` have no system:
+    ``decomp`` is None and y is the unprojected profile, which for
+    hilbert's numerically rank-deficient matrix is not minimal-norm.  Two
+    instances are equal only if they are the same object.
     """
 
     name: str
@@ -203,14 +205,13 @@ def make_problem(name, n, **params):
         of kind ``ToeplitzOperator``, applied by FFT; each builds its n x n
         matrix only when ``op.matrix`` is read, or for a factorization
         that needs it (hilbert below n = 256).  The solution is projected
-        on ``op._system``'s vectors above ``DEFAULT_RANK_TOLERANCE *
-        sigma_1`` wherever the operator has no ``_space_first``, which
-        builds that system here.  hilbert's, of rank 20 to 27 for n from
+        on the vectors of ``op._eager_system``, built here, above
+        ``DEFAULT_RANK_TOLERANCE * sigma_1``.  hilbert's, of rank 20 to 27 for n from
         256 to 4096, comes from one certified random block on FFT products
         in O(n r log n): ~7 ms at n = 1024, where factoring the whole
         matrix takes ~250 ms; at n = 4096 its set-up keeps 1 MiB and peaks
-        at 7 MiB (tracemalloc).  phillips is ``_space_first``, so nothing
-        is factored here: its system, the eigh of two reflection blocks
+        at 7 MiB (tracemalloc).  phillips has ``_space_first`` and no eager
+        system, so nothing is factored here: its system, the eigh of two reflection blocks
         without the matrix, is built on the first read of ``decomp``, a
         fixed-alpha solve or a selection whose capped space fails.  At n
         = 4096 that keeps 64 MiB of eigenvectors, held once for both sides
@@ -236,7 +237,7 @@ def make_problem(name, n, **params):
         raise InvalidParameterError(
             f"bad parameters for problem {name!r}: {exc}"
         ) from None
-    decomp = None if op._space_first else op._system
+    decomp = op._eager_system
     if decomp is not None:
         kept = _kept(decomp.singular_values, DEFAULT_RANK_TOLERANCE)
         if kept.sum() < op.domain_dim:

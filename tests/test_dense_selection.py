@@ -20,7 +20,9 @@ from regkit import (
     add_noise,
     make_problem,
     regularized_solve_auto,
+    solve_primal,
 )
+from regkit import operators
 from regkit.operators import _KrylovProjection
 
 from conftest import catalog_operator, philox
@@ -177,6 +179,23 @@ def test_selections_after_a_failed_space_read_the_system(monkeypatch):
         assert (solution.path, solution.iterations) == ("spectral", 0)
         assert steps[0] == max(32, n // 8)
         assert built == [op]
+
+
+def test_only_a_selection_checks_symmetry(monkeypatch):
+    # Construction and fixed-alpha solves skip the O(n^2) comparison; the
+    # first selection on the unfactored operator makes it, once.
+    prob = make_problem("phillips", 128)
+    checks = []
+    is_symmetric = operators._is_symmetric
+    monkeypatch.setattr(operators, "_is_symmetric", lambda m: checks.append(m) or is_symmetric(m))
+    op = DenseOperator(prob.op.matrix)
+    solve_primal(op, prob.f, 1e-3)
+    assert checks == []
+    noisy = add_noise(prob, 1e-3 * np.linalg.norm(prob.f), seed=0)
+    for _ in range(2):
+        solution, _ = regularized_solve_auto(op, noisy.f_delta, noisy.delta)
+        assert solution.path == "krylov"
+    assert len(checks) == 1
 
 
 def test_operator_with_a_built_system_selects_on_it(monkeypatch):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from regkit import (
+    ConvergenceError,
     DenseOperator,
     GradientOperator,
     IterativeSolverConfig,
@@ -266,13 +267,15 @@ def test_failed_certificate_on_a_sized_space_doubles(monkeypatch, factor_sizes):
     assert factor_sizes == [operators._KRYLOV_START, sized, 2 * sized]
 
 
-def test_a_capped_fixed_alpha_space_stops_at_its_cap():
+def test_a_capped_fixed_alpha_space_raises_at_its_cap():
     # extend returned False at the cap without growing, and the loop that
-    # grows a space to a fixed alpha called it forever.
+    # grows a space to a fixed alpha called it forever.  A fixed alpha's
+    # cap is a budget: the space raises there rather than return uncertified.
     prob = make_problem("deriv2", 256)
-    projection = _KrylovProjection(prob.op, prob.f, IterativeSolverConfig(), alpha=1e-14, cap=4)
-    assert projection.steps == 4
-    assert not projection.certifies(1e-14)
+    with pytest.raises(ConvergenceError) as caught:
+        _KrylovProjection(prob.op, prob.f, IterativeSolverConfig(), alpha=1e-14, cap=4)
+    assert caught.value.iterations == 4
+    assert caught.value.achieved_residual > IterativeSolverConfig().rel_tolerance
 
 
 def _rotated_sweep(projection, alpha):
